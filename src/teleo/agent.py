@@ -14,6 +14,7 @@ separates interference from reverse causation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping
 
@@ -45,6 +46,9 @@ class AgentPolicy:
     cause_modifiers: Mapping[tuple[str, int], float] = field(default_factory=dict)
 
     def __post_init__(self):
+        for name, value in (("p_act", self.p_act), ("p_base", self.p_base), ("theta", self.theta)):
+            if not math.isfinite(value):
+                raise PolicyError(f"{name} must be finite, got {value}")
         if not (0.0 <= self.p_base < self.p_act <= 1.0):
             raise PolicyError(
                 f"need 0 <= p_base < p_act <= 1, got p_base={self.p_base}, p_act={self.p_act}"
@@ -56,8 +60,10 @@ class AgentPolicy:
         for (parent, value), factor in self.cause_modifiers.items():
             if value not in (0, 1):
                 raise PolicyError(f"modifier on {parent!r} has value {value!r}, expected 0 or 1")
-            if not factor >= 0.0:
-                raise PolicyError(f"modifier factor for ({parent!r}, {value}) must be >= 0")
+            if not (factor >= 0.0 and math.isfinite(factor)):
+                raise PolicyError(
+                    f"modifier factor for ({parent!r}, {value}) must be finite and >= 0"
+                )
 
     @staticmethod
     def make(
@@ -151,13 +157,15 @@ class TeleologicalModel:
 
     The original CPT is kept on ``base_graph`` for reference; while the
     policy is bound, sampling and rate computations use the policy instead.
-    Immutable; bound graphs are memoized per regime.
+    Immutable; bound graphs are memoized per (clamps, servable).  Regime
+    kinds have no mechanical effect, so they are not part of the key.
     """
 
     base_graph: CausalGraph
     action: str
     policy: AgentPolicy
-    _cache: dict = field(default_factory=dict, repr=False)
+    _servable: dict = field(default_factory=dict, repr=False)
+    _bound: dict = field(default_factory=dict, repr=False)
 
     def servability(self, regime: Regime | None = None) -> Servability:
         return servable(
@@ -181,25 +189,39 @@ class TeleologicalModel:
                 rows[key] = self.policy.p_base
         return Variable(name=self.action, parents=action_var.parents, cpt=rows)
 
-    def bound_graph(self, regime: Regime | None = None) -> CausalGraph:
+    def bound_graph(
+        self, regime: Regime | None = None, is_servable: bool | None = None
+    ) -> CausalGraph:
         """The regime-mutilated graph with the policy CPT in place; this is
-        what experiments sample from."""
+        what experiments sample from.  ``is_servable`` is the policy's
+        servability under ``regime`` when the caller already knows it;
+        otherwise it is computed here."""
         regime = regime or Regime.natural()
         if self.action in regime.clamps:
             raise RegimeError(f"regime clamps the action {self.action!r}")
-        key = regime.signature()
-        if key not in self._cache:
-            outcome = self.servability(regime)
-            graph = mutilate(self.base_graph, regime).replace(
-                self._policy_variable(outcome.servable)
+        clamps = regime.signature()
+        if is_servable is None:
+            if clamps not in self._servable:
+                self._servable[clamps] = self.servability(regime).servable
+            is_servable = self._servable[clamps]
+        key = (clamps, is_servable)
+        if key not in self._bound:
+            self._bound[key] = mutilate(self.base_graph, regime).replace(
+                self._policy_variable(is_servable)
             )
-            self._cache[key] = graph.require_valid()
-        return self._cache[key]
+        return self._bound[key]
 
-    def action_rate(self, regime: Regime | None = None, max_vars: int = ENUMERATION_CAP) -> float:
+    def action_rate(
+        self,
+        regime: Regime | None = None,
+        is_servable: bool | None = None,
+        max_vars: int = ENUMERATION_CAP,
+    ) -> float:
         """Exact P(action = 1) under the policy and regime, marginalizing
-        over the action's parents."""
-        return joint_enumerate(self.bound_graph(regime), max_vars=max_vars).marginal(self.action)
+        over the action's parents.  Only the action's ancestors bear on its
+        marginal, so only they are enumerated."""
+        graph = self.bound_graph(regime, is_servable).ancestral_subgraph(self.action)
+        return joint_enumerate(graph, max_vars=max_vars).marginal(self.action)
 
 
 def bind_agent(graph: CausalGraph, action: str, policy: AgentPolicy) -> TeleologicalModel:

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .effects import classify_effects, confounding_causes
-from .engine import NATURAL_LABEL, RNG_ALGORITHM, Dataset, Regime, sample
+from .engine import NATURAL_LABEL, RNG_ALGORITHM, Dataset, Regime, require_possible, sample
 from .errors import InvalidGraphError, SpecError, TeleoError
 from .inference import arms_from_dataset, enumerate_hypotheses, identify, score_arms
 from .lab import DEFAULT_ALPHA, plan, run_battery
@@ -58,6 +58,12 @@ def _write(text: str, out: str | None) -> None:
 
 def _load_doc(path: str) -> GraphSpecDocument:
     return parse_graph_spec(_read(path))
+
+
+def _load_data(path: str, doc: GraphSpecDocument, action: str) -> Dataset:
+    dataset = Dataset.from_csv(_read(path))
+    require_possible(dataset, doc.graph, exempt=(action,))
+    return dataset
 
 
 def _require_action(doc: GraphSpecDocument) -> str:
@@ -181,7 +187,7 @@ def _cmd_analyze(args) -> int:
     doc = _load_doc(args.graph)
     action, classification = _classified(args, doc)
     battery = plan(doc.graph, classification, doc.levers)
-    dataset = Dataset.from_csv(_read(args.data))
+    dataset = _load_data(args.data, doc, action)
     if args.adjust is not None:
         adjustment = [name for name in args.adjust.split(",") if name]
     else:
@@ -217,7 +223,7 @@ def _cmd_infer(args) -> int:
     action = _require_action(doc)
     if doc.policy is None:
         raise TeleoError("graph spec declares no policy; intention scoring needs one")
-    dataset = Dataset.from_csv(_read(args.data))
+    dataset = _load_data(args.data, doc, action)
     arms = arms_from_dataset(dataset, action)
     hypotheses = enumerate_hypotheses(doc.graph, action, max_size=args.max_size)
     scores = score_arms(arms, doc.graph, action, doc.policy, hypotheses=hypotheses)
@@ -235,6 +241,26 @@ def _cmd_infer(args) -> int:
     }
     _emit(args, sections, provenance)
     return 0
+
+
+def _number(convert, ok, what: str):
+    """argparse type: ``convert(text)``, a usage error unless ``ok``."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid number {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
+        return value
+
+    return parse
+
+
+_NON_NEGATIVE = _number(int, lambda v: v >= 0, ">= 0")
+_POSITIVE = _number(int, lambda v: v >= 1, ">= 1")
+_ALPHA = _number(float, lambda v: 0.0 < v < 1.0, "strictly between 0 and 1")
 
 
 _COMMANDS = {
@@ -276,19 +302,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hypothesis", metavar="NAME")
 
     p = add("simulate", "sample a dataset from the bound model under its regimes")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--n", type=int, required=True, help="rows per regime")
+    p.add_argument("--seed", type=_NON_NEGATIVE, required=True)
+    p.add_argument("--n", type=_NON_NEGATIVE, required=True, help="rows per regime")
 
     p = add("experiment", "run the randomized interference battery")
     p.add_argument("--hypothesis", metavar="NAME")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--n", type=int, required=True, help="rows per arm")
-    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
+    p.add_argument("--seed", type=_NON_NEGATIVE, required=True)
+    p.add_argument("--n", type=_POSITIVE, required=True, help="rows per arm")
+    p.add_argument("--alpha", type=_ALPHA, default=DEFAULT_ALPHA)
 
     p = add("analyze", "stratified observational analysis of a dataset")
     p.add_argument("--hypothesis", metavar="NAME")
     p.add_argument("--data", required=True, metavar="FILE", help="dataset CSV")
-    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
+    p.add_argument("--alpha", type=_ALPHA, default=DEFAULT_ALPHA)
     p.add_argument(
         "--adjust",
         metavar="NAMES",
@@ -297,7 +323,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("infer", "score intention hypotheses against a dataset and identify")
     p.add_argument("--data", required=True, metavar="FILE")
-    p.add_argument("--max-size", type=int, default=1, help="largest intention set considered")
+    p.add_argument(
+        "--max-size", type=_POSITIVE, default=1, help="largest intention set considered"
+    )
 
     return parser
 

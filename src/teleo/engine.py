@@ -25,6 +25,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import (
+    DataError,
     EnumerationLimitError,
     RegimeError,
     SpecError,
@@ -88,8 +89,9 @@ class Regime:
         return Regime(clamps, kinds)
 
     def signature(self) -> tuple:
-        """Hashable canonical form, used as a cache key."""
-        return tuple(sorted((v, self.clamps[v], self.kind_of(v).value) for v in self.clamps))
+        """Hashable canonical form of the clamps, used as a cache key.
+        Kinds have no mechanical effect, so they are left out."""
+        return tuple(sorted(self.clamps.items()))
 
     def label(self) -> str:
         """Stable text label: "natural" or ";"-joined "var=value" pairs."""
@@ -284,10 +286,11 @@ class Dataset:
         return np.asarray(self.regime_labels, dtype=object)
 
     def regimes_present(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for label in self.regime_labels:
-            seen.setdefault(label)
-        return tuple(seen)
+        return tuple(dict.fromkeys(self.regime_labels))
+
+    def regime_mask(self, label: str) -> np.ndarray:
+        """Boolean mask of the rows labeled ``label``."""
+        return self._labels_array == label
 
     def filter_regimes(self, labels: Iterable[str]) -> "Dataset":
         wanted = set(labels)
@@ -359,6 +362,41 @@ class Dataset:
             labels.append(row[-1])
         values = np.array(rows, dtype=np.int8) if rows else np.zeros((0, len(variables)), dtype=np.int8)
         return Dataset(variables=variables, values=values, regime_labels=tuple(labels))
+
+
+def require_possible(dataset: Dataset, graph: CausalGraph, exempt: Iterable[str] = ()) -> None:
+    """Reject a dataset the graph cannot have produced.
+
+    The header must name exactly the graph's variables, and no row may have
+    probability 0 under its regime's mutilated graph: a clamped variable
+    off its clamp, or a value that contradicts a 0/1 CPT row.  Variables in
+    ``exempt`` are not checked (an action whose CPT a policy replaces).
+    """
+    if set(dataset.variables) != set(graph.names):
+        raise DataError(
+            f"data columns {sorted(dataset.variables)} do not match "
+            f"the graph's variables {sorted(graph.names)}"
+        )
+    exempt = set(exempt)
+    column = {name: k for k, name in enumerate(dataset.variables)}
+    rejected = 0
+    for label in dataset.regimes_present():
+        rows = dataset.values[dataset.regime_mask(label)]
+        impossible = np.zeros(len(rows), dtype=bool)
+        for var in mutilate(graph, Regime.from_label(label)).variables:
+            deterministic = (var.cpt_array == 0.0) | (var.cpt_array == 1.0)
+            if var.name in exempt or not deterministic.any():
+                continue
+            pidx = np.zeros(len(rows), dtype=np.int64)
+            for parent in var.parents:
+                pidx = (pidx << 1) | rows[:, column[parent]]
+            p_one = var.cpt_array[pidx]
+            impossible |= np.where(rows[:, column[var.name]] == 1, p_one == 0.0, p_one == 1.0)
+        rejected += int(impossible.sum())
+    if rejected:
+        raise DataError(
+            f"{rejected} of {dataset.n_rows} rows have probability 0 under their regime"
+        )
 
 
 def _rng(seed_seq: np.random.SeedSequence) -> np.random.Generator:

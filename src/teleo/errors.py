@@ -33,6 +33,10 @@ class UnknownVariableError(TeleoError):
     """A variable name does not resolve to a declared variable."""
 
 
+class DataError(TeleoError):
+    """A dataset does not fit the graph it is analyzed with."""
+
+
 class ZeroProbabilityError(TeleoError):
     """Conditioning on an event the model assigns probability zero."""
 

@@ -254,6 +254,13 @@ class CausalGraph:
             reached.add(name)
         return reached
 
+    def ancestral_subgraph(self, name: str) -> "CausalGraph":
+        """``name`` and its ancestors, in declaration order.  Every other
+        variable is barren for ``name``: summing it out leaves the marginal
+        of ``name`` unchanged (Shachter 1998)."""
+        keep = self.ancestors(name, strict=False)
+        return CausalGraph(tuple(v for v in self.variables if v.name in keep))
+
     def directed_paths(self, src: str, dst: str) -> list[list[str]]:
         """Every directed path from ``src`` to ``dst``, in a deterministic
         order.  Paths are vertex-simple because the graph is acyclic."""

@@ -18,15 +18,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from scipy import stats
-
-from .agent import AgentPolicy, bind_agent
+from .agent import AgentPolicy, TeleologicalModel, bind_agent
 from .effects import classify_effects
 from .engine import Dataset, Regime
-from .errors import HypothesisError, RegimeError
+from .errors import HypothesisError, PolicyError, RegimeError
 from .graph import CausalGraph
 from .lab import DEFAULT_ALPHA, ExperimentResult, plan, run_battery
 
@@ -89,11 +87,9 @@ def arms_from_dataset(dataset: Dataset, action: str) -> list[ArmCounts]:
     interference."""
     acts = dataset.column(action)
     arms = []
-    for label in sorted(set(dataset.regime_labels)):
-        mask = [lab == label for lab in dataset.regime_labels]
-        n = sum(mask)
-        k = int(acts[mask].sum())
-        arms.append(ArmCounts(Regime.from_label(label), n, k))
+    for label in sorted(dataset.regimes_present()):
+        mask = dataset.regime_mask(label)
+        arms.append(ArmCounts(Regime.from_label(label), int(mask.sum()), int(acts[mask].sum())))
     return arms
 
 
@@ -122,11 +118,86 @@ def enumerate_hypotheses(
     return out
 
 
-def _scoring_policy(policy_params, hypothesis: Hypothesis) -> AgentPolicy:
+def binomial_logpmf(k: int, n: int, p: float) -> float:
+    """log P(K = k) for K ~ Binomial(n, p).  At p = 0 and p = 1 the
+    distribution is a point mass, so the result is exactly 0 or -inf."""
+    if not 0 <= k <= n:
+        return -math.inf
+    if p == 0.0:
+        return 0.0 if k == 0 else -math.inf
+    if p == 1.0:
+        return 0.0 if k == n else -math.inf
+    return (
+        math.lgamma(n + 1)
+        - math.lgamma(k + 1)
+        - math.lgamma(n - k + 1)
+        + k * math.log(p)
+        + (n - k) * math.log1p(-p)
+    )
+
+
+def _hypothesis_list(graph: CausalGraph, action: str, hypotheses) -> list[Hypothesis]:
+    if hypotheses is None:
+        hypotheses = enumerate_hypotheses(graph, action, max_size=1)
+    hypotheses = list(hypotheses)
+    if not hypotheses:
+        raise HypothesisError("no hypotheses to score")
+    return hypotheses
+
+
+def _scoring_model(graph: CausalGraph, action: str, policy_params, hypotheses) -> TeleologicalModel:
+    """The agent bound with the union of the hypotheses' intentions, so
+    that one servability check yields the margin of every intended effect."""
+    if not all(hypotheses):
+        raise PolicyError("intention set is empty")
+    union = frozenset().union(*hypotheses)
     if isinstance(policy_params, AgentPolicy):
-        return policy_params.with_intentions(hypothesis)
-    params = dict(policy_params)
-    return AgentPolicy.make(intentions=hypothesis, **params)
+        policy = policy_params.with_intentions(union)
+    else:
+        policy = AgentPolicy.make(intentions=union, **dict(policy_params))
+    return bind_agent(graph, action, policy)
+
+
+def _servable_bits(
+    model: TeleologicalModel, hypotheses: Sequence[Hypothesis], regimes: Sequence[Regime]
+) -> list[list[bool]]:
+    """Whether each regime (columns) leaves every intended effect of each
+    hypothesis (rows) servable.  One servability check per distinct set of
+    clamps; a hypothesis is servable iff each of its margins clears theta."""
+    theta = model.policy.theta
+    margins = {}
+    columns = []
+    for regime in regimes:
+        key = regime.signature()
+        if key not in margins:
+            margins[key] = {
+                (name, target): margin
+                for name, target, margin in model.servability(regime).margins
+            }
+        columns.append(margins[key])
+    return [
+        [all(column[intent] >= theta for intent in hypothesis) for column in columns]
+        for hypothesis in hypotheses
+    ]
+
+
+def _rate_table(
+    model: TeleologicalModel, bits: list[list[bool]], regimes: Sequence[Regime]
+) -> list[list[float]]:
+    """Predicted action rates for a servability table.  The rate under a
+    regime depends on a hypothesis only through its servable bit, so each
+    regime needs at most two rate evaluations."""
+    rates = {}
+    table = []
+    for row in bits:
+        out = []
+        for regime, bit in zip(regimes, row):
+            key = (regime.signature(), bit)
+            if key not in rates:
+                rates[key] = model.action_rate(regime, bit)
+            out.append(rates[key])
+        table.append(out)
+    return table
 
 
 def predicted_rates(
@@ -137,10 +208,52 @@ def predicted_rates(
     regimes: Iterable[Regime],
 ) -> list[float]:
     """Exact action rate a ``hypothesis``-driven agent would show under each
-    regime, by enumeration of the bound graph."""
-    policy = _scoring_policy(policy_params, hypothesis)
-    model = bind_agent(graph, action, policy)
-    return [model.action_rate(regime) for regime in regimes]
+    regime."""
+    regimes = list(regimes)
+    model = _scoring_model(graph, action, policy_params, [hypothesis])
+    return _rate_table(model, _servable_bits(model, [hypothesis], regimes), regimes)[0]
+
+
+def _verdicts(
+    arms: Sequence[ArmCounts],
+    hypotheses: Sequence[Hypothesis],
+    rates: list[list[float]],
+    separation: float,
+    misfit_per_arm: float,
+) -> list[HypothesisScore]:
+    """Log-likelihoods of each hypothesis's predicted rates and the
+    verdicts they imply (see :func:`score_arms`).  Without arms every
+    hypothesis scores 0 and none is refuted."""
+    lls = []
+    for row in rates:
+        ll = 0.0
+        for arm, rate in zip(arms, row):
+            ll += binomial_logpmf(arm.acts, arm.n, rate)
+        lls.append(ll)
+
+    saturated = 0.0
+    for arm in arms:
+        saturated += binomial_logpmf(arm.acts, arm.n, arm.acts / arm.n)
+    budget = misfit_per_arm * len(arms)
+
+    best = max(lls)
+    if best < saturated - budget:
+        verdicts = [VERDICT_REFUTED] * len(hypotheses)
+    else:
+        within = [ll >= best - separation for ll in lls]
+        n_within = sum(within)
+        verdicts = []
+        for ok in within:
+            if not ok:
+                verdicts.append(VERDICT_REFUTED)
+            elif n_within == 1:
+                verdicts.append(VERDICT_CONSISTENT)
+            else:
+                verdicts.append(VERDICT_INDISTINGUISHABLE)
+    return [
+        HypothesisScore(h, ll, verdict)
+        for h, ll, verdict in zip(hypotheses, lls, verdicts)
+    ]
 
 
 def score_arms(
@@ -163,53 +276,12 @@ def score_arms(
     (each arm at its own empirical rate), no hypothesis explains the data
     and all are refuted.
     """
-    if hypotheses is None:
-        hypotheses = enumerate_hypotheses(graph, action, max_size=1)
-    hypotheses = list(hypotheses)
-    if not hypotheses:
-        raise HypothesisError("no hypotheses to score")
+    hypotheses = _hypothesis_list(graph, action, hypotheses)
     arms = [arm for arm in arms if arm.n > 0]
-
-    if not arms:
-        return [
-            HypothesisScore(h, 0.0, VERDICT_INDISTINGUISHABLE)
-            if len(hypotheses) > 1
-            else HypothesisScore(h, 0.0, VERDICT_CONSISTENT)
-            for h in hypotheses
-        ]
-
     regimes = [arm.regime for arm in arms]
-    lls = []
-    for hypothesis in hypotheses:
-        rates = predicted_rates(graph, action, policy_params, hypothesis, regimes)
-        ll = 0.0
-        for arm, rate in zip(arms, rates):
-            ll += float(stats.binom.logpmf(arm.acts, arm.n, rate))
-        lls.append(ll)
-
-    saturated = 0.0
-    for arm in arms:
-        saturated += float(stats.binom.logpmf(arm.acts, arm.n, arm.acts / arm.n))
-    budget = misfit_per_arm * len(arms)
-
-    best = max(lls)
-    if best < saturated - budget:
-        verdicts = [VERDICT_REFUTED] * len(hypotheses)
-    else:
-        within = [ll >= best - separation for ll in lls]
-        n_within = sum(within)
-        verdicts = []
-        for ok in within:
-            if not ok:
-                verdicts.append(VERDICT_REFUTED)
-            elif n_within == 1:
-                verdicts.append(VERDICT_CONSISTENT)
-            else:
-                verdicts.append(VERDICT_INDISTINGUISHABLE)
-    return [
-        HypothesisScore(h, ll, verdict)
-        for h, ll, verdict in zip(hypotheses, lls, verdicts)
-    ]
+    model = _scoring_model(graph, action, policy_params, hypotheses)
+    rates = _rate_table(model, _servable_bits(model, hypotheses, regimes), regimes)
+    return _verdicts(arms, hypotheses, rates, separation, misfit_per_arm)
 
 
 def score_hypotheses(
@@ -312,19 +384,18 @@ def sensitivity(
     The scoring model assumes the agent's (p_act, p_base) are known; this
     shows how the identification verdict moves when they are not.  Returns
     one (params, identification) pair per grid point, in grid order.
+    Servability depends only on theta, so it is checked once for the grid.
     """
+    hypotheses = _hypothesis_list(graph, action, hypotheses)
+    arms = [arm for arm in arms_from_results(results) if arm.n > 0]
+    regimes = [arm.regime for arm in arms]
+    base = _scoring_model(graph, action, base_policy, hypotheses)
+    bits = _servable_bits(base, hypotheses, regimes)
     out = []
     for p_act in p_act_grid:
         for p_base in p_base_grid:
-            policy = AgentPolicy.make(
-                intentions=base_policy.intention_set,
-                p_act=p_act,
-                p_base=p_base,
-                theta=base_policy.theta,
-                cause_modifiers=base_policy.cause_modifiers,
-            )
-            scores = score_hypotheses(
-                results, graph, action, policy, hypotheses=hypotheses
-            )
+            policy = replace(base.policy, p_act=p_act, p_base=p_base)
+            rates = _rate_table(bind_agent(graph, action, policy), bits, regimes)
+            scores = _verdicts(arms, hypotheses, rates, SEPARATION_NATS, MISFIT_NATS_PER_ARM)
             out.append(({"p_act": p_act, "p_base": p_base}, identify(scores)))
     return out

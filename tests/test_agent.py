@@ -49,6 +49,17 @@ class TestPolicyValidation:
         with pytest.raises(PolicyError):
             AgentPolicy.make([("x", 1)], cause_modifiers={("age", 1): -1.0})
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("param", ["p_act", "p_base", "theta"])
+    def test_non_finite_parameters_rejected(self, param, bad):
+        with pytest.raises(PolicyError, match="finite"):
+            AgentPolicy.make([("x", 1)], **{param: bad})
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_modifier_rejected(self, bad):
+        with pytest.raises(PolicyError, match="finite"):
+            AgentPolicy.make([("x", 1)], cause_modifiers={("age", 1): bad})
+
     def test_with_intentions_keeps_parameters(self):
         p = AgentPolicy.make([("a", 1)], p_act=0.6)
         q = p.with_intentions([("b", 1)])

@@ -69,6 +69,36 @@ class TestExitCodes:
         assert run_command(["classify", "--graph", str(spec)]) == 2
         assert run_command(["classify", "--graph", str(spec), "--hypothesis", "b"]) == 0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["experiment", "--seed", "1", "--n", "0"],
+            ["simulate", "--seed", "1", "--n", "-3"],
+            ["simulate", "--seed", "-1", "--n", "5"],
+            ["experiment", "--seed", "-1", "--n", "5"],
+            ["simulate", "--seed", "1", "--n", "many"],
+            ["experiment", "--seed", "1", "--n", "5", "--alpha", "0"],
+            ["experiment", "--seed", "1", "--n", "5", "--alpha", "nan"],
+            ["analyze", "--data", "x.csv", "--alpha", "1.5"],
+            ["infer", "--data", "x.csv", "--max-size", "0"],
+        ],
+    )
+    def test_bad_numbers_are_usage_errors(self, sport_spec_path, argv, capsys):
+        assert run_command(argv + ["--graph", str(sport_spec_path)]) == 2
+        assert "error: argument" in capsys.readouterr().err
+
+    def test_non_finite_policy_fails_validation(self, sport_spec_path, tmp_path, capsys):
+        spec = tmp_path / "nan.spec"
+        spec.write_text(sport_spec_path.read_text().replace("theta 0.1", "theta nan"))
+        code, report = machine(capsys, ["validate", "--graph", str(spec)])
+        assert code == 1
+        assert any("finite" in v for v in report.sections["validation"]["violations"])
+        data = tmp_path / "data.csv"
+        args = ["--graph", str(sport_spec_path), "--seed", "1", "--n", "20", "--out", str(data)]
+        assert run_command(["simulate", *args]) == 0
+        assert run_command(["infer", "--graph", str(spec), "--data", str(data)]) == 1
+        assert "finite" in capsys.readouterr().err
+
     def test_untagged_spec_cannot_classify(self, tmp_path):
         spec = tmp_path / "untagged.spec"
         spec.write_text(UNTAGGED)
@@ -288,6 +318,37 @@ class TestAnalyzeAndInfer:
         assert ["be_fit=1"] in ident["candidates"]
         assert ["be_fit=1", "lose_weight=1"] in ident["candidates"]
 
+    @pytest.mark.parametrize("command", ["infer", "analyze"])
+    def test_data_the_model_calls_impossible_is_rejected(
+        self, sport_spec_path, tmp_path, command, capsys
+    ):
+        good = tmp_path / "good.csv"
+        args = ["--graph", str(sport_spec_path), "--seed", "1", "--n", "50", "--out", str(good)]
+        assert run_command(["simulate", *args]) == 0
+        header, rest = good.read_text().split("\n", 1)
+        names = header.split(",")
+        i, j = names.index("practice"), names.index("enroll")
+        names[i], names[j] = names[j], names[i]
+        swapped = tmp_path / "swapped.csv"
+        swapped.write_text(",".join(names) + "\n" + rest)
+        argv = [command, "--graph", str(sport_spec_path), "--data", str(swapped)]
+        assert run_command(argv) == 1
+        assert "115 of 200 rows have probability 0" in capsys.readouterr().err
+        if command == "infer":
+            code, report = machine(
+                capsys, ["infer", "--graph", str(sport_spec_path), "--data", str(good)]
+            )
+            assert code == 0
+            assert report.sections["identification"]["verdict"] == "unique"
+            assert report.sections["identification"]["top"] == ["be_fit=1"]
+
+    def test_data_columns_must_match_graph(self, sport_spec_path, tmp_path, capsys):
+        data = tmp_path / "short.csv"
+        data.write_text("practice,regime\n1,natural\n")
+        argv = ["infer", "--graph", str(sport_spec_path), "--data", str(data)]
+        assert run_command(argv) == 1
+        assert "do not match" in capsys.readouterr().err
+
     def test_infer_requires_policy(self, tmp_path, data_csv):
         spec = tmp_path / "action_only.spec"
         spec.write_text(ACTION_ONLY)
@@ -298,6 +359,13 @@ class TestAnalyzeAndInfer:
 
 
 class TestConsoleEntry:
+    def test_import_does_not_load_scipy(self):
+        probe = "import sys, teleo.cli; print('scipy' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.strip() == "False"
+
     def test_module_invocation(self, sport_spec_path):
         proc = subprocess.run(
             [

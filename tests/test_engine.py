@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from teleo import (
+    DataError,
     Dataset,
     EnumerationLimitError,
     Regime,
@@ -14,6 +15,7 @@ from teleo import (
     joint_enumerate,
     mutilate,
     query,
+    require_possible,
     sample,
     sample_observational,
 )
@@ -239,6 +241,45 @@ class TestDatasetOps:
     def test_regimes_present_preserves_first_seen_order(self):
         data = make_dataset(["a"], [(0,), (1,), (0,)], ["z=1", "natural", "z=1"])
         assert data.regimes_present() == ("z=1", "natural")
+
+
+class TestRequirePossible:
+    """ball -> pins is a copy, so pins must equal ball unless pins is clamped."""
+
+    def test_sampled_data_pass(self):
+        data = Dataset.concat(
+            [
+                sample(ball_pins(), 200, 1),
+                sample(mutilate(ball_pins(), Regime.interference({"pins": 0})), 200, 2, "pins=0"),
+            ]
+        )
+        require_possible(data, ball_pins())
+
+    def test_contradicted_deterministic_row(self):
+        data = make_dataset(["ball", "pins"], [(1, 1), (1, 0), (0, 1), (0, 0)])
+        with pytest.raises(DataError, match="2 of 4 rows"):
+            require_possible(data, ball_pins())
+
+    def test_value_off_its_clamp(self):
+        # Under the clamp, pins=0 with ball=1 is possible and pins=1 is not.
+        data = make_dataset(["ball", "pins"], [(1, 0), (1, 0), (1, 1)], ["pins=0"] * 3)
+        with pytest.raises(DataError, match="1 of 3 rows"):
+            require_possible(data, ball_pins())
+
+    def test_exempt_variable_not_checked(self):
+        data = make_dataset(["ball", "pins"], [(1, 0)])
+        require_possible(data, ball_pins(), exempt=("pins",))
+
+    def test_column_order_is_free(self):
+        data = make_dataset(["pins", "ball"], [(1, 1), (0, 0)])
+        require_possible(data, ball_pins())
+
+    def test_header_must_name_the_graph_variables(self):
+        with pytest.raises(DataError, match="columns"):
+            require_possible(make_dataset(["ball"], [(1,)]), ball_pins())
+        extra = make_dataset(["ball", "pins", "dog"], [(1, 1, 0)])
+        with pytest.raises(DataError, match="columns"):
+            require_possible(extra, ball_pins())
 
 
 class TestObservationalSampling:

@@ -1,4 +1,8 @@
+import itertools
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from teleo import (
@@ -16,6 +20,7 @@ from teleo import (
     enumerate_hypotheses,
     hypothesis_label,
     identify,
+    joint_enumerate,
     oracle_identify,
     plan,
     predicted_rates,
@@ -26,6 +31,9 @@ from teleo import (
 )
 from teleo.graph import CausalGraph, Variable
 from teleo.inference import (
+    MISFIT_NATS_PER_ARM,
+    SEPARATION_NATS,
+    binomial_logpmf,
     IDENT_CANDIDATES,
     IDENT_INDETERMINATE,
     IDENT_UNIQUE,
@@ -208,6 +216,122 @@ class TestScoring:
         assert all(s.verdict == VERDICT_INDISTINGUISHABLE for s in scores)
         lls = {s.log_likelihood for s in scores}
         assert len(lls) == 1
+
+
+class TestBinomialLogpmf:
+    @pytest.mark.parametrize(
+        "k, n, p",
+        [(0, 1, 0.5), (3, 10, 0.2), (7, 10, 0.999), (0, 2000, 0.05), (1600, 2000, 0.8),
+         (2000, 2000, 0.8), (51234, 100000, 0.5)],
+    )
+    def test_matches_scipy_inside_the_unit_interval(self, k, n, p):
+        # Both sides sum lgamma terms near n log n; at n = 1e5 they are
+        # about 1e6 and round in the last digits differently.
+        want = float(stats.binom.logpmf(k, n, p))
+        assert binomial_logpmf(k, n, p) == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "k, n, p, want",
+        [(0, 10, 0.0, 0.0), (10, 10, 1.0, 0.0), (3, 10, 0.0, -math.inf),
+         (10, 10, 0.0, -math.inf), (0, 10, 1.0, -math.inf), (7, 10, 1.0, -math.inf)],
+    )
+    def test_point_masses_are_exact(self, k, n, p, want):
+        assert binomial_logpmf(k, n, p) == want
+        assert float(stats.binom.logpmf(k, n, p)) == want
+
+
+PROBS = (0.0, 0.1, 0.25, 0.5, 0.9, 1.0)
+
+
+@st.composite
+def scoring_problems(draw):
+    """A random DAG of up to 8 variables with 0/1 CPT rows, an action with
+    at least one effect, a policy with modifiers on the action's parents,
+    hypotheses with target-0 and target-1 intentions, and arms under clamp
+    regimes that include clamps on the action's parents."""
+    n = draw(st.integers(2, 8))
+    names = [f"v{i}" for i in range(n)]
+    at = draw(st.integers(0, n - 2))
+    action = names[at]
+    variables = []
+    for i, name in enumerate(names):
+        parents = draw(st.lists(st.sampled_from(names[:i]), max_size=3, unique=True)) if i else []
+        if i == at + 1 and action not in parents:
+            parents = [action] + parents[:2]
+        cpt = {
+            key: draw(st.sampled_from(PROBS))
+            for key in itertools.product((0, 1), repeat=len(parents))
+        }
+        variables.append(Variable.make(name, parents, cpt))
+    graph = CausalGraph.make(variables)
+    action_parents = graph.parents(action)
+    effects = [name for name in names if name in graph.descendants(action)]
+    intention = st.tuples(st.sampled_from(effects), st.integers(0, 1))
+    hypotheses = draw(
+        st.lists(st.frozensets(intention, min_size=1, max_size=2), min_size=1, max_size=5, unique=True)
+    )
+    modifiers = draw(
+        st.dictionaries(
+            st.tuples(st.sampled_from(action_parents), st.integers(0, 1)),
+            st.sampled_from((0.0, 0.5, 1.0)),
+            max_size=3,
+        )
+        if action_parents
+        else st.just({})
+    )
+    # p_act times the factors stays below 1: at a predicted rate of exactly 1
+    # any two summation orders may round differently and fall on either side
+    # of the point mass, which no scorer can agree on.
+    p_base, p_act = draw(st.sampled_from(((0.0, 0.6), (0.05, 0.8), (0.3, 0.9))))
+    policy = AgentPolicy.make(
+        hypotheses[0],
+        p_act=p_act,
+        p_base=p_base,
+        theta=draw(st.sampled_from((0.0, 0.1, 0.3))),
+        cause_modifiers=modifiers,
+    )
+    others = [name for name in names if name != action]
+    clamp_sets = draw(
+        st.lists(st.dictionaries(st.sampled_from(others), st.integers(0, 1), max_size=2), max_size=3)
+    )
+    if action_parents:
+        clamp_sets.append({p: draw(st.integers(0, 1)) for p in action_parents})
+    arms = []
+    for clamps in [{}] + clamp_sets:
+        size = draw(st.integers(1, 40))
+        arms.append(ArmCounts(Regime.interference(clamps), size, draw(st.integers(0, size))))
+    return graph, action, policy, hypotheses, arms
+
+
+def reference_scores(arms, graph, action, policy, hypotheses):
+    """Scoring as it was first written: bind each hypothesis, enumerate the
+    whole bound graph for every arm, score with scipy."""
+    lls = []
+    for hypothesis in hypotheses:
+        model = bind_agent(graph, action, policy.with_intentions(hypothesis))
+        ll = 0.0
+        for arm in arms:
+            rate = joint_enumerate(model.bound_graph(arm.regime)).marginal(action)
+            ll += float(stats.binom.logpmf(arm.acts, arm.n, rate))
+        lls.append(ll)
+    saturated = sum(float(stats.binom.logpmf(a.acts, a.n, a.acts / a.n)) for a in arms)
+    best = max(lls)
+    if best < saturated - MISFIT_NATS_PER_ARM * len(arms):
+        return lls, [VERDICT_REFUTED] * len(lls)
+    within = [ll >= best - SEPARATION_NATS for ll in lls]
+    alone = VERDICT_CONSISTENT if sum(within) == 1 else VERDICT_INDISTINGUISHABLE
+    return lls, [alone if ok else VERDICT_REFUTED for ok in within]
+
+
+@settings(max_examples=150, deadline=None)
+@given(scoring_problems())
+def test_scores_match_per_hypothesis_enumeration(problem):
+    graph, action, policy, hypotheses, arms = problem
+    scores = score_arms(arms, graph, action, policy, hypotheses=hypotheses)
+    want_lls, want_verdicts = reference_scores(arms, graph, action, policy, hypotheses)
+    for score, want in zip(scores, want_lls):
+        assert score.log_likelihood == want or abs(score.log_likelihood - want) <= 1e-9
+    assert [s.verdict for s in scores] == want_verdicts
 
 
 @pytest.fixture(scope="module")
