@@ -67,13 +67,8 @@ def classify_effects(graph: CausalGraph, action: str, hypothesized: str) -> Effe
         raise HypothesisError(
             f"{hypothesized!r} is not a strict descendant of action {action!r}"
         )
-    mediating = set()
+    mediating = effects & graph.ancestors(hypothesized, strict=True)
     further = graph.descendants(hypothesized, strict=True)
-    for v in effects:
-        if v == hypothesized:
-            continue
-        if hypothesized in graph.descendants(v, strict=True):
-            mediating.add(v)
     parallel = effects - mediating - further - {hypothesized}
     return EffectClassification(
         action=action,

@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import enum
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterable, Mapping
 
@@ -239,40 +239,89 @@ def query(
     return table.prob_of({**given, **event}) / denom
 
 
+def _code_dtype(n_labels: int) -> np.dtype:
+    """The smallest unsigned integer type that can hold ``n_labels`` codes."""
+    return np.min_scalar_type(max(n_labels - 1, 0))
+
+
+def _first_seen(codes: np.ndarray) -> np.ndarray:
+    """The distinct codes, in the order of the first row that carries each."""
+    present, first = np.unique(codes, return_index=True)
+    return present[np.argsort(first)]
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Rows of binary samples plus a per-row regime label.
 
     ``values`` is an (n_rows, n_variables) int8 array in declared variable
-    order.  ``provenance`` records how each block of rows was produced (seed,
-    generator algorithm, regime); it is carried for reporting and excluded
-    from equality.
+    order.  Row ``i`` is labeled ``regime_table[regime_codes[i]]``: the table
+    holds distinct labels (in first-seen order when built from per-row
+    labels or CSV), the codes are an unsigned integer array.  ``provenance``
+    records how each block of rows was produced (seed, generator algorithm,
+    regime); it is carried for reporting and excluded from equality.
     """
 
     variables: tuple[str, ...]
     values: np.ndarray
-    regime_labels: tuple[str, ...]
+    regime_codes: np.ndarray
+    regime_table: tuple[str, ...]
     provenance: tuple[Mapping, ...] = ()
 
     def __post_init__(self):
-        if self.values.shape != (len(self.regime_labels), len(self.variables)):
+        if self.regime_codes.ndim != 1 or self.values.shape != (
+            len(self.regime_codes),
+            len(self.variables),
+        ):
             raise ValueError(
                 f"shape {self.values.shape} inconsistent with "
-                f"{len(self.regime_labels)} rows x {len(self.variables)} variables"
+                f"{self.regime_codes.shape} codes x {len(self.variables)} variables"
             )
+        if len(set(self.regime_table)) != len(self.regime_table):
+            raise ValueError("regime table labels must be distinct")
+        if len(self.regime_codes) and not (
+            0 <= self.regime_codes.min() and self.regime_codes.max() < len(self.regime_table)
+        ):
+            raise ValueError(f"regime codes outside a table of {len(self.regime_table)} labels")
+
+    @classmethod
+    def from_labels(
+        cls,
+        variables: Iterable[str],
+        values: np.ndarray,
+        labels: Iterable[str],
+        provenance: tuple[Mapping, ...] = (),
+    ) -> "Dataset":
+        """Dataset from one regime label per row."""
+        index: dict[str, int] = {}
+        codes = [index.setdefault(label, len(index)) for label in labels]
+        return cls(
+            variables=tuple(variables),
+            values=values,
+            regime_codes=np.array(codes, dtype=_code_dtype(len(index))),
+            regime_table=tuple(index),
+            provenance=provenance,
+        )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented
+        position = {label: k for k, label in enumerate(self.regime_table)}
+        translate = np.array([position.get(label, -1) for label in other.regime_table], dtype=np.int64)
         return (
             self.variables == other.variables
-            and self.regime_labels == other.regime_labels
             and np.array_equal(self.values, other.values)
+            and np.array_equal(self.regime_codes, translate[other.regime_codes])
         )
 
     @property
     def n_rows(self) -> int:
         return self.values.shape[0]
+
+    @property
+    def regime_labels(self) -> tuple[str, ...]:
+        """The label of every row."""
+        return tuple(np.array(self.regime_table, dtype=object)[self.regime_codes])
 
     def column(self, name: str) -> np.ndarray:
         try:
@@ -281,34 +330,24 @@ class Dataset:
             raise UnknownVariableError(f"unknown column {name!r}") from None
         return self.values[:, k]
 
-    @cached_property
-    def _labels_array(self) -> np.ndarray:
-        return np.asarray(self.regime_labels, dtype=object)
-
     def regimes_present(self) -> tuple[str, ...]:
-        return tuple(dict.fromkeys(self.regime_labels))
+        """The labels that occur, in first-seen row order."""
+        return tuple(self.regime_table[k] for k in _first_seen(self.regime_codes))
 
     def regime_mask(self, label: str) -> np.ndarray:
         """Boolean mask of the rows labeled ``label``."""
-        return self._labels_array == label
+        if label not in self.regime_table:
+            return np.zeros(self.n_rows, dtype=bool)
+        return self.regime_codes == self.regime_table.index(label)
 
     def filter_regimes(self, labels: Iterable[str]) -> "Dataset":
         wanted = set(labels)
-        mask = np.array([lab in wanted for lab in self.regime_labels], dtype=bool)
-        return Dataset(
-            variables=self.variables,
-            values=self.values[mask],
-            regime_labels=tuple(lab for lab in self.regime_labels if lab in wanted),
-            provenance=self.provenance,
-        )
+        keep = np.array([label in wanted for label in self.regime_table], dtype=bool)
+        mask = keep[self.regime_codes]
+        return replace(self, values=self.values[mask], regime_codes=self.regime_codes[mask])
 
     def take(self, order: np.ndarray) -> "Dataset":
-        return Dataset(
-            variables=self.variables,
-            values=self.values[order],
-            regime_labels=tuple(self.regime_labels[int(i)] for i in order),
-            provenance=self.provenance,
-        )
+        return replace(self, values=self.values[order], regime_codes=self.regime_codes[order])
 
     @staticmethod
     def concat(parts: Iterable["Dataset"]) -> "Dataset":
@@ -319,10 +358,18 @@ class Dataset:
         for d in parts[1:]:
             if d.variables != variables:
                 raise ValueError("datasets have different columns")
+        table = tuple(dict.fromkeys(label for d in parts for label in d.regime_table))
+        position = {label: k for k, label in enumerate(table)}
+        dtype = _code_dtype(len(table))
+        codes = [
+            np.array([position[label] for label in d.regime_table], dtype=dtype)[d.regime_codes]
+            for d in parts
+        ]
         return Dataset(
             variables=variables,
             values=np.concatenate([d.values for d in parts], axis=0),
-            regime_labels=tuple(lab for d in parts for lab in d.regime_labels),
+            regime_codes=np.concatenate(codes),
+            regime_table=table,
             provenance=tuple(p for d in parts for p in d.provenance),
         )
 
@@ -330,38 +377,208 @@ class Dataset:
 
     def to_csv(self) -> str:
         """Header of variable names plus a trailing "regime" column; values
-        are strictly "0"/"1"."""
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(list(self.variables) + ["regime"])
-        for row, label in zip(self.values, self.regime_labels):
-            writer.writerow([str(int(v)) for v in row] + [label])
-        return buf.getvalue()
+        are strictly "0"/"1".  Quoting is ``csv.writer``'s: the header and
+        each distinct label pass through it once, and every row is its
+        fixed-width 0/1 cells followed by its label's encoded tail."""
+        width = 2 * len(self.variables)
+        header = _csv_record(list(self.variables) + ["regime"]).encode("utf-8", "surrogatepass")
+        cells = ["0"] * len(self.variables)
+        tails = [
+            _csv_record(cells + [label])[width:].encode("utf-8", "surrogatepass")
+            for label in self.regime_table
+        ]
+        row_lengths = width + np.array([len(t) for t in tails], dtype=np.int64)[self.regime_codes]
+        starts = len(header) + np.cumsum(row_lengths) - row_lengths
+        out = np.empty(len(header) + int(row_lengths.sum()), dtype=np.uint8)
+        out[: len(header)] = np.frombuffer(header, dtype=np.uint8)
+        prefix = np.empty((self.n_rows, width), dtype=np.uint8)
+        prefix[:, 0::2] = self.values + ord("0")
+        prefix[:, 1::2] = ord(",")
+        _scatter(out, starts, prefix)
+        by_label = np.argsort(self.regime_codes, kind="stable")
+        bounds = np.searchsorted(self.regime_codes[by_label], np.arange(1, len(tails)))
+        for tail, rows in zip(tails, np.split(by_label, bounds)):
+            _scatter(out, starts[rows] + width, np.frombuffer(tail, dtype=np.uint8))
+        return str(out.data, "utf-8", "surrogatepass")
 
     @staticmethod
     def from_csv(text: str) -> "Dataset":
-        reader = csv.reader(io.StringIO(text))
+        """Read a header ending in a "regime" column, then one record of 0/1
+        cells and a label per row, under the ``csv`` module's rules: quoted
+        cells and labels, CRLF line ends and a missing final newline are
+        accepted, blank lines are skipped.  Errors carry the record number,
+        counting the header as 1 and blank lines as records."""
+        pos = 0
+
+        def lines():
+            nonlocal pos
+            while pos < len(text):
+                start, pos = pos, text.find("\n", pos) + 1 or len(text)
+                yield text[start:pos]
+
         try:
-            header = next(reader)
+            header = next(csv.reader(lines()))
         except StopIteration:
             raise SpecError("empty CSV document") from None
         if not header or header[-1] != "regime":
             raise SpecError('CSV header must end with a "regime" column')
-        variables = tuple(header[:-1])
-        rows = []
-        labels = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise SpecError(f"wrong number of fields", line=lineno)
-            for cell in row[:-1]:
-                if cell not in ("0", "1"):
-                    raise SpecError(f"value {cell!r} is not 0 or 1", line=lineno)
-            rows.append([int(c) for c in row[:-1]])
-            labels.append(row[-1])
-        values = np.array(rows, dtype=np.int8) if rows else np.zeros((0, len(variables)), dtype=np.int8)
-        return Dataset(variables=variables, values=values, regime_labels=tuple(labels))
+        skip = len(text[:pos].encode("utf-8", "surrogatepass"))
+        body = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)[skip:]
+        values, codes, table = _decode_rows(body, len(header) - 1)
+        return Dataset(
+            variables=tuple(header[:-1]),
+            values=values,
+            regime_codes=codes,
+            regime_table=table,
+        )
+
+
+def _csv_record(row: list[str]) -> str:
+    """One record as ``csv.writer`` writes it, "\\n" included."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(row)
+    return buf.getvalue()
+
+
+# Line codes while decoding: a blank or continuation line, and a line the
+# ``csv`` module must read record by record.
+_SKIP = -1
+_SLOW = -2
+# A "0," or "1," cell as one native-order uint16, and the bit "0" and "1"
+# differ in.
+_CELL = np.frombuffer(b"1,", dtype=np.uint16)[0]
+_DIGIT_BIT = np.frombuffer(b"\x01\x00", dtype=np.uint16)[0]
+
+
+def _scatter(out: np.ndarray, starts: np.ndarray, rows: np.ndarray) -> None:
+    """Write ``rows`` (one per start, or one row for every start) into
+    ``out`` at ``starts``, one row at a time (never an index per byte).
+    The written ranges must not overlap."""
+    if len(starts):
+        windows = np.lib.stride_tricks.sliding_window_view(out, rows.shape[-1], writeable=True)
+        windows[starts] = rows
+
+
+def _windows(buf: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
+    """The ``width`` bytes from each start as an (n, width) array, gathered
+    one row at a time (never an index per byte).  Rows that would run past
+    the end read the last ``width`` bytes instead; callers ignore them."""
+    if len(buf) < width:
+        return np.zeros((len(starts), width), dtype=np.uint8)
+    windows = np.lib.stride_tricks.sliding_window_view(buf, width)
+    return windows[np.minimum(starts, len(buf) - width)]
+
+
+def _distinct_rows(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For the rows of a C-contiguous 2-D uint8 array: one row index per
+    distinct row, and the distinct row each row equals.  Runs of equal rows
+    are collapsed before sorting."""
+    if block.shape[1] == 0:
+        return np.zeros(1, dtype=np.int64), np.zeros(len(block), dtype=np.int64)
+    keys = block.view(np.dtype((np.void, block.shape[1])))[:, 0]
+    head = np.ones(len(keys), dtype=bool)
+    head[1:] = keys[1:] != keys[:-1]
+    heads = np.flatnonzero(head)
+    _, first, inverse = np.unique(keys[heads], return_index=True, return_inverse=True)
+    return heads[first], inverse.reshape(-1)[np.cumsum(head) - 1]
+
+
+def _tail_code(tail: bytes, n_cells: int, table: dict[str, int]) -> int:
+    """Read a line's tail (what follows its 0/1 cells) with the ``csv``
+    module: the code of the label it holds, adding the label to ``table``;
+    _SKIP for a blank record; _SLOW unless it is exactly one field that
+    ends on this line."""
+    continued = []
+
+    def line():
+        yield "0," * n_cells + tail.decode("utf-8", "surrogatepass") + "\n"
+        continued.append(True)
+
+    try:
+        row = next(csv.reader(line()))
+    except csv.Error:
+        return _SLOW
+    if continued or len(row) not in (0, n_cells + 1):
+        return _SLOW
+    return table.setdefault(row[-1], len(table)) if row else _SKIP
+
+
+def _decode_rows(body: np.ndarray, n_cells: int) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+    """Decode the CSV records after the header: (values, codes, table).
+
+    A line whose first ``2 * n_cells`` bytes are unquoted 0/1 cells and
+    commas is decoded in bulk; its tail, the label, is read with ``csv``
+    once per distinct tail.  Every other non-blank line starts a record
+    that ``csv`` reads on its own, joining the lines a quoted field spans;
+    only these records can be malformed, and they are checked in order.
+    """
+    width = 2 * n_cells
+    ends = np.flatnonzero(body == ord("\n"))
+    if len(body) and body[-1] != ord("\n"):
+        ends = np.append(ends, len(body))
+    starts = np.zeros_like(ends)
+    starts[1:] = ends[:-1] + 1
+    cells = _windows(body, starts, width)
+    pairs = cells.view(np.uint16)  # one (digit, comma) byte pair per cell
+    fast = ends - starts >= max(width, 1)
+    for k in range(n_cells):
+        fast &= (pairs[:, k] | _DIGIT_BIT) == _CELL
+    line_code = np.where(ends > starts, _SLOW, _SKIP)
+    table: dict[str, int] = {}
+
+    # A tail keeps the "\r" of a CRLF line end; csv reads it as the end.
+    lines = np.flatnonzero(fast)
+    tail_starts = starts[lines] + width
+    tail_lengths = ends[lines] - tail_starts
+    by_length = np.argsort(tail_lengths, kind="stable")
+    for group in np.split(by_length, np.flatnonzero(np.diff(tail_lengths[by_length])) + 1):
+        if not len(group):
+            continue
+        tails = _windows(body, tail_starts[group], int(tail_lengths[group[0]]))
+        first, inverse = _distinct_rows(tails)
+        outcome = np.array([_tail_code(tails[i].tobytes(), n_cells, table) for i in first])
+        line_code[lines[group]] = outcome[inverse]
+
+    values = (cells[:, 0::2] - ord("0")).astype(np.int8)
+    joined = 0  # continuation lines before the current one
+    free = 0  # first line not inside a record already read
+    for k in np.flatnonzero(line_code == _SLOW).tolist():
+        if k < free:
+            continue
+        used = []
+        row = next(csv.reader(_lines_from(body, starts, ends, k, used)))
+        record = 2 + k - joined
+        line_code[k + 1 : k + len(used)] = _SKIP
+        joined += len(used) - 1
+        free = k + len(used)
+        if not row:
+            line_code[k] = _SKIP
+            continue
+        if len(row) != n_cells + 1:
+            raise SpecError("wrong number of fields", line=record)
+        for cell in row[:-1]:
+            if cell not in ("0", "1"):
+                raise SpecError(f"value {cell!r} is not 0 or 1", line=record)
+        values[k] = [int(c) for c in row[:-1]]
+        line_code[k] = table.setdefault(row[-1], len(table))
+
+    keep = line_code >= 0
+    if keep.all():
+        keep = slice(None)
+    codes = line_code[keep].astype(_code_dtype(len(table)))
+    order = _first_seen(codes)
+    renumber = np.zeros(len(table), dtype=codes.dtype)
+    renumber[order] = np.arange(len(order))
+    labels = tuple(table)
+    return values[keep], renumber[codes], tuple(labels[k] for k in order)
+
+
+def _lines_from(body: np.ndarray, starts: np.ndarray, ends: np.ndarray, k: int, used: list):
+    """Yield lines ``k, k + 1, ...`` as text, newline included, appending
+    each line number to ``used``."""
+    for j in range(k, len(starts)):
+        used.append(j)
+        yield body[starts[j] : ends[j] + 1].tobytes().decode("utf-8", "surrogatepass")
 
 
 def require_possible(dataset: Dataset, graph: CausalGraph, exempt: Iterable[str] = ()) -> None:
@@ -445,7 +662,8 @@ def sample(
     return Dataset(
         variables=graph.names,
         values=values,
-        regime_labels=(regime_label,) * n,
+        regime_codes=np.zeros(n, dtype=np.uint8),
+        regime_table=(regime_label,),
         provenance=(
             {
                 "regime": regime_label,
@@ -512,11 +730,9 @@ def sample_observational(
         chosen[mask] = np.searchsorted(edges, u[mask], side="right").clip(max=len(labels) - 1)
 
     values = np.zeros((n, len(first.names)), dtype=np.int8)
-    row_labels = np.empty(n, dtype=object)
     for k, label in enumerate(labels):
         mask = chosen == k
         m = int(mask.sum())
-        row_labels[mask] = label
         if m == 0:
             continue
         block = _sample_columns(
@@ -526,7 +742,8 @@ def sample_observational(
     return Dataset(
         variables=first.names,
         values=values,
-        regime_labels=tuple(row_labels),
+        regime_codes=chosen.astype(_code_dtype(len(labels))),
+        regime_table=tuple(labels),
         provenance=(
             {
                 "regimes": labels,

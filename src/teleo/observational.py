@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -75,16 +75,7 @@ class StratifiedComparison:
 
     def with_flags(self, *extra: str) -> "StratifiedComparison":
         merged = self.flags + tuple(f for f in extra if f not in self.flags)
-        return StratifiedComparison(
-            control_label=self.control_label,
-            treated_label=self.treated_label,
-            adjustment_set=self.adjustment_set,
-            strata=self.strata,
-            pooled_difference=self.pooled_difference,
-            pooled_se=self.pooled_se,
-            pooled_p=self.pooled_p,
-            flags=merged,
-        )
+        return replace(self, flags=merged)
 
 
 def _cell_variance(k: int, n: int) -> float:
@@ -122,7 +113,7 @@ def stratified_action_comparison(
     adjustment = tuple(adjustment)
     if action in adjustment:
         raise TeleoError("adjustment variables must not include the action")
-    labels = sorted(set(dataset.regime_labels))
+    labels = sorted(dataset.regimes_present())
     if len(labels) < 2:
         raise TeleoError(f"need 2 regimes to compare, found {labels}")
     if len(labels) > 2:
@@ -134,7 +125,7 @@ def stratified_action_comparison(
         control_label, treated_label = labels
 
     acts = dataset.column(action)
-    in_treated = np.asarray([lab == treated_label for lab in dataset.regime_labels], dtype=bool)
+    in_treated = dataset.regime_mask(treated_label)
     strat_cols = [dataset.column(name) for name in adjustment]
 
     strata = []
@@ -175,22 +166,9 @@ def stratified_action_comparison(
     if not usable:
         raise TeleoError("no stratum has both arms populated above the minimum cell size")
     inv_total = sum(1.0 / s.variance for s in usable)
-    weighted = []
-    for s in strata:
-        w = (1.0 / s.variance) / inv_total if s.included else 0.0
-        weighted.append(
-            StratumResult(
-                key=s.key,
-                control_n=s.control_n,
-                control_acts=s.control_acts,
-                treated_n=s.treated_n,
-                treated_acts=s.treated_acts,
-                difference=s.difference,
-                variance=s.variance,
-                weight=w,
-                included=s.included,
-            )
-        )
+    weighted = [
+        replace(s, weight=(1.0 / s.variance) / inv_total if s.included else 0.0) for s in strata
+    ]
     pooled_diff = sum(s.weight * s.difference for s in weighted)
     pooled_se = math.sqrt(1.0 / inv_total)
     pooled_p = math.erfc(abs(pooled_diff) / pooled_se / math.sqrt(2.0)) if pooled_se > 0 else 1.0
@@ -242,7 +220,7 @@ def observational_battery(
     """
     adjustment = tuple(adjustment)
     action = classification.action
-    present = set(dataset.regime_labels)
+    present = set(dataset.regimes_present())
     experiments = plan.experiments if isinstance(plan, Battery) else tuple(plan)
     results = []
     for experiment in experiments:

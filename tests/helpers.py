@@ -38,9 +38,4 @@ def make_dataset(variables, rows, labels=None) -> Dataset:
     values = np.array(rows, dtype=np.int8).reshape(len(rows), len(variables))
     if labels is None:
         labels = ["natural"] * len(rows)
-    return Dataset(
-        variables=tuple(variables),
-        values=values,
-        regime_labels=tuple(labels),
-        provenance=(),
-    )
+    return Dataset.from_labels(variables, values, labels)

@@ -1,10 +1,14 @@
+import hashlib
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from teleo import Dataset, parse_machine_report
+from teleo import Dataset, parse_machine_report, serialize_graph_spec
 from teleo.cli import run_command
+
+DEMO_SPORT_SPEC = Path(__file__).resolve().parents[1] / "demos" / "sport.spec"
 
 CYCLIC = (
     "var a\n  parents b\n  p 0 = 0.5\n  p 1 = 0.5\n"
@@ -167,6 +171,24 @@ class TestSimulate:
         )
         assert run_command(argv) == 0
         assert out.read_text() == first
+
+
+    @pytest.mark.parametrize(
+        "confounded, seed, n, digest",
+        [
+            (False, 1, 50, "e92264f6b2dde8dedb007e47f8b8f186107fac058fa4f446f14aa4333d2aafad"),
+            (True, 3, 500, "eb320036fb309c904b17d3b346b443738015b61b6e95d49fa41510995e6fb9ab"),
+        ],
+    )
+    def test_output_bytes_are_pinned(self, confounded, seed, n, digest, confounded_doc, tmp_path):
+        spec = DEMO_SPORT_SPEC
+        if confounded:
+            spec = tmp_path / "confounded.spec"
+            spec.write_text(serialize_graph_spec(confounded_doc), encoding="utf-8")
+        out = tmp_path / "data.csv"
+        argv = ["simulate", "--graph", str(spec), "--seed", str(seed), "--n", str(n), "--out", str(out)]
+        assert run_command(argv) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestExperiment:

@@ -131,3 +131,22 @@ def test_classification_matches_path_oracle(seed):
             assert not (cls.mediating & cls.further)
             assert not (cls.mediating & cls.parallel)
             assert not (cls.further & cls.parallel)
+
+
+def per_effect_classes(graph, action, hypothesized):
+    """The per-effect definition: mediating iff the hypothesized effect is a
+    descendant of it."""
+    effects = graph.descendants(action) - {hypothesized}
+    mediating = {v for v in effects if hypothesized in graph.descendants(v)}
+    further = graph.descendants(hypothesized)
+    return mediating, further, effects - mediating - further
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 20_000))
+def test_classification_matches_per_effect_definition(seed):
+    g = dag_from_seed(seed, max_nodes=12)
+    for action in g.names:
+        for hyp in sorted(g.descendants(action)):
+            cls = classify_effects(g, action, hyp)
+            assert (cls.mediating, cls.further, cls.parallel) == per_effect_classes(g, action, hyp)

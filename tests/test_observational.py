@@ -87,10 +87,10 @@ class TestStratifiedComparison:
     def test_row_order_invariance(self):
         data = two_strata_dataset()
         perm = np.random.Generator(np.random.PCG64(3)).permutation(data.n_rows)
-        shuffled = Dataset(
-            variables=data.variables,
-            values=data.values[perm],
-            regime_labels=tuple(data.regime_labels[i] for i in perm),
+        shuffled = Dataset.from_labels(
+            data.variables,
+            data.values[perm],
+            tuple(data.regime_labels[i] for i in perm),
         )
         a = stratified_action_comparison(data, "act", adjustment=("age",))
         b = stratified_action_comparison(shuffled, "act", adjustment=("age",))
