@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping
 
-from .engine import ENUMERATION_CAP, Regime, joint_enumerate, mutilate
+from .engine import Regime, joint_enumerate, mutilate
 from .errors import HypothesisError, PolicyError, RegimeError
 from .graph import CausalGraph, Variable
 
@@ -118,7 +118,6 @@ def servable(
     intention_set: Iterable[Intention],
     theta: float,
     regime: Regime | None = None,
-    max_vars: int = ENUMERATION_CAP,
 ) -> Servability:
     """Check whether acting still raises every intended effect enough.
 
@@ -137,8 +136,7 @@ def servable(
             raise HypothesisError(f"{name!r} is not a strict descendant of action {action!r}")
     base = mutilate(graph, regime)
     tables = {
-        value: joint_enumerate(mutilate(base, Regime.do(action, value)), max_vars=max_vars)
-        for value in (1, 0)
+        value: joint_enumerate(mutilate(base, Regime.do(action, value))) for value in (1, 0)
     }
     margins = []
     for name, target in intentions:
@@ -157,8 +155,7 @@ class TeleologicalModel:
 
     The original CPT is kept on ``base_graph`` for reference; while the
     policy is bound, sampling and rate computations use the policy instead.
-    Immutable; bound graphs are memoized per (clamps, servable).  Regime
-    kinds have no mechanical effect, so they are not part of the key.
+    Immutable; bound graphs are memoized per (clamps, servable).
     """
 
     base_graph: CausalGraph
@@ -211,17 +208,12 @@ class TeleologicalModel:
             )
         return self._bound[key]
 
-    def action_rate(
-        self,
-        regime: Regime | None = None,
-        is_servable: bool | None = None,
-        max_vars: int = ENUMERATION_CAP,
-    ) -> float:
+    def action_rate(self, regime: Regime | None = None, is_servable: bool | None = None) -> float:
         """Exact P(action = 1) under the policy and regime, marginalizing
         over the action's parents.  Only the action's ancestors bear on its
         marginal, so only they are enumerated."""
         graph = self.bound_graph(regime, is_servable).ancestral_subgraph(self.action)
-        return joint_enumerate(graph, max_vars=max_vars).marginal(self.action)
+        return joint_enumerate(graph).marginal(self.action)
 
 
 def bind_agent(graph: CausalGraph, action: str, policy: AgentPolicy) -> TeleologicalModel:
@@ -241,8 +233,3 @@ def bind_agent(graph: CausalGraph, action: str, policy: AgentPolicy) -> Teleolog
         if parent not in action_var.parents:
             raise PolicyError(f"modifier names {parent!r}, which is not a parent of {action!r}")
     return TeleologicalModel(base_graph=graph, action=action, policy=policy)
-
-
-def agent_action_rate(model: TeleologicalModel, regime: Regime | None = None) -> float:
-    """Module-level alias for :meth:`TeleologicalModel.action_rate`."""
-    return model.action_rate(regime)

@@ -16,7 +16,6 @@ Three capabilities live here:
 from __future__ import annotations
 
 import csv
-import enum
 import io
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -40,57 +39,36 @@ RNG_ALGORITHM = "pcg64"
 NATURAL_LABEL = "natural"
 
 
-class RegimeKind(str, enum.Enum):
-    """Why a variable is clamped: conditioning-style (natural), a
-    do-intervention on the action, or interference on the effect side."""
-
-    NATURAL = "natural"
-    DO = "do"
-    INTERFERENCE = "interference"
-
-
 @dataclass(frozen=True)
 class Regime:
     """A set of clamped variables defining an experimental condition.
 
-    ``kinds`` is bookkeeping only: all kinds receive identical graph-surgery
-    semantics, and the distinction matters to the agent and reporting layers,
-    not to the mechanics.
+    A do-intervention on the action and interference on the effect side
+    are the same graph surgery, so a regime is its clamps and nothing else.
     """
 
     clamps: Mapping[str, int] = field(default_factory=dict)
-    kinds: Mapping[str, RegimeKind] = field(default_factory=dict)
 
     @staticmethod
     def natural() -> "Regime":
-        return Regime({}, {})
+        return Regime({})
 
     @staticmethod
     def do(variable: str, value: int) -> "Regime":
-        return Regime({variable: value}, {variable: RegimeKind.DO})
+        return Regime({variable: value})
 
     @staticmethod
     def interference(clamps: Mapping[str, int]) -> "Regime":
-        return Regime(dict(clamps), {v: RegimeKind.INTERFERENCE for v in clamps})
-
-    @staticmethod
-    def conditioning(clamps: Mapping[str, int]) -> "Regime":
-        return Regime(dict(clamps), {v: RegimeKind.NATURAL for v in clamps})
-
-    def kind_of(self, variable: str) -> RegimeKind:
-        return self.kinds.get(variable, RegimeKind.INTERFERENCE)
+        return Regime(dict(clamps))
 
     def merge(self, other: "Regime") -> "Regime":
         overlap = set(self.clamps) & set(other.clamps)
         if overlap:
             raise RegimeError(f"variables clamped twice: {sorted(overlap)}")
-        clamps = {**self.clamps, **other.clamps}
-        kinds = {**self.kinds, **other.kinds}
-        return Regime(clamps, kinds)
+        return Regime({**self.clamps, **other.clamps})
 
     def signature(self) -> tuple:
-        """Hashable canonical form of the clamps, used as a cache key.
-        Kinds have no mechanical effect, so they are left out."""
+        """Hashable canonical form of the clamps, used as a cache key."""
         return tuple(sorted(self.clamps.items()))
 
     def label(self) -> str:
@@ -100,9 +78,8 @@ class Regime:
         return ";".join(f"{v}={self.clamps[v]}" for v in sorted(self.clamps))
 
     @staticmethod
-    def from_label(label: str, kind: RegimeKind = RegimeKind.INTERFERENCE) -> "Regime":
-        """Parse a label produced by :meth:`label`.  Kind information is not
-        carried by labels, so every clamp gets ``kind``."""
+    def from_label(label: str) -> "Regime":
+        """Parse a label produced by :meth:`label`."""
         if label == NATURAL_LABEL:
             return Regime.natural()
         clamps = {}
@@ -111,16 +88,12 @@ class Regime:
             if not name or value not in ("0", "1"):
                 raise SpecError(f"malformed regime label {label!r}")
             clamps[name] = int(value)
-        return Regime(clamps, {v: kind for v in clamps})
-
-    def __bool__(self) -> bool:
-        return bool(self.clamps)
+        return Regime(clamps)
 
 
 def mutilate(graph: CausalGraph, regime: Regime | None) -> CausalGraph:
     """Clamp the regime's variables: each becomes parentless with a constant
-    CPT, everything else is untouched.  do() and interference differ only in
-    the regime's bookkeeping, not here."""
+    CPT, everything else is untouched."""
     if regime is None or not regime.clamps:
         return graph
     replacements = []
@@ -171,13 +144,6 @@ class JointTable:
         """P(name = 1)."""
         return self.prob_of({name: 1})
 
-    def entry(self, assignment: Mapping[str, int]) -> float:
-        """Probability of one full assignment."""
-        missing = set(self.names) - set(assignment)
-        if missing:
-            raise UnknownVariableError(f"assignment missing variables {sorted(missing)}")
-        return self.prob_of({n: assignment[n] for n in self.names})
-
     def nonzero_entries(self) -> list[tuple[dict[str, int], float]]:
         out = []
         n = len(self.names)
@@ -187,7 +153,7 @@ class JointTable:
         return out
 
 
-def joint_enumerate(graph: CausalGraph, max_vars: int = ENUMERATION_CAP) -> JointTable:
+def joint_enumerate(graph: CausalGraph) -> JointTable:
     """Exact joint distribution by enumerating all 2^n assignments.
 
     The entry probability is the product of each variable's CPT row at its
@@ -195,8 +161,8 @@ def joint_enumerate(graph: CausalGraph, max_vars: int = ENUMERATION_CAP) -> Join
     """
     graph.require_valid()
     n = len(graph.variables)
-    if n > max_vars:
-        raise EnumerationLimitError(f"{n} variables exceeds enumeration cap {max_vars}")
+    if n > ENUMERATION_CAP:
+        raise EnumerationLimitError(f"{n} variables exceeds enumeration cap {ENUMERATION_CAP}")
     size = 1 << n
     idx = np.arange(size, dtype=np.int64)
     probs = np.ones(size)
@@ -220,7 +186,6 @@ def query(
     graph: CausalGraph,
     event: Mapping[str, int],
     given: Mapping[str, int] | None = None,
-    max_vars: int = ENUMERATION_CAP,
 ) -> float:
     """P(event | given), computed exactly from the joint table.
 
@@ -229,7 +194,7 @@ def query(
     condition almost always means the model is misspecified.
     """
     given = dict(given or {})
-    table = joint_enumerate(graph, max_vars=max_vars)
+    table = joint_enumerate(graph)
     denom = table.prob_of(given) if given else 1.0
     if denom <= 0.0:
         raise ZeroProbabilityError(f"conditioning event has probability 0: {given}")
@@ -346,9 +311,6 @@ class Dataset:
         mask = keep[self.regime_codes]
         return replace(self, values=self.values[mask], regime_codes=self.regime_codes[mask])
 
-    def take(self, order: np.ndarray) -> "Dataset":
-        return replace(self, values=self.values[order], regime_codes=self.regime_codes[order])
-
     @staticmethod
     def concat(parts: Iterable["Dataset"]) -> "Dataset":
         parts = list(parts)
@@ -420,6 +382,8 @@ class Dataset:
             header = next(csv.reader(lines()))
         except StopIteration:
             raise SpecError("empty CSV document") from None
+        except csv.Error as exc:
+            raise SpecError(f"unreadable CSV record: {exc}", line=1) from None
         if not header or header[-1] != "regime":
             raise SpecError('CSV header must end with a "regime" column')
         skip = len(text[:pos].encode("utf-8", "surrogatepass"))
@@ -546,8 +510,11 @@ def _decode_rows(body: np.ndarray, n_cells: int) -> tuple[np.ndarray, np.ndarray
         if k < free:
             continue
         used = []
-        row = next(csv.reader(_lines_from(body, starts, ends, k, used)))
         record = 2 + k - joined
+        try:
+            row = next(csv.reader(_lines_from(body, starts, ends, k, used)))
+        except csv.Error as exc:
+            raise SpecError(f"unreadable CSV record: {exc}", line=record) from None
         line_code[k + 1 : k + len(used)] = _SKIP
         joined += len(used) - 1
         free = k + len(used)
@@ -595,21 +562,32 @@ def require_possible(dataset: Dataset, graph: CausalGraph, exempt: Iterable[str]
             f"the graph's variables {sorted(graph.names)}"
         )
     exempt = set(exempt)
+    regimes = {}
+    for code in _first_seen(dataset.regime_codes).tolist():
+        regimes[code] = Regime.from_label(dataset.regime_table[code])
+        for name in regimes[code].clamps:
+            graph.variable(name)
     column = {name: k for k, name in enumerate(dataset.variables)}
-    rejected = 0
-    for label in dataset.regimes_present():
-        rows = dataset.values[dataset.regime_mask(label)]
-        impossible = np.zeros(len(rows), dtype=bool)
-        for var in mutilate(graph, Regime.from_label(label)).variables:
-            deterministic = (var.cpt_array == 0.0) | (var.cpt_array == 1.0)
-            if var.name in exempt or not deterministic.any():
-                continue
-            pidx = np.zeros(len(rows), dtype=np.int64)
-            for parent in var.parents:
-                pidx = (pidx << 1) | rows[:, column[parent]]
-            p_one = var.cpt_array[pidx]
-            impossible |= np.where(rows[:, column[var.name]] == 1, p_one == 0.0, p_one == 1.0)
-        rejected += int(impossible.sum())
+    codes = dataset.regime_codes.astype(np.int64)
+    impossible = np.zeros(dataset.n_rows, dtype=bool)
+    for var in graph.variables:
+        if var.name in exempt:
+            continue
+        # zero[code, parents, value]: the probability of ``value`` at those
+        # parent values is 0 under the regime with that code.
+        zero = np.empty((len(dataset.regime_table), len(var.cpt_array), 2), dtype=bool)
+        zero[:, :, 0] = var.cpt_array == 1.0
+        zero[:, :, 1] = var.cpt_array == 0.0
+        for code, regime in regimes.items():
+            if var.name in regime.clamps:
+                zero[code] = np.arange(2) != regime.clamps[var.name]
+        if not zero.any():
+            continue
+        index = codes
+        for name in (*var.parents, var.name):
+            index = (index << 1) | dataset.values[:, column[name]]
+        impossible |= zero.reshape(-1)[index]
+    rejected = int(impossible.sum())
     if rejected:
         raise DataError(
             f"{rejected} of {dataset.n_rows} rows have probability 0 under their regime"

@@ -72,9 +72,6 @@ class Battery:
     unleverable: tuple[tuple[str, str], ...] = ()  # (effect, class) without a lever
     skipped: tuple[tuple[str, str], ...] = ()  # (lever target, reason) ignored
 
-    def labels(self) -> tuple[str, ...]:
-        return tuple(e.label for e in self.experiments)
-
 
 @dataclass(frozen=True)
 class ExperimentResult:
@@ -199,22 +196,30 @@ def two_proportion_test(k1: int, n1: int, k2: int, n2: int) -> tuple[float, floa
     return z, p
 
 
-def _run_with_data(
+def run_randomized(
     model: TeleologicalModel,
     experiment: InterferenceExperiment,
     n_per_arm: int,
     seed: int,
-    alpha: float,
-) -> tuple[ExperimentResult, Dataset, Dataset]:
+    alpha: float = DEFAULT_ALPHA,
+    min_support: int = DEFAULT_MIN_SUPPORT,
+) -> ExperimentRun:
+    """Sample both arms, test for an action-rate change, and check the
+    expected pattern on the treated arm.
+
+    Control is the natural regime, treated the lever's interference regime;
+    arm seeds are spawned deterministically from ``seed``, so identical
+    inputs give identical results.  Verdict is "underpowered" when both
+    arms' act counts fall below the normal-approximation floor, otherwise
+    "change" iff p < alpha.  A must-not-observe pattern may occur as often
+    as the agent's base rate allows (:func:`base_rate_violation_budget`).
+    """
     if n_per_arm < 1:
         raise ValueError("n_per_arm must be >= 1")
-    regime = experiment.regime()
-    if model.action in regime.clamps:
-        raise RegimeError(f"lever clamps the action {model.action!r}")
     control_seq, treated_seq = np.random.SeedSequence(seed).spawn(2)
     control = sample(model.bound_graph(Regime.natural()), n_per_arm, control_seq)
     treated = sample(
-        model.bound_graph(regime), n_per_arm, treated_seq, regime_label=experiment.label
+        model.bound_graph(experiment.regime()), n_per_arm, treated_seq, regime_label=experiment.label
     )
     k1 = int(control.column(model.action).sum())
     k2 = int(treated.column(model.action).sum())
@@ -225,6 +230,16 @@ def _run_with_data(
         verdict = "change"
     else:
         verdict = "no-change"
+    budget = DEFAULT_MAX_VIOLATIONS
+    if experiment.pattern_mode == MODE_MUST_NOT_OBSERVE:
+        budget = base_rate_violation_budget(model.policy.p_base, n_per_arm)
+    count, passed = pattern_check(
+        treated,
+        experiment.expected_pattern,
+        experiment.pattern_mode,
+        min_support=min_support,
+        max_violations=budget,
+    )
     result = ExperimentResult(
         experiment=experiment,
         control_n=n_per_arm,
@@ -236,26 +251,9 @@ def _run_with_data(
         verdict=verdict,
         seed=seed,
     )
-    return result, control, treated
-
-
-def run_randomized(
-    model: TeleologicalModel,
-    experiment: InterferenceExperiment,
-    n_per_arm: int,
-    seed: int,
-    alpha: float = DEFAULT_ALPHA,
-) -> ExperimentResult:
-    """Sample both arms and test for an action-rate change.
-
-    Control is the natural regime, treated the lever's interference regime;
-    arm seeds are spawned deterministically from ``seed``, so identical
-    inputs give identical results.  Verdict is "underpowered" when both
-    arms' act counts fall below the normal-approximation floor, otherwise
-    "change" iff p < alpha.
-    """
-    result, _, _ = _run_with_data(model, experiment, n_per_arm, seed, alpha)
-    return result
+    return ExperimentRun(
+        result=result, treated_data=treated, pattern_count=count, pattern_passed=passed
+    )
 
 
 def pattern_check(
@@ -300,29 +298,12 @@ def run_battery(
     alpha: float = DEFAULT_ALPHA,
     min_support: int = DEFAULT_MIN_SUPPORT,
 ) -> list[ExperimentRun]:
-    """Run every experiment in a battery with per-experiment spawned seeds
-    and evaluate each expected pattern on its treated arm."""
-    runs = []
+    """Run every experiment in a battery, each with its own seed spawned
+    from ``seed``."""
     seeds = np.random.SeedSequence(seed).spawn(max(1, len(battery.experiments)))
-    for experiment, seq in zip(battery.experiments, seeds):
-        exp_seed = int(seq.generate_state(1)[0])
-        result, _, treated = _run_with_data(model, experiment, n_per_arm, exp_seed, alpha)
-        budget = DEFAULT_MAX_VIOLATIONS
-        if experiment.pattern_mode == MODE_MUST_NOT_OBSERVE:
-            budget = base_rate_violation_budget(model.policy.p_base, n_per_arm)
-        count, passed = pattern_check(
-            treated,
-            experiment.expected_pattern,
-            experiment.pattern_mode,
-            min_support=min_support,
-            max_violations=budget,
+    return [
+        run_randomized(
+            model, experiment, n_per_arm, int(seq.generate_state(1)[0]), alpha, min_support
         )
-        runs.append(
-            ExperimentRun(
-                result=result,
-                treated_data=treated,
-                pattern_count=count,
-                pattern_passed=passed,
-            )
-        )
-    return runs
+        for experiment, seq in zip(battery.experiments, seeds)
+    ]

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -96,7 +96,6 @@ def _weight_variance(k: int, n: int) -> float:
 def stratified_action_comparison(
     dataset: Dataset,
     action: str,
-    regime_column: str = "regime",
     adjustment: Iterable[str] = (),
     min_cell: int = DEFAULT_MIN_CELL,
 ) -> StratifiedComparison:
@@ -108,8 +107,6 @@ def stratified_action_comparison(
     with a flag; strata with an arm below ``min_cell`` are reported but
     excluded from pooling.  Output is invariant to row order.
     """
-    if regime_column != "regime":
-        raise TeleoError(f"unknown regime column {regime_column!r}; datasets label rows in 'regime'")
     adjustment = tuple(adjustment)
     if action in adjustment:
         raise TeleoError("adjustment variables must not include the action")
@@ -244,7 +241,7 @@ def observational_battery(
             required = confounding_causes(graph, action, experiment.target)
             if not required <= set(adjustment):
                 comparison = comparison.with_flags(FLAG_CONFOUNDED)
-        treated_rows = dataset.filter_regimes([experiment.label])
+        treated_rows = pair.filter_regimes([experiment.label])
         budget = DEFAULT_MAX_VIOLATIONS
         if experiment.pattern_mode == MODE_MUST_NOT_OBSERVE and p_base is not None:
             budget = base_rate_violation_budget(p_base, treated_rows.n_rows)

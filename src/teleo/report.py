@@ -16,8 +16,8 @@ from typing import Any, Iterable, Mapping, Sequence
 from .effects import EffectClassification, confounding_causes
 from .errors import SpecError
 from .graph import CausalGraph
-from .inference import HypothesisScore, Identification, hypothesis_label
-from .lab import Battery, ExperimentResult, ExperimentRun
+from .inference import HypothesisScore, Identification
+from .lab import Battery, ExperimentRun
 from .observational import ObservationalResult
 
 FORMAT_VERSION = 1
@@ -90,10 +90,10 @@ def plan_section(battery: Battery) -> dict:
     }
 
 
-def experiments_section(runs: Sequence[ExperimentRun | ExperimentResult]) -> list[dict]:
+def experiments_section(runs: Sequence[ExperimentRun]) -> list[dict]:
     rows = []
     for run in runs:
-        result = run.result if isinstance(run, ExperimentRun) else run
+        result = run.result
         row = {
             "experiment": _experiment_dict(result.experiment),
             "control_n": result.control_n,
@@ -104,12 +104,8 @@ def experiments_section(runs: Sequence[ExperimentRun | ExperimentResult]) -> lis
             "p_value": result.p_value,
             "verdict": result.verdict,
             "seed": result.seed,
+            "pattern": {"count": run.pattern_count, "passed": run.pattern_passed},
         }
-        if isinstance(run, ExperimentRun):
-            row["pattern"] = {
-                "count": run.pattern_count,
-                "passed": run.pattern_passed,
-            }
         rows.append(row)
     return rows
 

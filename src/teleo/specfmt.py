@@ -209,11 +209,6 @@ def parse_graph_spec(text: str) -> GraphSpecDocument:
     return GraphSpecDocument(graph=graph, tagging=tagging, policy=policy, levers=levers)
 
 
-def parse_graph(text: str) -> CausalGraph:
-    """Parse a document and return just its (validated) graph."""
-    return parse_graph_spec(text).graph
-
-
 def serialize_graph_spec(doc: GraphSpecDocument) -> str:
     """Canonical text for a document; parse -> serialize -> parse is
     the identity on variables, parents, CPT values, tagging, and levers."""

@@ -7,7 +7,6 @@ from teleo import (
     PolicyError,
     Regime,
     RegimeError,
-    agent_action_rate,
     bind_agent,
     joint_enumerate,
     servable,
@@ -108,17 +107,17 @@ class TestServability:
 class TestBoundModel:
     def test_action_rate_is_p_act_when_servable(self, lab):
         model = bind_agent(lab, "practice", AgentPolicy.make([("be_fit", 1)]))
-        assert agent_action_rate(model, Regime.natural()) == pytest.approx(0.8)
+        assert model.action_rate(Regime.natural()) == pytest.approx(0.8)
 
     def test_action_rate_collapses_when_not_servable(self, lab):
         model = bind_agent(lab, "practice", AgentPolicy.make([("be_fit", 1)]))
         regime = Regime.interference({"protein_diet": 0})
-        assert agent_action_rate(model, regime) == pytest.approx(0.05)
+        assert model.action_rate(regime) == pytest.approx(0.05)
 
     def test_servability_depends_on_regime_not_parent_values(self, lab):
         # smoke=1 blocks live_longer downstream of be_fit but leaves be_fit intact
         model = bind_agent(lab, "practice", AgentPolicy.make([("be_fit", 1)]))
-        assert agent_action_rate(model, Regime.interference({"smoke": 1})) == pytest.approx(0.8)
+        assert model.action_rate(Regime.interference({"smoke": 1})) == pytest.approx(0.8)
 
     def test_action_must_be_declared(self, lab):
         with pytest.raises(Exception):

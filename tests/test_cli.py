@@ -371,6 +371,19 @@ class TestAnalyzeAndInfer:
         assert run_command(argv) == 1
         assert "do not match" in capsys.readouterr().err
 
+    def test_field_over_csv_limit_is_a_data_error(self, sport_spec_path, sport_doc, tmp_path):
+        names = sport_doc.graph.names
+        data = tmp_path / "huge_label.csv"
+        header = ",".join([*names, "regime"])
+        data.write_text(f"{header}\n{'0,' * len(names)}{'x' * 200_000}\n")
+        argv = ["infer", "--graph", str(sport_spec_path), "--data", str(data)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "teleo.cli", *argv], capture_output=True, text=True
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+
     def test_infer_requires_policy(self, tmp_path, data_csv):
         spec = tmp_path / "action_only.spec"
         spec.write_text(ACTION_ONLY)

@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from teleo import (
     EnumerationLimitError,
     Regime,
     RegimeError,
-    RegimeKind,
     SpecError,
+    UnknownVariableError,
     Variable,
     ZeroProbabilityError,
     joint_enumerate,
@@ -48,8 +49,6 @@ class TestRegime:
     def test_merge_disjoint(self):
         merged = Regime.do("a", 1).merge(Regime.interference({"b": 0}))
         assert merged.clamps == {"a": 1, "b": 0}
-        assert merged.kind_of("a") is RegimeKind.DO
-        assert merged.kind_of("b") is RegimeKind.INTERFERENCE
 
     def test_merge_overlap_raises(self):
         with pytest.raises(RegimeError):
@@ -94,7 +93,6 @@ class TestEnumeration:
         g = CausalGraph.make([Variable.make(f"v{i}", (), 0.5) for i in range(21)])
         with pytest.raises(EnumerationLimitError):
             joint_enumerate(g)
-        joint_enumerate(g, max_vars=21)
 
 
 class TestQuery:
@@ -216,6 +214,17 @@ class TestDatasetCsv:
             Dataset.from_csv(text)
         assert "3" in str(err.value)
 
+    @pytest.mark.parametrize("in_header", [True, False])
+    def test_field_over_csv_limit_reports_line(self, in_header):
+        big = "x" * (csv.field_size_limit() + 1)
+        if in_header:
+            text, line = f"{big},regime\n0,natural\n", 1
+        else:
+            text, line = f"a,regime\n0,natural\n1,{big}\n", 3
+        with pytest.raises(SpecError) as err:
+            Dataset.from_csv(text)
+        assert err.value.line == line
+
     def test_empty_document(self):
         with pytest.raises(SpecError):
             Dataset.from_csv("")
@@ -231,18 +240,32 @@ def reference_to_csv(data: Dataset) -> str:
     return buf.getvalue()
 
 
+def csv_records(text: str):
+    """(record number, row) pairs as ``csv`` reads them; a ``csv.Error``
+    becomes a SpecError naming its record."""
+    reader = csv.reader(io.StringIO(text))
+    for lineno in itertools.count(1):
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise SpecError(f"unreadable CSV record: {exc}", line=lineno) from None
+        yield lineno, row
+
+
 def reference_from_csv(text: str) -> Dataset:
     """Per-row ``csv`` parse: the reader contract ``from_csv`` must keep."""
-    reader = csv.reader(io.StringIO(text))
+    records = csv_records(text)
     try:
-        header = next(reader)
+        _, header = next(records)
     except StopIteration:
         raise SpecError("empty CSV document") from None
     if not header or header[-1] != "regime":
         raise SpecError('CSV header must end with a "regime" column')
     rows = []
     labels = []
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in records:
         if not row:
             continue
         if len(row) != len(header):
@@ -336,6 +359,8 @@ class TestCsvCodecProperties:
             "a,regime\n0,natural\n\n1,natural,extra\n",
             'a,regime\n0,"open\n1,natural\n',
             "regime\nnatural\n\r\n\"\"\n",
+            "a,regime\n0,natural\n1,nat\rural\n",
+            "a\rb,regime\n0,natural\n",
         ],
     )
     def test_examples_read_like_reference(self, text):
@@ -412,12 +437,81 @@ class TestRequirePossible:
         data = make_dataset(["pins", "ball"], [(1, 1), (0, 0)])
         require_possible(data, ball_pins())
 
+    def test_labels_must_name_graph_variables(self):
+        data = make_dataset(["ball", "pins"], [(1, 1), (1, 0)], ["natural", "kettle=0"])
+        with pytest.raises(UnknownVariableError, match="kettle"):
+            require_possible(data, ball_pins())
+        data = make_dataset(["ball", "pins"], [(1, 1), (1, 1)], ["natural", "pins=2"])
+        with pytest.raises(SpecError, match="malformed regime label"):
+            require_possible(data, ball_pins())
+        # Only the labels that rows carry are read.
+        require_possible(data.filter_regimes(["natural"]), ball_pins())
+
     def test_header_must_name_the_graph_variables(self):
         with pytest.raises(DataError, match="columns"):
             require_possible(make_dataset(["ball"], [(1,)]), ball_pins())
         extra = make_dataset(["ball", "pins", "dog"], [(1, 1, 0)])
         with pytest.raises(DataError, match="columns"):
             require_possible(extra, ball_pins())
+
+
+def _impossible_rows(dataset, graph, exempt) -> int:
+    """Reference for require_possible: rows whose probability, the product
+    of the CPT rows of their regime's mutilated graph, is 0."""
+    count = 0
+    for values, label in zip(dataset.values.tolist(), dataset.regime_labels):
+        row = dict(zip(dataset.variables, values))
+        p = 1.0
+        for var in mutilate(graph, Regime.from_label(label)).variables:
+            if var.name not in exempt:
+                p_one = var.cpt[tuple(row[q] for q in var.parents)]
+                p *= p_one if row[var.name] == 1 else 1.0 - p_one
+        count += p == 0.0
+    return count
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10_000), data=st.data())
+def test_require_possible_matches_per_row_reference(seed, data):
+    graph = dag_from_seed(seed)
+    # Make some CPT rows deterministic, so rows can contradict them.
+    graph = graph.replace(
+        *(
+            Variable.make(
+                var.name,
+                var.parents,
+                {
+                    key: data.draw(st.sampled_from([p, p, 0.0, 1.0]))
+                    for key, p in var.cpt.items()
+                },
+            )
+            for var in graph.variables
+        )
+    )
+    names = list(graph.names)
+    clamp_sets = data.draw(
+        st.lists(
+            st.dictionaries(st.sampled_from(names), st.integers(0, 1), max_size=3),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    labels = [Regime(clamps).label() for clamps in clamp_sets]
+    n = data.draw(st.integers(0, 30))
+    columns = data.draw(st.permutations(names))
+    cells = st.lists(st.integers(0, 1), min_size=len(names), max_size=len(names))
+    rows = data.draw(st.lists(cells, min_size=n, max_size=n))
+    values = np.array(rows, dtype=np.int8).reshape(n, len(names))
+    row_labels = data.draw(st.lists(st.sampled_from(labels), min_size=n, max_size=n))
+    exempt = data.draw(st.sets(st.sampled_from(names), max_size=2))
+    dataset = Dataset.from_labels(columns, values, row_labels)
+
+    expected = _impossible_rows(dataset, graph, exempt)
+    if expected:
+        with pytest.raises(DataError, match=f"^{expected} of {n} rows "):
+            require_possible(dataset, graph, exempt=exempt)
+    else:
+        require_possible(dataset, graph, exempt=exempt)
 
 
 class TestObservationalSampling:

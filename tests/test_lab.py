@@ -160,19 +160,19 @@ class TestRunRandomized:
     def test_change_detected_when_rate_collapses(self, battery, sport_doc):
         model = sport_doc.bind()
         diet = battery.experiments[2]
-        result = run_randomized(model, diet, 1000, 5)
+        result = run_randomized(model, diet, 1000, 5).result
         assert result.verdict == "change"
         assert result.treated_acts < result.control_acts / 4
 
     def test_no_change_on_parallel_lever(self, battery, sport_doc):
         model = sport_doc.bind()
-        result = run_randomized(model, battery.experiments[0], 1000, 5)
+        result = run_randomized(model, battery.experiments[0], 1000, 5).result
         assert result.verdict == "no-change"
 
     def test_underpowered_when_both_arms_tiny(self, battery):
         doc = sport_lab(p_act=0.02, p_base=0.0)
         model = doc.bind()
-        result = run_randomized(model, battery.experiments[0], 40, 2)
+        result = run_randomized(model, battery.experiments[0], 40, 2).result
         assert result.verdict == "underpowered"
 
     def test_lever_clamping_action_rejected(self, sport_doc):

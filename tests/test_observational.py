@@ -142,10 +142,6 @@ class TestStratifiedComparison:
         assert only.variance > 0.0
         assert math.isfinite(cmp.pooled_se)
 
-    def test_rejects_unknown_regime_column(self):
-        with pytest.raises(TeleoError, match="regime column"):
-            stratified_action_comparison(two_strata_dataset(), "act", regime_column="cohort")
-
     def test_rejects_action_in_adjustment(self):
         with pytest.raises(TeleoError, match="adjustment"):
             stratified_action_comparison(two_strata_dataset(), "act", adjustment=("act",))

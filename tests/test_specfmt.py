@@ -4,7 +4,6 @@ from teleo import (
     GraphSpecDocument,
     InvalidGraphError,
     SpecError,
-    parse_graph,
     parse_graph_spec,
     serialize_graph_spec,
 )
@@ -64,10 +63,6 @@ class TestParsing:
         assert doc.policy is None
         with pytest.raises(SpecError, match="tagging"):
             doc.bind()
-
-    def test_parse_graph_shortcut(self):
-        g = parse_graph("var a\n  p = 0.5\n")
-        assert g.names == ("a",)
 
     def test_levers_parsed(self):
         text = SMALL_DOC + "lever water stove 0\n"
