@@ -90,11 +90,10 @@ class ExperimentResult:
 
 @dataclass(frozen=True)
 class ExperimentRun:
-    """An experiment's result together with its treated-arm data and the
-    pattern check evaluated on that data."""
+    """An experiment's result together with the pattern check evaluated on
+    its treated arm."""
 
     result: ExperimentResult
-    treated_data: Dataset
     pattern_count: int
     pattern_passed: bool
 
@@ -202,7 +201,6 @@ def run_randomized(
     n_per_arm: int,
     seed: int,
     alpha: float = DEFAULT_ALPHA,
-    min_support: int = DEFAULT_MIN_SUPPORT,
 ) -> ExperimentRun:
     """Sample both arms, test for an action-rate change, and check the
     expected pattern on the treated arm.
@@ -234,11 +232,7 @@ def run_randomized(
     if experiment.pattern_mode == MODE_MUST_NOT_OBSERVE:
         budget = base_rate_violation_budget(model.policy.p_base, n_per_arm)
     count, passed = pattern_check(
-        treated,
-        experiment.expected_pattern,
-        experiment.pattern_mode,
-        min_support=min_support,
-        max_violations=budget,
+        treated, experiment.expected_pattern, experiment.pattern_mode, max_violations=budget
     )
     result = ExperimentResult(
         experiment=experiment,
@@ -251,9 +245,7 @@ def run_randomized(
         verdict=verdict,
         seed=seed,
     )
-    return ExperimentRun(
-        result=result, treated_data=treated, pattern_count=count, pattern_passed=passed
-    )
+    return ExperimentRun(result=result, pattern_count=count, pattern_passed=passed)
 
 
 def pattern_check(
@@ -296,14 +288,11 @@ def run_battery(
     n_per_arm: int,
     seed: int,
     alpha: float = DEFAULT_ALPHA,
-    min_support: int = DEFAULT_MIN_SUPPORT,
 ) -> list[ExperimentRun]:
     """Run every experiment in a battery, each with its own seed spawned
     from ``seed``."""
     seeds = np.random.SeedSequence(seed).spawn(max(1, len(battery.experiments)))
     return [
-        run_randomized(
-            model, experiment, n_per_arm, int(seq.generate_state(1)[0]), alpha, min_support
-        )
+        run_randomized(model, experiment, n_per_arm, int(seq.generate_state(1)[0]), alpha)
         for experiment, seq in zip(battery.experiments, seeds)
     ]

@@ -252,5 +252,4 @@ class TestRunBattery:
         model = sport_doc.bind()
         a = run_battery(model, battery, 300, 21)
         b = run_battery(model, battery, 300, 21)
-        assert [r.result for r in a] == [r.result for r in b]
-        assert [r.treated_data for r in a] == [r.treated_data for r in b]
+        assert a == b
