@@ -41,13 +41,13 @@ p = query(graph, {"practice": 1}, given={"live_longer": 1})
 print(f"P(practice=1 | live_longer=1) = {p:.4f}")
 
 # Interventions are graph surgery: clamp a variable, cut its parents.
-forced = mutilate(graph, Regime.do("practice", 1))
+forced = mutilate(graph, Regime({"practice": 1}))
 print("P(win_medals=1 | do(practice=1)) =",
       round(joint_enumerate(forced).marginal("win_medals"), 4))
 
 # Interference clamps an *effect* instead.  Same surgery, different role:
 # downstream changes, upstream does not.
-cut = mutilate(graph, Regime.interference({"be_fit": 0}))
+cut = mutilate(graph, Regime({"be_fit": 0}))
 cut_table = joint_enumerate(cut)
 print("under interference be_fit=0:")
 print("  P(live_longer=1) =", round(cut_table.marginal("live_longer"), 4))

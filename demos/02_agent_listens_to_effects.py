@@ -17,9 +17,9 @@ model = bind_agent(graph, "practice", policy)
 # Servability asks: does practicing still raise P(be_fit=1) by at least
 # theta under this regime?
 for regime in (
-    Regime.natural(),
-    Regime.interference({"enroll": 0}),
-    Regime.interference({"protein_diet": 0}),
+    Regime(),
+    Regime({"enroll": 0}),
+    Regime({"protein_diet": 0}),
 ):
     s = servable(graph, "practice", policy.intention_set, policy.theta, regime)
     rate = model.action_rate(regime)
@@ -29,7 +29,7 @@ for regime in (
 # bothering; an enrollment ban changes nothing the agent cares about.
 
 # Sampling the bound model gives data with the same signature.
-data = sample(model.bound_graph(Regime.interference({"protein_diet": 0})), 5000, 7)
+data = sample(model.bound_graph(Regime({"protein_diet": 0})), 5000, 7)
 print("sampled practice rate under protein_diet=0:",
       round(float(data.column("practice").mean()), 3))
 
@@ -37,7 +37,7 @@ print("sampled practice rate under protein_diet=0:",
 # action.  The confounded variant wires age -> practice and halves the act
 # rate for older agents.
 conf_model = sport_lab_confounded().bind()
-bound = conf_model.bound_graph(Regime.natural())
+bound = conf_model.bound_graph(Regime())
 for age in (0, 1):
     p = query(bound, {"practice": 1}, given={"age": age})
     print(f"P(practice=1 | age={age}) = {p:.2f}")

@@ -25,8 +25,8 @@ model = doc.bind()
 
 # Observational world: regime membership depends on age.
 graphs = {
-    "natural": model.bound_graph(Regime.natural()),
-    "enroll=0": model.bound_graph(Regime.interference({"enroll": 0})),
+    "natural": model.bound_graph(Regime()),
+    "enroll=0": model.bound_graph(Regime({"enroll": 0})),
 }
 selection = {
     0: {"natural": 0.8, "enroll=0": 0.2},  # young people mostly unbanned

@@ -117,7 +117,7 @@ def servable(
     action: str,
     intention_set: Iterable[Intention],
     theta: float,
-    regime: Regime | None = None,
+    regime: Regime = Regime(),
 ) -> Servability:
     """Check whether acting still raises every intended effect enough.
 
@@ -128,16 +128,14 @@ def servable(
     intentions = sorted(set(intention_set))
     if not intentions:
         raise PolicyError("intention set is empty")
-    if regime is not None and action in regime.clamps:
+    if action in regime.clamps:
         raise RegimeError(f"regime clamps the action {action!r}; the agent chooses it")
     effects = graph.descendants(action, strict=True)
     for name, _ in intentions:
         if name not in effects:
             raise HypothesisError(f"{name!r} is not a strict descendant of action {action!r}")
     base = mutilate(graph, regime)
-    tables = {
-        value: joint_enumerate(mutilate(base, Regime.do(action, value))) for value in (1, 0)
-    }
+    tables = {value: joint_enumerate(mutilate(base, Regime({action: value}))) for value in (1, 0)}
     margins = []
     for name, target in intentions:
         p_hi = tables[1].prob_of({name: target})
@@ -155,19 +153,22 @@ class TeleologicalModel:
 
     The original CPT is kept on ``base_graph`` for reference; while the
     policy is bound, sampling and rate computations use the policy instead.
-    Immutable; bound graphs are memoized per (clamps, servable).
+    Immutable; servability is memoized per regime and bound graphs per
+    (regime, servable).
     """
 
     base_graph: CausalGraph
     action: str
     policy: AgentPolicy
-    _servable: dict = field(default_factory=dict, repr=False)
+    _servability: dict = field(default_factory=dict, repr=False)
     _bound: dict = field(default_factory=dict, repr=False)
 
-    def servability(self, regime: Regime | None = None) -> Servability:
-        return servable(
-            self.base_graph, self.action, self.policy.intention_set, self.policy.theta, regime
-        )
+    def servability(self, regime: Regime = Regime()) -> Servability:
+        if regime not in self._servability:
+            self._servability[regime] = servable(
+                self.base_graph, self.action, self.policy.intention_set, self.policy.theta, regime
+            )
+        return self._servability[regime]
 
     def _policy_variable(self, is_servable: bool) -> Variable:
         """The action's CPT under the policy: p_act scaled by matching
@@ -187,28 +188,24 @@ class TeleologicalModel:
         return Variable(name=self.action, parents=action_var.parents, cpt=rows)
 
     def bound_graph(
-        self, regime: Regime | None = None, is_servable: bool | None = None
+        self, regime: Regime = Regime(), is_servable: bool | None = None
     ) -> CausalGraph:
         """The regime-mutilated graph with the policy CPT in place; this is
         what experiments sample from.  ``is_servable`` is the policy's
         servability under ``regime`` when the caller already knows it;
         otherwise it is computed here."""
-        regime = regime or Regime.natural()
         if self.action in regime.clamps:
             raise RegimeError(f"regime clamps the action {self.action!r}")
-        clamps = regime.signature()
         if is_servable is None:
-            if clamps not in self._servable:
-                self._servable[clamps] = self.servability(regime).servable
-            is_servable = self._servable[clamps]
-        key = (clamps, is_servable)
+            is_servable = self.servability(regime).servable
+        key = (regime, is_servable)
         if key not in self._bound:
             self._bound[key] = mutilate(self.base_graph, regime).replace(
                 self._policy_variable(is_servable)
             )
         return self._bound[key]
 
-    def action_rate(self, regime: Regime | None = None, is_servable: bool | None = None) -> float:
+    def action_rate(self, regime: Regime = Regime(), is_servable: bool | None = None) -> float:
         """Exact P(action = 1) under the policy and regime, marginalizing
         over the action's parents.  Only the action's ancestors bear on its
         marginal, so only they are enumerated."""

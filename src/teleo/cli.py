@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .effects import classify_effects, confounding_causes
-from .engine import NATURAL_LABEL, RNG_ALGORITHM, Dataset, Regime, require_possible, sample
+from .engine import RNG_ALGORITHM, Dataset, Regime, require_possible, sample
 from .errors import InvalidGraphError, SpecError, TeleoError
 from .inference import arms_from_dataset, enumerate_hypotheses, identify, score_arms
 from .lab import DEFAULT_ALPHA, plan, run_battery
@@ -132,11 +132,8 @@ def _cmd_plan(args) -> int:
 
 
 def _simulation_regimes(doc: GraphSpecDocument) -> list[Regime]:
-    regimes = {NATURAL_LABEL: Regime.natural()}
-    for variable, value in doc.levers.values():
-        regime = Regime.interference({variable: value})
-        regimes.setdefault(regime.label(), regime)
-    return [regimes[label] for label in sorted(regimes, key=lambda l: (l != NATURAL_LABEL, l))]
+    regimes = {Regime()} | {Regime({variable: value}) for variable, value in doc.levers.values()}
+    return sorted(regimes, key=lambda r: (bool(r.clamps), r.label()))
 
 
 def _cmd_simulate(args) -> int:

@@ -19,6 +19,7 @@ import csv
 import io
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -45,62 +46,58 @@ class Regime:
 
     A do-intervention on the action and interference on the effect side
     are the same graph surgery, so a regime is its clamps and nothing else.
+    ``Regime()`` is the natural regime.  A regime is an immutable value: its
+    clamps are a read-only mapping sorted by name, so regimes with the same
+    clamps compare and hash equal and serve as their own cache keys.
     """
 
     clamps: Mapping[str, int] = field(default_factory=dict)
 
-    @staticmethod
-    def natural() -> "Regime":
-        return Regime({})
+    def __post_init__(self):
+        items = tuple(sorted(self.clamps.items()))
+        for name, value in items:
+            if value not in (0, 1):
+                raise RegimeError(f"clamp value for {name!r} must be 0 or 1, got {value!r}")
+        object.__setattr__(self, "clamps", MappingProxyType(dict(items)))
+        object.__setattr__(self, "_hash", hash(items))
 
-    @staticmethod
-    def do(variable: str, value: int) -> "Regime":
-        return Regime({variable: value})
+    def __hash__(self) -> int:
+        return self._hash
 
-    @staticmethod
-    def interference(clamps: Mapping[str, int]) -> "Regime":
-        return Regime(dict(clamps))
-
-    def merge(self, other: "Regime") -> "Regime":
-        overlap = set(self.clamps) & set(other.clamps)
-        if overlap:
-            raise RegimeError(f"variables clamped twice: {sorted(overlap)}")
-        return Regime({**self.clamps, **other.clamps})
-
-    def signature(self) -> tuple:
-        """Hashable canonical form of the clamps, used as a cache key."""
-        return tuple(sorted(self.clamps.items()))
+    def __reduce__(self):
+        # A mapping proxy cannot be pickled or deep-copied; its dict can.
+        return Regime, (dict(self.clamps),)
 
     def label(self) -> str:
         """Stable text label: "natural" or ";"-joined "var=value" pairs."""
         if not self.clamps:
             return NATURAL_LABEL
-        return ";".join(f"{v}={self.clamps[v]}" for v in sorted(self.clamps))
+        return ";".join(f"{name}={value}" for name, value in self.clamps.items())
 
     @staticmethod
     def from_label(label: str) -> "Regime":
         """Parse a label produced by :meth:`label`."""
         if label == NATURAL_LABEL:
-            return Regime.natural()
+            return Regime()
         clamps = {}
         for part in label.split(";"):
             name, _, value = part.partition("=")
             if not name or value not in ("0", "1"):
                 raise SpecError(f"malformed regime label {label!r}")
+            if name in clamps:
+                raise SpecError(f"regime label {label!r} clamps {name!r} twice")
             clamps[name] = int(value)
         return Regime(clamps)
 
 
-def mutilate(graph: CausalGraph, regime: Regime | None) -> CausalGraph:
+def mutilate(graph: CausalGraph, regime: Regime = Regime()) -> CausalGraph:
     """Clamp the regime's variables: each becomes parentless with a constant
     CPT, everything else is untouched."""
-    if regime is None or not regime.clamps:
+    if not regime.clamps:
         return graph
     replacements = []
     for name, value in regime.clamps.items():
         graph.variable(name)
-        if value not in (0, 1):
-            raise RegimeError(f"clamp value for {name!r} must be 0 or 1, got {value!r}")
         replacements.append(Variable.constant(name, value))
     return graph.replace(*replacements)
 
@@ -134,23 +131,17 @@ class JointTable:
         mask = 0
         target = 0
         for name, value in event.items():
+            if value not in (0, 1):
+                raise ValueError(f"value of {name!r} must be 0 or 1, got {value!r}")
             bit = self._bit(name)
             mask |= 1 << bit
-            target |= (value & 1) << bit
+            target |= int(value) << bit
         sel = (self._indices & mask) == target
         return float(self.probs[sel].sum())
 
     def marginal(self, name: str) -> float:
         """P(name = 1)."""
         return self.prob_of({name: 1})
-
-    def nonzero_entries(self) -> list[tuple[dict[str, int], float]]:
-        out = []
-        n = len(self.names)
-        for i in np.flatnonzero(self.probs):
-            values = {name: (int(i) >> (n - 1 - k)) & 1 for k, name in enumerate(self.names)}
-            out.append((values, float(self.probs[i])))
-        return out
 
 
 def joint_enumerate(graph: CausalGraph) -> JointTable:
@@ -198,10 +189,11 @@ def query(
     denom = table.prob_of(given) if given else 1.0
     if denom <= 0.0:
         raise ZeroProbabilityError(f"conditioning event has probability 0: {given}")
+    joint = table.prob_of({**given, **event})
     for name, value in event.items():
         if name in given and given[name] != value:
             return 0.0
-    return table.prob_of({**given, **event}) / denom
+    return joint / denom
 
 
 def _code_dtype(n_labels: int) -> np.dtype:

@@ -81,6 +81,8 @@ class Variable:
         problems = []
         if not self.name:
             problems.append("variable with empty name")
+        if "=" in self.name or ";" in self.name:
+            problems.append(f"{self.name}: name contains '=' or ';', which regime labels reserve")
         if len(set(self.parents)) != len(self.parents):
             problems.append(f"{self.name}: duplicate parent names")
         if self.name in self.parents:

@@ -74,7 +74,7 @@ def arms_from_results(results: Sequence[ExperimentResult]) -> list[ArmCounts]:
     for result in results:
         if result.experiment is None:
             raise RegimeError("experiment result carries no regime metadata")
-        arms.append(ArmCounts(Regime.natural(), result.control_n, result.control_acts))
+        arms.append(ArmCounts(Regime(), result.control_n, result.control_acts))
         arms.append(
             ArmCounts(result.experiment.regime(), result.treated_n, result.treated_acts)
         )
@@ -165,16 +165,10 @@ def _servable_bits(
     hypothesis (rows) servable.  One servability check per distinct set of
     clamps; a hypothesis is servable iff each of its margins clears theta."""
     theta = model.policy.theta
-    margins = {}
-    columns = []
-    for regime in regimes:
-        key = regime.signature()
-        if key not in margins:
-            margins[key] = {
-                (name, target): margin
-                for name, target, margin in model.servability(regime).margins
-            }
-        columns.append(margins[key])
+    columns = [
+        {(name, target): margin for name, target, margin in model.servability(regime).margins}
+        for regime in regimes
+    ]
     return [
         [all(column[intent] >= theta for intent in hypothesis) for column in columns]
         for hypothesis in hypotheses
@@ -192,7 +186,7 @@ def _rate_table(
     for row in bits:
         out = []
         for regime, bit in zip(regimes, row):
-            key = (regime.signature(), bit)
+            key = (regime, bit)
             if key not in rates:
                 rates[key] = model.action_rate(regime, bit)
             out.append(rates[key])

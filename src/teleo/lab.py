@@ -57,7 +57,7 @@ class InterferenceExperiment:
     pattern_mode: str
 
     def regime(self) -> Regime:
-        return Regime.interference({self.lever[0]: self.lever[1]})
+        return Regime({self.lever[0]: self.lever[1]})
 
     @property
     def label(self) -> str:
@@ -215,7 +215,7 @@ def run_randomized(
     if n_per_arm < 1:
         raise ValueError("n_per_arm must be >= 1")
     control_seq, treated_seq = np.random.SeedSequence(seed).spawn(2)
-    control = sample(model.bound_graph(Regime.natural()), n_per_arm, control_seq)
+    control = sample(model.bound_graph(Regime()), n_per_arm, control_seq)
     treated = sample(
         model.bound_graph(experiment.regime()), n_per_arm, treated_seq, regime_label=experiment.label
     )

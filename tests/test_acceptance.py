@@ -114,15 +114,15 @@ def test_criterion_2_table_patterns(sport_doc):
 def test_criterion_3_fundamental_problem(sport_doc):
     g, policy = sport_doc.graph, sport_doc.policy
     natural_rates = {
-        predicted_rates(g, "practice", policy, frozenset({(name, 1)}), [Regime.natural()])[0]
+        predicted_rates(g, "practice", policy, frozenset({(name, 1)}), [Regime()])[0]
         for name in SINGLETONS
     }
     model = sport_doc.bind()
-    natural_graph = model.bound_graph(Regime.natural())
+    natural_graph = model.bound_graph(Regime())
     tied = 0
     for s in range(100):
         ds = sample(natural_graph, 10_000, np.random.SeedSequence([1001, s]))
-        arms = [ArmCounts(Regime.natural(), ds.n_rows, int(ds.column("practice").sum()))]
+        arms = [ArmCounts(Regime(), ds.n_rows, int(ds.column("practice").sum()))]
         scores = score_arms(arms, g, "practice", policy)
         if all(score.verdict == "indistinguishable" for score in scores):
             tied += 1
@@ -158,11 +158,11 @@ def test_criterion_4_identification_power(sport_doc):
 
 
 def test_criterion_5_no_reverse_causation(stove_graph):
-    cut = Regime.interference({"water": 0})
+    cut = Regime({"water": 0})
     p_natural = joint_enumerate(stove_graph).marginal("stove")
     p_cut = joint_enumerate(mutilate(stove_graph, cut)).marginal("stove")
     agent = bind_agent(stove_graph, "stove", AgentPolicy.make((("water", 1),)))
-    r_natural = agent.action_rate(Regime.natural())
+    r_natural = agent.action_rate(Regime())
     r_cut = agent.action_rate(cut)
     ok = (
         p_natural == p_cut
@@ -217,8 +217,8 @@ def test_criterion_7_sampler_enumerator_agreement():
 def test_criterion_8_observational_adjustment(confounded_doc):
     model = confounded_doc.bind()
     graphs = {
-        "natural": model.bound_graph(Regime.natural()),
-        "enroll=0": model.bound_graph(Regime.interference({"enroll": 0})),
+        "natural": model.bound_graph(Regime()),
+        "enroll=0": model.bound_graph(Regime({"enroll": 0})),
     }
     selection = {
         0: {"natural": 0.8, "enroll=0": 0.2},

@@ -78,7 +78,7 @@ class TestServability:
         assert report.margin_of("win_medals") == pytest.approx(0.7)
 
     def test_not_servable_under_neutralizing_regime(self, lab):
-        regime = Regime.interference({"enroll": 0})
+        regime = Regime({"enroll": 0})
         report = servable(lab, "practice", [("win_medals", 1)], theta=0.1, regime=regime)
         assert not report.servable
         assert report.margin_of("win_medals") == pytest.approx(0.0)
@@ -94,10 +94,10 @@ class TestServability:
 
     def test_regime_may_not_clamp_action(self, lab):
         with pytest.raises(RegimeError):
-            servable(lab, "practice", [("be_fit", 1)], theta=0.1, regime=Regime.do("practice", 1))
+            servable(lab, "practice", [("be_fit", 1)], theta=0.1, regime=Regime({"practice": 1}))
 
     def test_conjunction_needs_every_intent(self, lab):
-        regime = Regime.interference({"enroll": 0})
+        regime = Regime({"enroll": 0})
         both = servable(lab, "practice", [("be_fit", 1), ("win_medals", 1)], theta=0.1, regime=regime)
         assert not both.servable
         alone = servable(lab, "practice", [("be_fit", 1)], theta=0.1, regime=regime)
@@ -107,17 +107,26 @@ class TestServability:
 class TestBoundModel:
     def test_action_rate_is_p_act_when_servable(self, lab):
         model = bind_agent(lab, "practice", AgentPolicy.make([("be_fit", 1)]))
-        assert model.action_rate(Regime.natural()) == pytest.approx(0.8)
+        assert model.action_rate(Regime()) == pytest.approx(0.8)
 
     def test_action_rate_collapses_when_not_servable(self, lab):
         model = bind_agent(lab, "practice", AgentPolicy.make([("be_fit", 1)]))
-        regime = Regime.interference({"protein_diet": 0})
+        regime = Regime({"protein_diet": 0})
         assert model.action_rate(regime) == pytest.approx(0.05)
 
     def test_servability_depends_on_regime_not_parent_values(self, lab):
         # smoke=1 blocks live_longer downstream of be_fit but leaves be_fit intact
         model = bind_agent(lab, "practice", AgentPolicy.make([("be_fit", 1)]))
-        assert model.action_rate(Regime.interference({"smoke": 1})) == pytest.approx(0.8)
+        assert model.action_rate(Regime({"smoke": 1})) == pytest.approx(0.8)
+
+    def test_caches_are_keyed_on_the_regime(self, lab):
+        model = bind_agent(lab, "practice", AgentPolicy.make([("be_fit", 1)]))
+        a = Regime({"protein_diet": 0, "enroll": 0})
+        b = Regime({"enroll": 0, "protein_diet": 0})
+        assert model.servability(a) is model.servability(b)
+        assert model.bound_graph(a) is model.bound_graph(b)
+        assert model.bound_graph(a, True) is not model.bound_graph(b, False)
+        assert model.bound_graph() is model.bound_graph(Regime())
 
     def test_action_must_be_declared(self, lab):
         with pytest.raises(Exception):
@@ -134,12 +143,12 @@ class TestBoundModel:
 
     def test_bound_graph_keeps_other_mechanisms(self, lab):
         model = bind_agent(lab, "practice", AgentPolicy.make([("be_fit", 1)]))
-        g = model.bound_graph(Regime.natural())
+        g = model.bound_graph(Regime())
         assert g.variable("be_fit").cpt == lab.variable("be_fit").cpt
 
     def test_downstream_marginal_reflects_agent(self, lab):
         model = bind_agent(lab, "practice", AgentPolicy.make([("be_fit", 1)]))
-        table = joint_enumerate(model.bound_graph(Regime.natural()))
+        table = joint_enumerate(model.bound_graph(Regime()))
         # be_fit = practice AND protein_diet in distribution: 0.8 * 0.9
         assert table.marginal("be_fit") == pytest.approx(0.72)
 
@@ -153,7 +162,7 @@ class TestCauseModifiers:
     def test_rates_split_by_age(self):
         doc = self.make_aged()
         model = doc.bind()
-        g = model.bound_graph(Regime.natural())
+        g = model.bound_graph(Regime())
         table = joint_enumerate(g)
         young = table.prob_of({"practice": 1, "age": 0}) / table.prob_of({"age": 0})
         old = table.prob_of({"practice": 1, "age": 1}) / table.prob_of({"age": 1})
@@ -163,7 +172,7 @@ class TestCauseModifiers:
     def test_base_rate_unmodified(self):
         doc = self.make_aged()
         model = doc.bind()
-        regime = Regime.interference({"protein_diet": 0})
+        regime = Regime({"protein_diet": 0})
         table = joint_enumerate(model.bound_graph(regime))
         young = table.prob_of({"practice": 1, "age": 0}) / table.prob_of({"age": 0})
         old = table.prob_of({"practice": 1, "age": 1}) / table.prob_of({"age": 1})
@@ -182,7 +191,7 @@ class TestCauseModifiers:
         )
         policy = AgentPolicy.make([("goal", 1)], p_act=0.8, cause_modifiers={("boost", 1): 2.0})
         model = bind_agent(g, "act", policy)
-        table = joint_enumerate(model.bound_graph(Regime.natural()))
+        table = joint_enumerate(model.bound_graph(Regime()))
         boosted = table.prob_of({"act": 1, "boost": 1}) / table.prob_of({"boost": 1})
         assert boosted == pytest.approx(1.0)
 

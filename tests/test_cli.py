@@ -103,6 +103,20 @@ class TestExitCodes:
         assert run_command(["infer", "--graph", str(spec), "--data", str(data)]) == 1
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["l=x", "l;x"])
+    def test_names_with_label_separators_fail_validation(self, tmp_path, name, capsys):
+        spec = tmp_path / "separator.spec"
+        spec.write_text(
+            f"var {name}\n  p = 0.9\nvar a\n  p = 0.5\n"
+            f"var e\n  parents a {name}\n  p 0 0 = 0\n  p 0 1 = 0\n  p 1 0 = 0\n  p 1 1 = 1\n"
+            f"action a\nintend e 1\nlever e {name} 0\n"
+        )
+        code, report = machine(capsys, ["validate", "--graph", str(spec)])
+        assert code == 1
+        assert any(v.startswith(f"{name}: ") for v in report.sections["validation"]["violations"])
+        args = ["--graph", str(spec), "--seed", "1", "--n", "10", "--out", str(tmp_path / "d.csv")]
+        assert run_command(["simulate", *args]) == 1
+
     def test_untagged_spec_cannot_classify(self, tmp_path):
         spec = tmp_path / "untagged.spec"
         spec.write_text(UNTAGGED)
@@ -363,6 +377,16 @@ class TestAnalyzeAndInfer:
             assert code == 0
             assert report.sections["identification"]["verdict"] == "unique"
             assert report.sections["identification"]["top"] == ["be_fit=1"]
+
+    def test_label_repeating_a_variable_is_rejected(self, sport_spec_path, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        args = ["--graph", str(sport_spec_path), "--seed", "1", "--n", "200", "--out", str(data)]
+        assert run_command(["simulate", *args]) == 0
+        relabeled = tmp_path / "relabeled.csv"
+        relabeled.write_text(data.read_text().replace(",natural\n", ",enroll=0;enroll=1\n"))
+        argv = ["infer", "--graph", str(sport_spec_path), "--data", str(relabeled)]
+        assert run_command(argv) == 1
+        assert "clamps 'enroll' twice" in capsys.readouterr().err
 
     def test_data_columns_must_match_graph(self, sport_spec_path, tmp_path, capsys):
         data = tmp_path / "short.csv"

@@ -1,6 +1,8 @@
+import copy
 import csv
 import io
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -31,14 +33,14 @@ from .helpers import dag_from_seed, make_dataset
 
 class TestRegime:
     def test_natural_label(self):
-        assert Regime.natural().label() == "natural"
+        assert Regime().label() == "natural"
 
     def test_label_sorted_by_name(self):
-        r = Regime.interference({"z": 1, "a": 0})
+        r = Regime({"z": 1, "a": 0})
         assert r.label() == "a=0;z=1"
 
     def test_label_round_trip(self):
-        r = Regime.interference({"smoke": 1, "enroll": 0})
+        r = Regime({"smoke": 1, "enroll": 0})
         back = Regime.from_label(r.label())
         assert back.clamps == r.clamps
 
@@ -46,18 +48,55 @@ class TestRegime:
         with pytest.raises(SpecError):
             Regime.from_label("enroll=2")
 
-    def test_merge_disjoint(self):
-        merged = Regime.do("a", 1).merge(Regime.interference({"b": 0}))
-        assert merged.clamps == {"a": 1, "b": 0}
+    def test_from_label_rejects_repeated_variable(self):
+        with pytest.raises(SpecError, match="twice"):
+            Regime.from_label("enroll=0;enroll=1")
+        with pytest.raises(SpecError, match="twice"):
+            Regime.from_label("enroll=1;smoke=0;enroll=1")
 
-    def test_merge_overlap_raises(self):
-        with pytest.raises(RegimeError):
-            Regime.do("a", 1).merge(Regime.do("a", 0))
+    def test_equality_and_hash_ignore_insertion_order(self):
+        r1 = Regime({"a": 1, "b": 0})
+        r2 = Regime({"b": 0, "a": 1})
+        assert r1 == r2
+        assert hash(r1) == hash(r2)
+        assert len({r1, r2, Regime(), Regime({})}) == 2
+        assert r1 != Regime({"a": 1, "b": 1})
 
-    def test_signature_ignores_insertion_order(self):
-        r1 = Regime.interference({"a": 1, "b": 0})
-        r2 = Regime.interference({"b": 0, "a": 1})
-        assert r1.signature() == r2.signature()
+    def test_clamps_are_copied(self):
+        clamps = {"a": 1}
+        r = Regime(clamps)
+        clamps["b"] = 0
+        assert r == Regime({"a": 1})
+        assert r.label() == "a=1"
+
+
+regime_names = st.text(
+    st.characters(exclude_characters="=;", exclude_categories=("Cs",)), min_size=1
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    clamps=st.dictionaries(regime_names, st.integers(0, 1), max_size=6),
+    name=regime_names,
+    bad=st.one_of(st.integers(), st.floats(), st.text()).filter(lambda v: v not in (0, 1)),
+    data=st.data(),
+)
+def test_regime_is_an_immutable_value(clamps, name, bad, data):
+    """Equal clamps make equal, equally hashed regimes in any insertion
+    order; labels, pickling and copies round-trip; clamps cannot be
+    assigned; a clamp value outside {0, 1} is rejected when the regime is
+    built."""
+    r = Regime(clamps)
+    s = Regime(dict(data.draw(st.permutations(list(clamps.items())))))
+    assert r == s and hash(r) == hash(s)
+    assert list(r.clamps) == sorted(clamps)
+    assert Regime.from_label(r.label()) == r
+    assert pickle.loads(pickle.dumps(r)) == r == copy.deepcopy(r)
+    with pytest.raises(TypeError):
+        r.clamps[name] = 0
+    with pytest.raises(RegimeError):
+        Regime({**clamps, name: bad})
 
 
 class TestEnumeration:
@@ -79,9 +118,7 @@ class TestEnumeration:
 
     def test_deterministic_chain_collapses(self):
         table = joint_enumerate(sport_chain())
-        entries = table.nonzero_entries()
-        assert len(entries) == 2
-        probs = sorted(p for _, p in entries)
+        probs = sorted(table.probs[table.probs > 0])
         assert probs == [pytest.approx(0.2), pytest.approx(0.8)]
 
     def test_prob_of_partial(self):
@@ -103,6 +140,18 @@ class TestQuery:
     def test_event_conflicting_with_given_is_zero(self):
         assert query(ball_pins(), {"ball": 0}, {"ball": 1}) == 0.0
 
+    @pytest.mark.parametrize("value", [2, -1, 0.5])
+    def test_non_binary_values_rejected(self, value):
+        g = education_salary()
+        with pytest.raises(ValueError, match="must be 0 or 1"):
+            query(g, {"salary": value})
+        with pytest.raises(ValueError, match="must be 0 or 1"):
+            query(g, {"salary": 1}, {"education": value})
+        with pytest.raises(ValueError, match="must be 0 or 1"):
+            query(g, {"salary": value}, {"salary": 1})
+        with pytest.raises(ValueError, match="must be 0 or 1"):
+            joint_enumerate(g).prob_of({"salary": value})
+
     def test_zero_probability_conditioning(self):
         with pytest.raises(ZeroProbabilityError):
             query(ball_pins(), {"ball": 1}, {"ball": 0, "pins": 1})
@@ -110,7 +159,7 @@ class TestQuery:
 
 class TestMutilate:
     def test_clamped_variable_becomes_constant(self):
-        g = mutilate(stove_water(), Regime.do("water", 1))
+        g = mutilate(stove_water(), Regime({"water": 1}))
         assert g.variable("water").parents == ()
         table = joint_enumerate(g)
         assert table.marginal("water") == 1.0
@@ -118,18 +167,18 @@ class TestMutilate:
 
     def test_do_and_interference_same_distribution(self):
         g = stove_water()
-        a = joint_enumerate(mutilate(g, Regime.do("water", 0)))
-        b = joint_enumerate(mutilate(g, Regime.interference({"water": 0})))
+        a = joint_enumerate(mutilate(g, Regime({"water": 0})))
+        b = joint_enumerate(g.replace(Variable.constant("water", 0)))
         assert np.array_equal(a.probs, b.probs)
 
     def test_none_regime_is_identity(self):
         g = stove_water()
-        assert mutilate(g, None) is g
-        assert mutilate(g, Regime.natural()) is g
+        assert mutilate(g) is g
+        assert mutilate(g, Regime()) is g
 
     def test_unknown_clamp_rejected(self):
         with pytest.raises(Exception):
-            mutilate(stove_water(), Regime.do("kettle", 1))
+            mutilate(stove_water(), Regime({"kettle": 1}))
 
 
 @settings(max_examples=30, deadline=None)
@@ -144,11 +193,11 @@ def test_joint_sums_to_one(seed):
 def test_mutilation_idempotent_and_commutative(seed, value):
     g = dag_from_seed(seed)
     first, second = g.names[0], g.names[-1]
-    r1 = Regime.interference({first: value})
-    r2 = Regime.interference({second: 1 - value})
+    r1 = Regime({first: value})
+    r2 = Regime({second: 1 - value})
     assert mutilate(mutilate(g, r1), r1) == mutilate(g, r1)
     assert mutilate(mutilate(g, r1), r2) == mutilate(mutilate(g, r2), r1)
-    assert mutilate(g, r1.merge(r2)) == mutilate(mutilate(g, r1), r2)
+    assert mutilate(g, Regime({first: value, second: 1 - value})) == mutilate(mutilate(g, r1), r2)
 
 
 class TestSampling:
@@ -413,7 +462,7 @@ class TestRequirePossible:
         data = Dataset.concat(
             [
                 sample(ball_pins(), 200, 1),
-                sample(mutilate(ball_pins(), Regime.interference({"pins": 0})), 200, 2, "pins=0"),
+                sample(mutilate(ball_pins(), Regime({"pins": 0})), 200, 2, "pins=0"),
             ]
         )
         require_possible(data, ball_pins())
@@ -517,7 +566,7 @@ def test_require_possible_matches_per_row_reference(seed, data):
 class TestObservationalSampling:
     def test_selector_drives_regime_membership(self):
         g = education_salary()
-        graphs = {"natural": g, "education=1": mutilate(g, Regime.interference({"education": 1}))}
+        graphs = {"natural": g, "education=1": mutilate(g, Regime({"education": 1}))}
         probs = {0: {"natural": 0.9, "education=1": 0.1}, 1: {"natural": 0.1, "education=1": 0.9}}
         data = sample_observational(graphs, "family_status", probs, 20000, 12)
         status = data.column("family_status")
@@ -537,7 +586,7 @@ class TestObservationalSampling:
 
     def test_deterministic(self):
         g = stove_water()
-        graphs = {"natural": g, "water=0": mutilate(g, Regime.interference({"water": 0}))}
+        graphs = {"natural": g, "water=0": mutilate(g, Regime({"water": 0}))}
         probs = {0: {"natural": 0.5, "water=0": 0.5}, 1: {"natural": 0.5, "water=0": 0.5}}
         a = sample_observational(graphs, "stove", probs, 500, 3)
         b = sample_observational(graphs, "stove", probs, 500, 3)

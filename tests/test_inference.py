@@ -53,10 +53,10 @@ SINGLETONS = [
 ]
 
 ARM_REGIMES = [
-    Regime.natural(),
-    Regime.interference({"enroll": 0}),
-    Regime.interference({"protein_diet": 0}),
-    Regime.interference({"smoke": 1}),
+    Regime(),
+    Regime({"enroll": 0}),
+    Regime({"protein_diet": 0}),
+    Regime({"smoke": 1}),
 ]
 
 
@@ -117,7 +117,7 @@ class TestPredictedRates:
     def test_natural_rates_identical_across_hypotheses(self, sport_doc):
         g, policy = sport_doc.graph, sport_doc.policy
         natural = [
-            predicted_rates(g, "practice", policy, h, [Regime.natural()])[0]
+            predicted_rates(g, "practice", policy, h, [Regime()])[0]
             for h in SINGLETONS
         ]
         assert len(set(natural)) == 1
@@ -128,7 +128,7 @@ class TestPredictedRates:
             "practice",
             {"p_act": 0.8, "p_base": 0.05, "theta": 0.1},
             frozenset({("be_fit", 1)}),
-            [Regime.interference({"protein_diet": 0})],
+            [Regime({"protein_diet": 0})],
         )
         assert got == pytest.approx([0.05], rel=1e-9)
 
@@ -173,8 +173,8 @@ class TestScoring:
 
     def test_log_likelihood_is_binomial_sum(self, sport_doc):
         arms = [
-            ArmCounts(Regime.natural(), 100, 80),
-            ArmCounts(Regime.interference({"enroll": 0}), 100, 5),
+            ArmCounts(Regime(), 100, 80),
+            ArmCounts(Regime({"enroll": 0}), 100, 5),
         ]
         h = frozenset({("win_medals", 1)})
         scores = score_arms(
@@ -202,7 +202,7 @@ class TestScoring:
         assert single[0].verdict == VERDICT_CONSISTENT
 
     def test_zero_count_arms_are_ignored(self, sport_doc):
-        arms = [ArmCounts(Regime.natural(), 0, 0)]
+        arms = [ArmCounts(Regime(), 0, 0)]
         scores = score_arms(arms, sport_doc.graph, "practice", sport_doc.policy)
         assert all(s.log_likelihood == 0.0 for s in scores)
 
@@ -211,7 +211,7 @@ class TestScoring:
             score_arms([], sport_doc.graph, "practice", sport_doc.policy, hypotheses=[])
 
     def test_natural_only_data_cannot_separate(self, sport_doc):
-        arms = [ArmCounts(Regime.natural(), 5000, 4000)]
+        arms = [ArmCounts(Regime(), 5000, 4000)]
         scores = score_arms(arms, sport_doc.graph, "practice", sport_doc.policy)
         assert all(s.verdict == VERDICT_INDISTINGUISHABLE for s in scores)
         lls = {s.log_likelihood for s in scores}
@@ -299,7 +299,7 @@ def scoring_problems(draw):
     arms = []
     for clamps in [{}] + clamp_sets:
         size = draw(st.integers(1, 40))
-        arms.append(ArmCounts(Regime.interference(clamps), size, draw(st.integers(0, size))))
+        arms.append(ArmCounts(Regime(clamps), size, draw(st.integers(0, size))))
     return graph, action, policy, hypotheses, arms
 
 
@@ -405,7 +405,7 @@ class TestArms:
     def test_arms_from_results_structure(self, battery_results):
         arms = arms_from_results(battery_results)
         assert len(arms) == 2 * len(battery_results)
-        assert arms[0].regime == Regime.natural()
+        assert arms[0].regime == Regime()
         assert arms[1].regime.clamps == {"enroll": 0}
         assert arms[1].n == 2000
 
@@ -432,7 +432,7 @@ class TestArms:
         )
         arms = arms_from_dataset(data, "practice")
         assert [arm.regime.label() for arm in arms] == ["enroll=0", "natural"]
-        assert arms[0] == ArmCounts(Regime.interference({"enroll": 0}), 2, 2)
+        assert arms[0] == ArmCounts(Regime({"enroll": 0}), 2, 2)
         assert arms[1].n == 2 and arms[1].acts == 1
 
 

@@ -170,8 +170,8 @@ class TestStratifiedComparison:
 def selected_data(confounded_doc):
     model = confounded_doc.bind()
     graphs = {
-        "natural": model.bound_graph(Regime.natural()),
-        "enroll=0": model.bound_graph(Regime.interference({"enroll": 0})),
+        "natural": model.bound_graph(Regime()),
+        "enroll=0": model.bound_graph(Regime({"enroll": 0})),
     }
     probs = {
         0: {"natural": 0.8, "enroll=0": 0.2},
@@ -203,9 +203,9 @@ class TestObservationalBattery:
     def test_missing_regimes_marked_no_data(self, sport_doc, sport_battery):
         cls, battery = sport_battery
         model = sport_doc.bind()
-        natural = sample(model.bound_graph(Regime.natural()), 2000, 51)
+        natural = sample(model.bound_graph(Regime()), 2000, 51)
         diet = sample(
-            model.bound_graph(Regime.interference({"protein_diet": 0})),
+            model.bound_graph(Regime({"protein_diet": 0})),
             2000,
             52,
             regime_label="protein_diet=0",
@@ -231,7 +231,7 @@ class TestObservationalBattery:
         cls = classify_effects(g, "practice", "be_fit")
         battery = plan(g, cls, SPORT_LEVERS)
         model = confounded_doc.bind()
-        parts = [sample(model.bound_graph(Regime.natural()), 1500, 61)]
+        parts = [sample(model.bound_graph(Regime()), 1500, 61)]
         for i, exp in enumerate(battery.experiments):
             parts.append(
                 sample(
@@ -254,9 +254,9 @@ class TestObservationalBattery:
     def test_accepts_plain_experiment_list(self, sport_doc, sport_battery):
         cls, battery = sport_battery
         model = sport_doc.bind()
-        natural = sample(model.bound_graph(Regime.natural()), 1000, 71)
+        natural = sample(model.bound_graph(Regime()), 1000, 71)
         ban = sample(
-            model.bound_graph(Regime.interference({"enroll": 0})),
+            model.bound_graph(Regime({"enroll": 0})),
             1000,
             72,
             regime_label="enroll=0",
