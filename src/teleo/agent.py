@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping
 
-from .engine import Regime, joint_enumerate, mutilate
+from .engine import Regime, joint_enumerate, marginals, mutilate
 from .errors import HypothesisError, PolicyError, RegimeError
 from .graph import CausalGraph, Variable
 
@@ -135,11 +135,11 @@ def servable(
         if name not in effects:
             raise HypothesisError(f"{name!r} is not a strict descendant of action {action!r}")
     base = mutilate(graph, regime)
-    tables = {value: joint_enumerate(mutilate(base, Regime({action: value}))) for value in (1, 0)}
+    names = [name for name, _ in intentions]
+    hi, lo = (marginals(mutilate(base, Regime({action: value})), names) for value in (1, 0))
     margins = []
     for name, target in intentions:
-        p_hi = tables[1].prob_of({name: target})
-        p_lo = tables[0].prob_of({name: target})
+        p_hi, p_lo = (p[name] if target else 1.0 - p[name] for p in (hi, lo))
         margins.append((name, target, p_hi - p_lo))
     return Servability(
         servable=all(margin >= theta for _, _, margin in margins),

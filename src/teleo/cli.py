@@ -131,15 +131,19 @@ def _cmd_plan(args) -> int:
     return 0
 
 
-def _simulation_regimes(doc: GraphSpecDocument) -> list[Regime]:
-    regimes = {Regime()} | {Regime({variable: value}) for variable, value in doc.levers.values()}
+def _simulation_regimes(doc: GraphSpecDocument, action: str) -> list[Regime]:
+    """The natural regime and one regime per lever, skipping a lever that
+    clamps the action, as ``plan`` does: the agent chooses the action."""
+    regimes = {Regime()} | {
+        Regime({variable: value}) for variable, value in doc.levers.values() if variable != action
+    }
     return sorted(regimes, key=lambda r: (bool(r.clamps), r.label()))
 
 
 def _cmd_simulate(args) -> int:
     doc = _load_doc(args.graph)
     model = doc.bind()
-    regimes = _simulation_regimes(doc)
+    regimes = _simulation_regimes(doc, model.action)
     children = np.random.SeedSequence(args.seed).spawn(len(regimes))
     parts = [
         sample(model.bound_graph(regime), args.n, child, regime_label=regime.label())

@@ -1,12 +1,15 @@
 """Structural-causal-model semantics for causal graphs.
 
-Three capabilities live here:
+Four capabilities live here:
 
 * graph surgery (:func:`mutilate`) shared by do-interventions and
   interference clamps: a clamped variable loses its parents and its CPT
   becomes the forced constant;
 * exact joint enumeration (:func:`joint_enumerate`, :func:`query`), the
   oracle of record for every probability in the package;
+* exact marginals (:func:`marginals`) from one variable-elimination sweep
+  over the ancestors of the variables asked for, which serves the
+  do-margins of servability on graphs too large to enumerate;
 * seeded ancestral sampling (:func:`sample`), the Monte Carlo counterpart
   used by simulated experiments.  Identical (graph, n, seed) gives a
   bit-identical dataset; the generator algorithm ("pcg64") is recorded in
@@ -194,6 +197,69 @@ def query(
         if name in given and given[name] != value:
             return 0.0
     return joint / denom
+
+
+def marginals(graph: CausalGraph, names: Iterable[str]) -> dict[str, float]:
+    """P(name = 1) for each of ``names``, exactly, in one sweep over the
+    union of their ancestral sets.  Every other variable is barren and is
+    never touched (Shachter 1998); the sweep is variable elimination
+    (Koller & Friedman 2009, ch. 9).
+
+    Variables join in a depth-first order over parents, so each joins after
+    its parents.  The running factor spans the frontier: the joined
+    variables that still have a child left to join.  The marginal of each
+    of ``names`` is read off when it joins, and a variable is summed out
+    once its last child has joined.  Raises :class:`EnumerationLimitError` before it
+    builds a factor over more than ``ENUMERATION_CAP`` variables.
+    """
+    graph.require_valid()
+    names = list(names)
+    wanted = set(names)
+    order: list[str] = []
+    placed: set[str] = set()
+    for name in names:
+        stack = [name]
+        while stack:
+            pending = [p for p in graph.parents(stack[-1]) if p not in placed]
+            if pending:
+                stack.extend(reversed(pending))
+                continue
+            node = stack.pop()
+            if node not in placed:
+                placed.add(node)
+                order.append(node)
+    children_left = dict.fromkeys(order, 0)
+    for node in order:
+        for p in graph.parents(node):
+            children_left[p] += 1
+
+    frontier: list[str] = []
+    factor = np.ones(())
+    out = {}
+    for node in order:
+        var = graph.variable(node)
+        for p in var.parents:
+            children_left[p] -= 1
+        joined = [a for a in frontier if children_left[a]] + [node]
+        if len(joined) > ENUMERATION_CAP:
+            raise EnumerationLimitError(
+                f"frontier of {len(joined)} variables exceeds enumeration cap {ENUMERATION_CAP}"
+            )
+        axis = {a: k for k, a in enumerate(frontier + [node])}
+        factor = np.einsum(
+            factor,
+            list(range(len(frontier))),
+            var.factor,
+            [axis[p] for p in var.parents] + [axis[node]],
+            [axis[a] for a in joined],
+        )
+        if node in wanted:
+            out[node] = float(factor[..., 1].sum())
+        frontier = joined
+        if not children_left[node]:
+            factor = factor.sum(axis=-1)
+            frontier.pop()
+    return {name: out[name] for name in names}
 
 
 def _code_dtype(n_labels: int) -> np.dtype:

@@ -76,6 +76,14 @@ class Variable:
             rows[i] = self.cpt[key]
         return rows
 
+    @cached_property
+    def factor(self) -> np.ndarray:
+        """The CPT as a factor with one axis per parent (declared order) and
+        a last axis for the variable: entry ``[*u, x]`` is
+        P(value = x | parents = u)."""
+        p = self.cpt_array
+        return np.stack([1.0 - p, p], axis=-1).reshape((2,) * (len(self.parents) + 1))
+
     def local_violations(self) -> list[str]:
         """Check the invariants that do not need the rest of the graph."""
         problems = []
@@ -146,14 +154,37 @@ class CausalGraph:
         return self._children[name]
 
     def replace(self, *replacements: Variable) -> "CausalGraph":
-        """A copy of this graph with the named variables swapped out."""
+        """A copy of this graph with the named variables swapped out.
+
+        A replacement that passes its local checks and either has no parents
+        (a clamp) or keeps the parents of the variable it replaces adds no
+        edge, so it can add no cycle: the copy of a valid graph is then valid
+        without another check."""
         table = {v.name: v for v in replacements}
-        return CausalGraph(tuple(table.get(v.name, v) for v in self.variables))
+        graph = CausalGraph(tuple(table.get(v.name, v) for v in self.variables))
+        if not self._violations and all(
+            v.name in self._by_name
+            and v.parents in ((), self._by_name[v.name].parents)
+            and not v.local_violations()
+            for v in table.values()
+        ):
+            graph.__dict__["_violations"] = ()
+        return graph
 
     # --- validation ------------------------------------------------------
 
     def validate(self) -> list[str]:
         """Collect every invariant violation; an empty report means valid."""
+        return list(self._violations)
+
+    def require_valid(self) -> "CausalGraph":
+        if self._violations:
+            raise InvalidGraphError(list(self._violations))
+        return self
+
+    @cached_property
+    def _violations(self) -> tuple[str, ...]:
+        """Every violation, found once per graph: a graph is frozen."""
         problems = []
         if not self.variables:
             problems.append("no variables declared")
@@ -169,13 +200,7 @@ class CausalGraph:
         cycle = self._find_cycle()
         if cycle:
             problems.append("cycle: " + " -> ".join(cycle))
-        return problems
-
-    def require_valid(self) -> "CausalGraph":
-        report = self.validate()
-        if report:
-            raise InvalidGraphError(report)
-        return self
+        return tuple(problems)
 
     def _find_cycle(self) -> list[str] | None:
         """Return one offending cycle (closed walk) if any exists."""
@@ -261,7 +286,10 @@ class CausalGraph:
         variable is barren for ``name``: summing it out leaves the marginal
         of ``name`` unchanged (Shachter 1998)."""
         keep = self.ancestors(name, strict=False)
-        return CausalGraph(tuple(v for v in self.variables if v.name in keep))
+        graph = CausalGraph(tuple(v for v in self.variables if v.name in keep))
+        if not self._violations:
+            graph.__dict__["_violations"] = ()  # closed under parents
+        return graph
 
     def directed_paths(self, src: str, dst: str) -> list[list[str]]:
         """Every directed path from ``src`` to ``dst``, in a deterministic

@@ -33,6 +33,36 @@ def dag_from_seed(seed, **kw) -> CausalGraph:
     return random_dag(rng, **kw)
 
 
+AND = {(0, 0): 0.0, (0, 1): 0.0, (1, 0): 0.0, (1, 1): 1.0}
+NOISY_AND = {(0, 0): 0.1, (0, 1): 0.2, (1, 0): 0.3, (1, 1): 0.9}
+
+
+def lever_chain(depth: int) -> CausalGraph:
+    """``a -> e0 -> e1 -> ...`` with ``e_i = AND(e_{i-1}, l_i)`` and root
+    levers ``l_i`` (p=0.9): 2 * depth + 1 variables, P(e_i = 1) = 0.5 * 0.9^(i+1)."""
+    variables = [Variable.make("a", (), 0.5)]
+    prev = "a"
+    for i in range(depth):
+        variables.append(Variable.make(f"l{i}", (), 0.9))
+        variables.append(Variable.make(f"e{i}", (prev, f"l{i}"), AND))
+        prev = f"e{i}"
+    return CausalGraph.make(variables)
+
+
+def twin_chains(k: int) -> CausalGraph:
+    """Root ``a`` starts two chains, ``c_i = NOISY_AND(c_{i-1}, r_i)`` and
+    ``d_i`` alike, and each root ``r_i`` feeds both.  While one chain joins a
+    sweep from ``c_{k-1}``, every root waits for its other child, so the
+    frontier grows past k variables."""
+    variables = [Variable.make("a", (), 0.5)]
+    for i in range(k):
+        variables.append(Variable.make(f"r{i}", (), 0.5))
+        for chain in "cd":
+            prev = f"{chain}{i - 1}" if i else "a"
+            variables.append(Variable.make(f"{chain}{i}", (prev, f"r{i}"), NOISY_AND))
+    return CausalGraph.make(variables)
+
+
 def make_dataset(variables, rows, labels=None) -> Dataset:
     """Dataset from a list of row tuples (one int per variable)."""
     values = np.array(rows, dtype=np.int8).reshape(len(rows), len(variables))

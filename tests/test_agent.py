@@ -1,17 +1,27 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from teleo import (
     AgentPolicy,
+    ArmCounts,
+    CausalGraph,
     HypothesisError,
     PolicyError,
     Regime,
     RegimeError,
+    Variable,
     bind_agent,
     joint_enumerate,
+    marginals,
+    mutilate,
+    score_arms,
     servable,
 )
 from teleo.models import sport_lab_graph, stove_water
+
+from .helpers import dag_from_seed
 
 
 @pytest.fixture(scope="module")
@@ -207,3 +217,106 @@ def test_servable_antitone_in_theta(theta_low, theta_high):
     lo = servable(g, "practice", [("win_medals", 1)], theta=theta_low)
     if hi.servable:
         assert lo.servable
+
+
+def dense_margins(graph, action, intentions, regime):
+    """Reference do-margins from the dense joint of each do-graph: what
+    servability computed before it swept the ancestors."""
+    base = mutilate(graph, regime)
+    tables = {value: joint_enumerate(mutilate(base, Regime({action: value}))) for value in (1, 0)}
+    return {
+        (name, target): tables[1].prob_of({name: target}) - tables[0].prob_of({name: target})
+        for name, target in intentions
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10_000), data=st.data())
+def test_sweep_matches_dense_enumeration(seed, data):
+    graph = dag_from_seed(seed, max_nodes=14)
+    # Deterministic CPT rows give exact 0/1 marginals and exact-zero margins.
+    graph = graph.replace(
+        *(
+            Variable.make(
+                var.name,
+                var.parents,
+                {key: data.draw(st.sampled_from([p, p, 0.0, 1.0])) for key, p in var.cpt.items()},
+            )
+            for var in graph.variables
+        )
+    )
+    table = joint_enumerate(graph)
+    names = data.draw(st.lists(st.sampled_from(graph.names), min_size=1, unique=True))
+    got = marginals(graph, names)
+    assert list(got) == names
+    for name in names:
+        assert abs(got[name] - table.marginal(name)) <= 1e-12
+
+    actions = [name for name in graph.names if graph.descendants(name)]
+    if not actions:
+        return
+    action = data.draw(st.sampled_from(actions))
+    effects = sorted(graph.descendants(action))
+    intentions = data.draw(
+        st.sets(st.tuples(st.sampled_from(effects), st.integers(0, 1)), min_size=1, max_size=4)
+    )
+    others = [name for name in graph.names if name != action]
+    regime = Regime(data.draw(st.dictionaries(st.sampled_from(others), st.integers(0, 1), max_size=2)))
+    theta = data.draw(st.sampled_from((0.0, 0.1, 0.5)))
+    report = servable(graph, action, intentions, theta, regime)
+    want = dense_margins(graph, action, intentions, regime)
+    for name, target, margin in report.margins:
+        dense = want[(name, target)]
+        assert abs(margin - dense) <= 1e-12
+        if abs(dense - theta) > 1e-9:
+            assert (margin >= theta) == (dense >= theta)
+    if all(abs(m - theta) > 1e-9 for m in want.values()):
+        assert report.servable == all(m >= theta for m in want.values())
+
+
+def lever_pair(p_hi: float, p_lo: float) -> CausalGraph:
+    """``act -> mid -> eff`` with ``mid = act`` and P(eff | mid) = p_hi, p_lo."""
+    return CausalGraph.make(
+        [
+            Variable.make("act", (), 0.5),
+            Variable.make("mid", ("act",), {0: 0.0, 1: 1.0}),
+            Variable.make("eff", ("mid",), {0: p_lo, 1: p_hi}),
+        ]
+    )
+
+
+class TestTies:
+    def test_margin_equal_to_theta_is_servable(self):
+        g = lever_pair(0.75, 0.25)
+        report = servable(g, "act", [("eff", 1)], theta=0.5)
+        assert report.margin_of("eff") == 0.5
+        assert report.servable
+        assert not servable(g, "act", [("eff", 1)], theta=math.nextafter(0.5, 1.0)).servable
+
+    def test_target_zero_margin_equal_to_theta(self):
+        report = servable(lever_pair(0.25, 0.75), "act", [("eff", 0)], theta=0.5)
+        assert report.margin_of("eff") == 0.5
+        assert report.servable
+
+    def test_neutralized_margin_is_exactly_zero(self):
+        g = lever_pair(0.75, 0.25)
+        for target in (0, 1):
+            report = servable(g, "act", [("eff", target)], theta=0.0, regime=Regime({"mid": 1}))
+            assert report.margin_of("eff") == 0.0
+            assert report.servable
+            assert not servable(
+                g, "act", [("eff", target)], theta=5e-324, regime=Regime({"mid": 1})
+            ).servable
+
+    def test_exact_rates_of_zero_and_one(self):
+        g = lever_pair(1.0, 0.0)
+        policy = AgentPolicy.make([("eff", 1)], p_act=1.0, p_base=0.0, theta=1.0)
+        model = bind_agent(g, "act", policy)
+        assert model.action_rate(Regime()) == 1.0
+        assert model.action_rate(Regime({"mid": 1})) == 0.0
+        arms = [ArmCounts(Regime(), 10, 10), ArmCounts(Regime({"mid": 1}), 10, 0)]
+        (score,) = score_arms(arms, g, "act", policy, hypotheses=[frozenset({("eff", 1)})])
+        assert score.log_likelihood == 0.0
+        flipped = [ArmCounts(Regime(), 10, 9), ArmCounts(Regime({"mid": 1}), 10, 0)]
+        (score,) = score_arms(flipped, g, "act", policy, hypotheses=[frozenset({("eff", 1)})])
+        assert score.log_likelihood == -math.inf

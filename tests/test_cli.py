@@ -5,8 +5,18 @@ from pathlib import Path
 
 import pytest
 
-from teleo import Dataset, parse_machine_report, serialize_graph_spec
+from teleo import (
+    AgentPolicy,
+    CausalGraph,
+    Dataset,
+    GraphSpecDocument,
+    Tagging,
+    parse_machine_report,
+    serialize_graph_spec,
+)
 from teleo.cli import run_command
+
+from .helpers import lever_chain, twin_chains
 
 DEMO_SPORT_SPEC = Path(__file__).resolve().parents[1] / "demos" / "sport.spec"
 
@@ -203,6 +213,18 @@ class TestSimulate:
         argv = ["simulate", "--graph", str(spec), "--seed", str(seed), "--n", str(n), "--out", str(out)]
         assert run_command(argv) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_lever_on_the_action_is_skipped(self, tmp_path):
+        spec = tmp_path / "action_lever.spec"
+        spec.write_text(DEMO_SPORT_SPEC.read_text() + "lever lose_weight practice 0\n")
+        outs = []
+        for graph in (spec, DEMO_SPORT_SPEC):
+            out = tmp_path / f"{graph.stem}.csv"
+            argv = ["simulate", "--graph", str(graph), "--seed", "1", "--n", "50", "--out", str(out)]
+            assert run_command(argv) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        assert b"practice=" not in outs[0]
 
 
 class TestExperiment:
@@ -440,3 +462,43 @@ class TestConsoleEntry:
         )
         assert proc.returncode == 0
         assert "valid: yes" in proc.stdout
+
+
+def _write_doc(path: Path, graph: CausalGraph, intended: str, levers=None) -> Path:
+    doc = GraphSpecDocument(
+        graph=graph,
+        tagging=Tagging.make("a", [(intended, 1)]),
+        policy=AgentPolicy.make([(intended, 1)]),
+        levers=levers or {},
+    )
+    path.write_text(serialize_graph_spec(doc), encoding="utf-8")
+    return path
+
+
+class TestGraphsOverTwentyVariables:
+    def test_chain_of_41_variables(self, tmp_path, capsys):
+        levers = {f"e{i}": (f"l{i}", 0) for i in range(20)}
+        spec = _write_doc(tmp_path / "chain.spec", lever_chain(20), "e10", levers)
+        data = tmp_path / "chain.csv"
+        argv = ["simulate", "--graph", str(spec), "--seed", "5", "--n", "400", "--out", str(data)]
+        assert run_command(argv) == 0
+        assert Dataset.from_csv(data.read_text()).n_rows == 21 * 400
+        code, report = machine(
+            capsys, ["infer", "--graph", str(spec), "--data", str(data), "--max-size", "2"]
+        )
+        assert code == 0
+        assert len(report.sections["scores"]) == 20 + 190
+        assert report.sections["identification"]["top"] == ["e10=1"]
+
+    def test_frontier_over_the_cap_is_an_error(self, tmp_path):
+        graph = twin_chains(20)
+        spec = _write_doc(tmp_path / "wide.spec", graph, "c5")
+        data = tmp_path / "wide.csv"
+        header = ",".join([*graph.names, "regime"])
+        data.write_text(header + "\n" + "0," * len(graph.names) + "natural\n")
+        argv = ["infer", "--graph", str(spec), "--data", str(data)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "teleo.cli", *argv], capture_output=True, text=True
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == "error: frontier of 21 variables exceeds enumeration cap 20\n"

@@ -12,6 +12,7 @@ from teleo import (
     DataError,
     Dataset,
     EnumerationLimitError,
+    InvalidGraphError,
     Regime,
     RegimeError,
     SpecError,
@@ -19,6 +20,7 @@ from teleo import (
     Variable,
     ZeroProbabilityError,
     joint_enumerate,
+    marginals,
     mutilate,
     query,
     require_possible,
@@ -28,7 +30,7 @@ from teleo import (
 from teleo.graph import CausalGraph
 from teleo.models import ball_pins, education_salary, sport_chain, stove_water
 
-from .helpers import dag_from_seed, make_dataset
+from .helpers import dag_from_seed, lever_chain, make_dataset, twin_chains
 
 
 class TestRegime:
@@ -130,6 +132,59 @@ class TestEnumeration:
         g = CausalGraph.make([Variable.make(f"v{i}", (), 0.5) for i in range(21)])
         with pytest.raises(EnumerationLimitError):
             joint_enumerate(g)
+
+
+class TestMarginals:
+    @pytest.mark.parametrize("build", [ball_pins, education_salary, sport_chain, stove_water])
+    def test_matches_enumeration(self, build):
+        g = build()
+        table = joint_enumerate(g)
+        got = marginals(g, reversed(g.names))
+        assert list(got) == list(reversed(g.names))
+        for name in g.names:
+            assert abs(got[name] - table.marginal(name)) <= 1e-15
+
+    def test_only_ancestors_are_visited(self):
+        g = CausalGraph.make([Variable.make(f"v{i}", (), 0.25) for i in range(40)])
+        assert marginals(g, ["v3", "v39"]) == {"v3": 0.25, "v39": 0.25}
+        assert marginals(g, []) == {}
+
+    def test_chain_beyond_enumeration_cap(self):
+        g = lever_chain(20)
+        assert len(g.variables) == 41
+        with pytest.raises(EnumerationLimitError, match="41 variables"):
+            joint_enumerate(g)
+        got = marginals(g, [f"e{i}" for i in range(20)])
+        for i in range(20):
+            assert got[f"e{i}"] == pytest.approx(0.5 * 0.9 ** (i + 1), rel=1e-13)
+
+    def test_exact_zero_and_one(self):
+        g = mutilate(lever_chain(4), Regime({"a": 1, "l2": 0}))
+        got = marginals(g, ["a", "e1", "e2", "e3"])
+        assert got["a"] == 1.0
+        assert got["e1"] == pytest.approx(0.81, abs=1e-15)
+        assert got["e2"] == 0.0 and got["e3"] == 0.0
+        forced = mutilate(lever_chain(3), Regime({"a": 1, "l0": 1, "l1": 1}))
+        assert marginals(forced, ["e1"]) == {"e1": 1.0}
+
+    def test_frontier_cap(self):
+        g = twin_chains(20)
+        with pytest.raises(EnumerationLimitError, match="^frontier of 21 variables exceeds"):
+            marginals(g, ["c19", "d19"])
+        # Joining the chains side by side keeps the frontier narrow.
+        side_by_side = marginals(g, [f"{chain}{i}" for i in range(20) for chain in "cd"])
+        assert side_by_side["c19"] == pytest.approx(side_by_side["d19"], rel=1e-14)
+        small = twin_chains(6)
+        table = joint_enumerate(small)
+        got = marginals(small, ["c5", "d5"])
+        assert abs(got["c5"] - table.marginal("c5")) <= 1e-15
+
+    def test_unknown_and_invalid(self):
+        with pytest.raises(UnknownVariableError):
+            marginals(ball_pins(), ["dog"])
+        bad = CausalGraph.make([Variable.make("a", ("b",), {0: 0.5, 1: 0.5})])
+        with pytest.raises(InvalidGraphError):
+            marginals(bad, ["a"])
 
 
 class TestQuery:

@@ -2,11 +2,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from teleo import (
+    AgentPolicy,
     CausalGraph,
     InvalidGraphError,
+    Regime,
     Tagging,
     UnknownVariableError,
     Variable,
+    bind_agent,
+    mutilate,
 )
 
 from .helpers import dag_from_seed
@@ -181,3 +185,53 @@ def test_descendants_ancestors_duality(seed):
         for b in g.names:
             assert (b in g.descendants(a)) == (a in g.ancestors(b))
             assert (b in g.descendants(a)) == bool(g.directed_paths(a, b))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 10_000), data=st.data())
+def test_mutilated_and_bound_graphs_are_valid(seed, data):
+    g = dag_from_seed(seed)
+    clamps = data.draw(st.dictionaries(st.sampled_from(g.names), st.integers(0, 1), max_size=3))
+    derived = [mutilate(g, Regime(clamps))]
+    actions = [name for name in g.names if g.descendants(name) and name not in clamps]
+    if actions:
+        action = data.draw(st.sampled_from(actions))
+        effect = data.draw(st.sampled_from(sorted(g.descendants(action))))
+        model = bind_agent(g, action, AgentPolicy.make([(effect, 1)]))
+        for bit in (None, True, False):
+            derived.append(model.bound_graph(Regime(clamps), bit))
+        derived.append(derived[-1].ancestral_subgraph(action))
+    for graph in derived:
+        assert graph.validate() == []
+        # A fresh copy carries no memo, so this checks from scratch.
+        assert CausalGraph.make(graph.variables).validate() == []
+
+
+class TestValidityMemo:
+    def test_replacement_that_adds_an_edge_is_checked(self):
+        g = chain("a", "b", "c")
+        assert g.validate() == []
+        looped = g.replace(Variable.make("a", ("c",), {0: 0.5, 1: 0.5}))
+        assert looped.validate() == ["cycle: a -> c -> b -> a"]
+        with pytest.raises(InvalidGraphError):
+            looped.require_valid()
+        stray = g.replace(Variable.make("b", ("z",), {0: 0.5, 1: 0.5}))
+        assert stray.validate() == ["b: unknown parent 'z'"]
+
+    def test_replacement_failing_local_checks_is_reported(self):
+        g = chain("a", "b")
+        assert g.validate() == []
+        bad_clamp = g.replace(Variable.make("b", (), 1.5))
+        assert bad_clamp.validate() == ["b: probability 1.5 outside [0,1] at row ()"]
+        short_row = g.replace(Variable(name="b", parents=("a",), cpt={(0,): 0.5}))
+        assert short_row.validate() == ["b: incomplete CPT (1 rows, expected 2)"]
+
+    def test_replace_on_an_invalid_graph_checks_afresh(self):
+        g = CausalGraph.make([Variable.make("a", ("b",), {0: 0.5, 1: 0.5})])
+        assert g.replace(Variable.constant("a", 1)).validate() == []
+        twice = CausalGraph.make([Variable.make("a"), Variable.make("a")])
+        assert twice.replace(Variable.constant("a", 1)).validate() == ["duplicate variable 'a'"]
+        looped = CausalGraph.make(
+            [Variable.make("a", ("b",), {0: 0.5, 1: 0.5}), Variable.make("b", ("a",), {0: 0.5, 1: 0.5})]
+        )
+        assert looped.ancestral_subgraph("a").validate() == ["cycle: a -> b -> a"]
