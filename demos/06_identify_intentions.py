@@ -7,13 +7,14 @@ survives, the intention is identified.
 """
 
 from teleo import (
+    arms_from_results,
     classify_effects,
     enumerate_hypotheses,
     identify,
     oracle_identify,
     plan,
     run_battery,
-    score_hypotheses,
+    score_arms,
     sensitivity,
 )
 from teleo.models import SPORT_LEVERS, sport_lab
@@ -24,10 +25,10 @@ g = doc.graph
 
 cls = classify_effects(g, "practice", "be_fit")
 battery = plan(g, cls, SPORT_LEVERS)
-results = [run.result for run in run_battery(model, battery, 2000, 99)]
+arms = arms_from_results([run.result for run in run_battery(model, battery, 2000, 99)])
 
 hypotheses = enumerate_hypotheses(g, "practice")
-scores = score_hypotheses(results, g, "practice", doc.policy, hypotheses=hypotheses)
+scores = score_arms(arms, g, "practice", doc.policy, hypotheses=hypotheses)
 for s in sorted(scores, key=lambda s: -s.log_likelihood):
     print(f"{s.label:<18} logL {s.log_likelihood:10.1f}  {s.verdict}")
 
@@ -38,7 +39,7 @@ print("identification:", ident.verdict, "->", ident.top and sorted(ident.top))
 # sensitivity sweep shows the verdict is stable as long as p_act is in the
 # right neighborhood, and collapses to indeterminate when it is badly off.
 for params, sweep in sensitivity(
-    results, g, "practice", doc.policy, p_act_grid=(0.8, 0.6, 0.3), p_base_grid=(0.05,)
+    arms, g, "practice", doc.policy, p_act_grid=(0.8, 0.6, 0.3), p_base_grid=(0.05,)
 ):
     print(f"p_act={params['p_act']:.2f}: {sweep.verdict}")
 

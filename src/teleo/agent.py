@@ -112,6 +112,12 @@ class Servability:
         raise KeyError(name)
 
 
+def meets_theta(margins: Iterable[float], theta: float) -> bool:
+    """The servability rule: acting still raises every intended effect by
+    at least ``theta``."""
+    return all(margin >= theta for margin in margins)
+
+
 def servable(
     graph: CausalGraph,
     action: str,
@@ -142,7 +148,7 @@ def servable(
         p_hi, p_lo = (p[name] if target else 1.0 - p[name] for p in (hi, lo))
         margins.append((name, target, p_hi - p_lo))
     return Servability(
-        servable=all(margin >= theta for _, _, margin in margins),
+        servable=meets_theta((margin for _, _, margin in margins), theta),
         margins=tuple(margins),
     )
 

@@ -199,7 +199,7 @@ def _cmd_analyze(args) -> int:
         classification,
         adjustment,
         graph=doc.graph,
-        p_base=doc.policy.p_base if doc.policy is not None else None,
+        p_base=doc.policy.p_base if doc.policy is not None else 0.0,
         alpha=args.alpha,
     )
     sections = {

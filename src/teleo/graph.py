@@ -203,31 +203,31 @@ class CausalGraph:
         return tuple(problems)
 
     def _find_cycle(self) -> list[str] | None:
-        """Return one offending cycle (closed walk) if any exists."""
-        color: dict[str, int] = {}  # 0 in progress, 1 done
-        stack: list[str] = []
-
-        def visit(node: str) -> list[str] | None:
-            color[node] = 0
-            stack.append(node)
-            for p in self._by_name[node].parents:
-                if p not in self._by_name:
-                    continue
-                if p not in color:
-                    found = visit(p)
-                    if found:
-                        return found
-                elif color[p] == 0:
-                    return stack[stack.index(p):] + [p]
-            stack.pop()
-            color[node] = 1
-            return None
-
+        """Return one offending cycle (closed walk) if any exists.  The
+        depth-first walk over parents keeps its own stack, so a long chain
+        cannot exhaust the interpreter's recursion limit."""
+        done: set[str] = set()
         for v in self.variables:
-            if v.name not in color:
-                found = visit(v.name)
-                if found:
-                    return found
+            if v.name in done:
+                continue
+            stack = [v.name]
+            on_stack = {v.name}
+            pending = [iter(self._by_name[v.name].parents)]
+            while pending:
+                for p in pending[-1]:
+                    if p not in self._by_name or p in done:
+                        continue
+                    if p in on_stack:
+                        return stack[stack.index(p):] + [p]
+                    stack.append(p)
+                    on_stack.add(p)
+                    pending.append(iter(self._by_name[p].parents))
+                    break
+                else:
+                    node = stack.pop()
+                    on_stack.discard(node)
+                    done.add(node)
+                    pending.pop()
         return None
 
     # --- queries ----------------------------------------------------------
@@ -292,21 +292,28 @@ class CausalGraph:
         return graph
 
     def directed_paths(self, src: str, dst: str) -> list[list[str]]:
-        """Every directed path from ``src`` to ``dst``, in a deterministic
-        order.  Paths are vertex-simple because the graph is acyclic."""
+        """Every vertex-simple directed path from ``src`` to ``dst``, in
+        depth-first order over children.  The walk keeps its own stack, so
+        path length is not bounded by the recursion limit."""
         self.variable(src)
         self.variable(dst)
         paths: list[list[str]] = []
-
-        def walk(node: str, trail: list[str]) -> None:
-            if node == dst:
-                paths.append(trail + [node])
-                return
-            for child in self._children[node]:
-                walk(child, trail + [node])
-
-        if src != dst:
-            walk(src, [])
+        if src == dst:
+            return paths
+        trail = [src]
+        on_trail = {src}
+        pending = [iter(self._children[src])]
+        while pending:
+            child = next(pending[-1], None)
+            if child is None:
+                on_trail.discard(trail.pop())
+                pending.pop()
+            elif child == dst:
+                paths.append(trail + [dst])
+            elif child not in on_trail:
+                trail.append(child)
+                on_trail.add(child)
+                pending.append(iter(self._children[child]))
         return paths
 
     @property

@@ -21,12 +21,12 @@ import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .agent import AgentPolicy, TeleologicalModel, bind_agent
+from .agent import AgentPolicy, TeleologicalModel, bind_agent, meets_theta
 from .effects import classify_effects
 from .engine import Dataset, Regime
 from .errors import HypothesisError, PolicyError, RegimeError
 from .graph import CausalGraph
-from .lab import DEFAULT_ALPHA, ExperimentResult, plan, run_battery
+from .lab import ExperimentResult, plan, run_battery
 
 SEPARATION_NATS = 6.0
 MISFIT_NATS_PER_ARM = 6.0
@@ -97,7 +97,6 @@ def enumerate_hypotheses(
     graph: CausalGraph,
     action: str,
     max_size: int = 1,
-    cap: int = HYPOTHESIS_CAP,
 ) -> list[Hypothesis]:
     """All non-empty subsets of the action's strict descendants (target
     value 1), smallest first, declaration order inside each size."""
@@ -107,9 +106,9 @@ def enumerate_hypotheses(
     ordered = [name for name in graph.names if name in desc]
     top = min(max_size, len(ordered))
     total = sum(math.comb(len(ordered), k) for k in range(1, top + 1))
-    if total > cap:
+    if total > HYPOTHESIS_CAP:
         raise HypothesisError(
-            f"{total} hypotheses over {len(ordered)} effects exceeds the cap of {cap}"
+            f"{total} hypotheses over {len(ordered)} effects exceeds the cap of {HYPOTHESIS_CAP}"
         )
     out = []
     for size in range(1, top + 1):
@@ -145,17 +144,14 @@ def _hypothesis_list(graph: CausalGraph, action: str, hypotheses) -> list[Hypoth
     return hypotheses
 
 
-def _scoring_model(graph: CausalGraph, action: str, policy_params, hypotheses) -> TeleologicalModel:
+def _scoring_model(
+    graph: CausalGraph, action: str, policy: AgentPolicy, hypotheses
+) -> TeleologicalModel:
     """The agent bound with the union of the hypotheses' intentions, so
     that one servability check yields the margin of every intended effect."""
     if not all(hypotheses):
         raise PolicyError("intention set is empty")
-    union = frozenset().union(*hypotheses)
-    if isinstance(policy_params, AgentPolicy):
-        policy = policy_params.with_intentions(union)
-    else:
-        policy = AgentPolicy.make(intentions=union, **dict(policy_params))
-    return bind_agent(graph, action, policy)
+    return bind_agent(graph, action, policy.with_intentions(frozenset().union(*hypotheses)))
 
 
 def _servable_bits(
@@ -163,14 +159,14 @@ def _servable_bits(
 ) -> list[list[bool]]:
     """Whether each regime (columns) leaves every intended effect of each
     hypothesis (rows) servable.  One servability check per distinct set of
-    clamps; a hypothesis is servable iff each of its margins clears theta."""
+    clamps, judged per hypothesis by :func:`meets_theta` on its margins."""
     theta = model.policy.theta
     columns = [
         {(name, target): margin for name, target, margin in model.servability(regime).margins}
         for regime in regimes
     ]
     return [
-        [all(column[intent] >= theta for intent in hypothesis) for column in columns]
+        [meets_theta((column[intent] for intent in hypothesis), theta) for column in columns]
         for hypothesis in hypotheses
     ]
 
@@ -197,14 +193,14 @@ def _rate_table(
 def predicted_rates(
     graph: CausalGraph,
     action: str,
-    policy_params,
+    policy: AgentPolicy,
     hypothesis: Hypothesis,
     regimes: Iterable[Regime],
 ) -> list[float]:
     """Exact action rate a ``hypothesis``-driven agent would show under each
     regime."""
     regimes = list(regimes)
-    model = _scoring_model(graph, action, policy_params, [hypothesis])
+    model = _scoring_model(graph, action, policy, [hypothesis])
     return _rate_table(model, _servable_bits(model, [hypothesis], regimes), regimes)[0]
 
 
@@ -212,8 +208,6 @@ def _verdicts(
     arms: Sequence[ArmCounts],
     hypotheses: Sequence[Hypothesis],
     rates: list[list[float]],
-    separation: float,
-    misfit_per_arm: float,
 ) -> list[HypothesisScore]:
     """Log-likelihoods of each hypothesis's predicted rates and the
     verdicts they imply (see :func:`score_arms`).  Without arms every
@@ -228,13 +222,13 @@ def _verdicts(
     saturated = 0.0
     for arm in arms:
         saturated += binomial_logpmf(arm.acts, arm.n, arm.acts / arm.n)
-    budget = misfit_per_arm * len(arms)
+    budget = MISFIT_NATS_PER_ARM * len(arms)
 
     best = max(lls)
     if best < saturated - budget:
         verdicts = [VERDICT_REFUTED] * len(hypotheses)
     else:
-        within = [ll >= best - separation for ll in lls]
+        within = [ll >= best - SEPARATION_NATS for ll in lls]
         n_within = sum(within)
         verdicts = []
         for ok in within:
@@ -254,49 +248,29 @@ def score_arms(
     arms: Sequence[ArmCounts],
     graph: CausalGraph,
     action: str,
-    policy_params,
+    policy: AgentPolicy,
     hypotheses: Sequence[Hypothesis] | None = None,
-    separation: float = SEPARATION_NATS,
-    misfit_per_arm: float = MISFIT_NATS_PER_ARM,
 ) -> list[HypothesisScore]:
     """Score intention hypotheses against per-arm act counts.
 
-    Log-likelihood per hypothesis is the sum over arms of the binomial
-    log-probability of the observed count at the hypothesis's predicted
-    rate.  Verdicts: hypotheses more than ``separation`` nats below the best
-    are refuted; a lone hypothesis within the window is consistent; two or
-    more within it are indistinguishable.  If even the best hypothesis falls
-    more than ``misfit_per_arm`` nats per arm short of the saturated fit
-    (each arm at its own empirical rate), no hypothesis explains the data
-    and all are refuted.
+    ``policy`` supplies the behavioral parameters; its intention set is
+    replaced by each hypothesis in turn.  Log-likelihood per hypothesis is
+    the sum over arms of the binomial log-probability of the observed count
+    at the hypothesis's predicted rate.  Verdicts: hypotheses more than
+    ``SEPARATION_NATS`` below the best are refuted; a lone hypothesis within
+    the window is consistent; two or more within it are indistinguishable.
+    If even the best hypothesis falls more than ``MISFIT_NATS_PER_ARM`` per
+    arm short of the saturated fit (each arm at its own empirical rate), no
+    hypothesis explains the data and all are refuted.  Randomized battery
+    counts enter through :func:`arms_from_results`, datasets through
+    :func:`arms_from_dataset`.
     """
     hypotheses = _hypothesis_list(graph, action, hypotheses)
     arms = [arm for arm in arms if arm.n > 0]
     regimes = [arm.regime for arm in arms]
-    model = _scoring_model(graph, action, policy_params, hypotheses)
+    model = _scoring_model(graph, action, policy, hypotheses)
     rates = _rate_table(model, _servable_bits(model, hypotheses, regimes), regimes)
-    return _verdicts(arms, hypotheses, rates, separation, misfit_per_arm)
-
-
-def score_hypotheses(
-    results: Sequence[ExperimentResult],
-    graph: CausalGraph,
-    action: str,
-    policy_params,
-    hypotheses: Sequence[Hypothesis] | None = None,
-    separation: float = SEPARATION_NATS,
-    misfit_per_arm: float = MISFIT_NATS_PER_ARM,
-) -> list[HypothesisScore]:
-    """Score hypotheses against a randomized experiment battery's counts."""
-    return score_arms(
-        arms_from_results(results),
-        graph,
-        action,
-        policy_params,
-        hypotheses=hypotheses,
-        separation=separation,
-        misfit_per_arm=misfit_per_arm,
-    )
+    return _verdicts(arms, hypotheses, rates)
 
 
 @dataclass(frozen=True)
@@ -342,7 +316,6 @@ def oracle_identify(
     levers: Mapping[str, tuple[str, int]],
     n_per_arm: int,
     seed: int,
-    alpha: float = DEFAULT_ALPHA,
     max_size: int | None = None,
 ) -> OracleOutcome:
     """Ground-truth harness: bind the true policy, plan and run the full
@@ -354,18 +327,17 @@ def oracle_identify(
     hypothesized = next(name for name in graph.names if name in intended)
     classification = classify_effects(graph, action, hypothesized)
     battery = plan(graph, classification, levers)
-    runs = run_battery(model, battery, n_per_arm, seed, alpha=alpha)
-    results = [run.result for run in runs]
+    arms = arms_from_results([run.result for run in run_battery(model, battery, n_per_arm, seed)])
     size = max_size if max_size is not None else len(truth)
     hypotheses = enumerate_hypotheses(graph, action, max_size=size)
-    scores = score_hypotheses(results, graph, action, true_policy, hypotheses=hypotheses)
+    scores = score_arms(arms, graph, action, true_policy, hypotheses=hypotheses)
     ident = identify(scores)
     agreement = ident.verdict == IDENT_UNIQUE and ident.top == truth
     return OracleOutcome(truth, ident, agreement)
 
 
 def sensitivity(
-    results: Sequence[ExperimentResult],
+    arms: Sequence[ArmCounts],
     graph: CausalGraph,
     action: str,
     base_policy: AgentPolicy,
@@ -378,18 +350,12 @@ def sensitivity(
     The scoring model assumes the agent's (p_act, p_base) are known; this
     shows how the identification verdict moves when they are not.  Returns
     one (params, identification) pair per grid point, in grid order.
-    Servability depends only on theta, so it is checked once for the grid.
     """
     hypotheses = _hypothesis_list(graph, action, hypotheses)
-    arms = [arm for arm in arms_from_results(results) if arm.n > 0]
-    regimes = [arm.regime for arm in arms]
-    base = _scoring_model(graph, action, base_policy, hypotheses)
-    bits = _servable_bits(base, hypotheses, regimes)
     out = []
     for p_act in p_act_grid:
         for p_base in p_base_grid:
-            policy = replace(base.policy, p_act=p_act, p_base=p_base)
-            rates = _rate_table(bind_agent(graph, action, policy), bits, regimes)
-            scores = _verdicts(arms, hypotheses, rates, SEPARATION_NATS, MISFIT_NATS_PER_ARM)
+            policy = replace(base_policy, p_act=p_act, p_base=p_base)
+            scores = score_arms(arms, graph, action, policy, hypotheses=hypotheses)
             out.append(({"p_act": p_act, "p_base": p_base}, identify(scores)))
     return out

@@ -29,8 +29,7 @@ from .graph import CausalGraph
 
 DEFAULT_ALPHA = 0.05
 MIN_ARM_ACTS = 5  # below this in both arms the normal approximation is junk
-DEFAULT_MIN_SUPPORT = 1
-DEFAULT_MAX_VIOLATIONS = 0
+MIN_SUPPORT = 1  # rows a must-observe pattern needs
 
 RATIONALE_PARALLEL = "parallel"
 RATIONALE_FURTHER = "further"
@@ -209,8 +208,8 @@ def run_randomized(
     arm seeds are spawned deterministically from ``seed``, so identical
     inputs give identical results.  Verdict is "underpowered" when both
     arms' act counts fall below the normal-approximation floor, otherwise
-    "change" iff p < alpha.  A must-not-observe pattern may occur as often
-    as the agent's base rate allows (:func:`base_rate_violation_budget`).
+    "change" iff p < alpha.  The treated arm's pattern is judged by
+    :func:`expected_pattern_check`.
     """
     if n_per_arm < 1:
         raise ValueError("n_per_arm must be >= 1")
@@ -228,12 +227,7 @@ def run_randomized(
         verdict = "change"
     else:
         verdict = "no-change"
-    budget = DEFAULT_MAX_VIOLATIONS
-    if experiment.pattern_mode == MODE_MUST_NOT_OBSERVE:
-        budget = base_rate_violation_budget(model.policy.p_base, n_per_arm)
-    count, passed = pattern_check(
-        treated, experiment.expected_pattern, experiment.pattern_mode, max_violations=budget
-    )
+    count, passed = expected_pattern_check(treated, experiment, model.policy.p_base)
     result = ExperimentResult(
         experiment=experiment,
         control_n=n_per_arm,
@@ -252,13 +246,12 @@ def pattern_check(
     dataset: Dataset,
     pattern: Mapping[str, int],
     mode: str,
-    min_support: int = DEFAULT_MIN_SUPPORT,
-    max_violations: int = DEFAULT_MAX_VIOLATIONS,
+    max_violations: int = 0,
 ) -> tuple[int, bool]:
     """Count rows matching every pattern entry and judge them.
 
-    must-observe passes iff count >= min_support; must-not-observe passes
-    iff count <= max_violations.
+    must-observe passes iff count >= ``MIN_SUPPORT``; must-not-observe
+    passes iff count <= max_violations.
     """
     if mode not in (MODE_MUST_OBSERVE, MODE_MUST_NOT_OBSERVE):
         raise ValueError(f"unknown mode {mode!r}")
@@ -267,8 +260,23 @@ def pattern_check(
         mask &= dataset.column(name) == value
     count = int(mask.sum())
     if mode == MODE_MUST_OBSERVE:
-        return count, count >= min_support
+        return count, count >= MIN_SUPPORT
     return count, count <= max_violations
+
+
+def expected_pattern_check(
+    treated: Dataset, experiment: InterferenceExperiment, p_base: float
+) -> tuple[int, bool]:
+    """Judge an experiment's expected pattern on its treated rows.  A
+    must-not-observe pattern may occur as often as an agent with base rate
+    ``p_base`` allows (:func:`base_rate_violation_budget`), so at 0 not at
+    all."""
+    budget = 0
+    if experiment.pattern_mode == MODE_MUST_NOT_OBSERVE:
+        budget = base_rate_violation_budget(p_base, treated.n_rows)
+    return pattern_check(
+        treated, experiment.expected_pattern, experiment.pattern_mode, max_violations=budget
+    )
 
 
 def base_rate_violation_budget(p_base: float, n: int) -> int:

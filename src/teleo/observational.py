@@ -8,7 +8,7 @@ fix is to stratify on those confounding causes and pool the per-stratum
 differences with inverse-variance weights.
 
 The pooling rule and the small-stratum floor are this module's choices, not
-derivable facts: strata with an arm cell below ``min_cell`` are kept in the
+derivable facts: strata with an arm cell below ``MIN_CELL`` are kept in the
 output (their counts are the balance evidence a reader needs) but excluded
 from pooling, and an analysis whose adjustment set misses a known
 confounding cause is flagged potentially-confounded rather than suppressed.
@@ -27,18 +27,9 @@ from .effects import EffectClassification, confounding_causes
 from .engine import NATURAL_LABEL, Dataset
 from .errors import TeleoError
 from .graph import CausalGraph
-from .lab import (
-    DEFAULT_ALPHA,
-    DEFAULT_MAX_VIOLATIONS,
-    DEFAULT_MIN_SUPPORT,
-    MODE_MUST_NOT_OBSERVE,
-    Battery,
-    InterferenceExperiment,
-    base_rate_violation_budget,
-    pattern_check,
-)
+from .lab import DEFAULT_ALPHA, Battery, InterferenceExperiment, expected_pattern_check
 
-DEFAULT_MIN_CELL = 5
+MIN_CELL = 5  # rows each arm of a stratum needs to enter the pooled estimate
 
 FLAG_SMALL_STRATA = "small-strata-excluded"
 FLAG_EMPTY_CELLS = "empty-cells-dropped"
@@ -97,14 +88,13 @@ def stratified_action_comparison(
     dataset: Dataset,
     action: str,
     adjustment: Iterable[str] = (),
-    min_cell: int = DEFAULT_MIN_CELL,
 ) -> StratifiedComparison:
     """Compare action rates between the dataset's two regimes, stratifying
     on the adjustment variables.
 
     The natural regime is the control group when present (otherwise the
     lexicographically first label).  Strata with an empty arm are dropped
-    with a flag; strata with an arm below ``min_cell`` are reported but
+    with a flag; strata with an arm below ``MIN_CELL`` are reported but
     excluded from pooling.  Output is invariant to row order.
     """
     adjustment = tuple(adjustment)
@@ -142,7 +132,7 @@ def stratified_action_comparison(
         k_c = int(acts[mask & ~in_treated].sum())
         diff = k_t / n_t - k_c / n_c
         variance = _weight_variance(k_c, n_c) + _weight_variance(k_t, n_t)
-        included = min(n_c, n_t) >= min_cell
+        included = min(n_c, n_t) >= MIN_CELL
         if not included:
             flags.add(FLAG_SMALL_STRATA)
         strata.append(
@@ -197,30 +187,28 @@ class ObservationalResult:
 
 def observational_battery(
     dataset: Dataset,
-    plan: Battery | Iterable[InterferenceExperiment],
+    plan: Battery,
     classification: EffectClassification,
     adjustment: Iterable[str],
-    graph: CausalGraph | None = None,
-    p_base: float | None = None,
+    graph: CausalGraph,
+    p_base: float = 0.0,
     alpha: float = DEFAULT_ALPHA,
-    min_cell: int = DEFAULT_MIN_CELL,
-    min_support: int = DEFAULT_MIN_SUPPORT,
 ) -> list[ObservationalResult]:
     """Analyze every planned experiment against mixed-regime data.
 
     Each experiment compares the natural rows with its lever-regime rows.
     Experiments whose regime never occurs in the data are marked "no-data"
-    and the battery continues.  When ``graph`` is supplied, any analysis
-    whose adjustment set misses a confounding cause of (action, target) is
-    flagged potentially-confounded.  ``p_base`` widens the must-not-observe
-    budget exactly as in the randomized battery.
+    and the battery continues.  Any analysis whose adjustment set misses a
+    confounding cause of (action, target) in ``graph`` is flagged
+    potentially-confounded.  The treated rows' pattern is judged as in the
+    randomized battery, with the agent's base rate ``p_base`` (0 when no
+    policy is known).
     """
     adjustment = tuple(adjustment)
     action = classification.action
     present = set(dataset.regimes_present())
-    experiments = plan.experiments if isinstance(plan, Battery) else tuple(plan)
     results = []
-    for experiment in experiments:
+    for experiment in plan.experiments:
         if experiment.label not in present or NATURAL_LABEL not in present:
             results.append(
                 ObservationalResult(
@@ -234,24 +222,11 @@ def observational_battery(
             )
             continue
         pair = dataset.filter_regimes([NATURAL_LABEL, experiment.label])
-        comparison = stratified_action_comparison(
-            pair, action, adjustment=adjustment, min_cell=min_cell
-        )
-        if graph is not None:
-            required = confounding_causes(graph, action, experiment.target)
-            if not required <= set(adjustment):
-                comparison = comparison.with_flags(FLAG_CONFOUNDED)
+        comparison = stratified_action_comparison(pair, action, adjustment=adjustment)
+        if not confounding_causes(graph, action, experiment.target) <= set(adjustment):
+            comparison = comparison.with_flags(FLAG_CONFOUNDED)
         treated_rows = pair.filter_regimes([experiment.label])
-        budget = DEFAULT_MAX_VIOLATIONS
-        if experiment.pattern_mode == MODE_MUST_NOT_OBSERVE and p_base is not None:
-            budget = base_rate_violation_budget(p_base, treated_rows.n_rows)
-        count, passed = pattern_check(
-            treated_rows,
-            experiment.expected_pattern,
-            experiment.pattern_mode,
-            min_support=min_support,
-            max_violations=budget,
-        )
+        count, passed = expected_pattern_check(treated_rows, experiment, p_base)
         verdict = "change" if comparison.pooled_p < alpha else "no-change"
         results.append(
             ObservationalResult(

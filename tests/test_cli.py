@@ -463,6 +463,23 @@ class TestConsoleEntry:
         assert proc.returncode == 0
         assert "valid: yes" in proc.stdout
 
+    def test_validate_deep_chain_declared_child_first(self, tmp_path):
+        # Every variable comes before its parent, so the cycle check walks
+        # all 1,500 links from the first declaration.
+        blocks = ["var v0\n  p = 0.5\n"] + [
+            f"var v{i}\n  parents v{i - 1}\n  p 0 = 0.1\n  p 1 = 0.9\n" for i in range(1, 1500)
+        ]
+        spec = tmp_path / "deep.spec"
+        spec.write_text("\n".join(reversed(blocks)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "teleo.cli", "validate", "--graph", str(spec)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "valid: yes" in proc.stdout
+
 
 def _write_doc(path: Path, graph: CausalGraph, intended: str, levers=None) -> Path:
     doc = GraphSpecDocument(

@@ -2,8 +2,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from teleo import (
+    CausalGraph,
     EffectClass,
     HypothesisError,
+    Variable,
     classify_effects,
     classify_variable,
     confounding_causes,
@@ -101,6 +103,17 @@ class TestJustifyingPaths:
         for path in paths:
             assert path[0] == "practice"
             assert "be_fit" not in path
+
+    def test_long_chain(self):
+        names = [f"v{i}" for i in range(1500)]
+        variables = [Variable.make(names[0], (), 0.5)] + [
+            Variable.make(name, (parent,), {0: 0.1, 1: 0.9})
+            for parent, name in zip(names, names[1:])
+        ]
+        g = CausalGraph.make(variables)
+        cls = classify_effects(g, "v0", "v1499")
+        assert justifying_paths(g, cls, "v1499") == [names]
+        assert justifying_paths(g, cls, "v700") == [names]
 
 
 def brute_force_classes(graph, action, hypothesized):

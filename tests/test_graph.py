@@ -79,6 +79,19 @@ class TestGraphStructure:
         assert g.directed_paths("smoke", "win_medals") == []
         assert g.directed_paths("practice", "practice") == []
 
+    def test_directed_paths_follow_declared_children_depth_first(self):
+        link = {0: 0.1, 1: 0.9}
+        both = {(0, 0): 0.1, (0, 1): 0.5, (1, 0): 0.5, (1, 1): 0.9}
+        g = CausalGraph.make(
+            [
+                Variable.make("a", (), 0.5),
+                Variable.make("b", ("a",), link),
+                Variable.make("c", ("a", "b"), both),
+                Variable.make("d", ("c", "b"), both),
+            ]
+        )
+        assert g.directed_paths("a", "d") == [["a", "b", "c", "d"], ["a", "b", "d"], ["a", "c", "d"]]
+
     def test_n_edges(self, sport_doc):
         assert sport_doc.graph.n_edges == 7
 

@@ -26,11 +26,11 @@ from teleo import (
     predicted_rates,
     run_battery,
     score_arms,
-    score_hypotheses,
     sensitivity,
 )
 from teleo.graph import CausalGraph, Variable
 from teleo.inference import (
+    HYPOTHESIS_CAP,
     MISFIT_NATS_PER_ARM,
     SEPARATION_NATS,
     binomial_logpmf,
@@ -86,9 +86,14 @@ class TestEnumerate:
         )
         assert enumerate_hypotheses(g, "a") == [frozenset({("b", 1)})]
 
-    def test_cap_enforced(self, sport_doc):
-        with pytest.raises(HypothesisError, match="cap"):
-            enumerate_hypotheses(sport_doc.graph, "practice", max_size=2, cap=3)
+    def test_cap_enforced(self):
+        # 14 effects give 2^14 - 1 = 16,383 non-empty subsets.
+        variables = [Variable.make("a", (), 0.5)]
+        variables += [Variable.make(f"e{i}", ("a",), {0: 0.1, 1: 0.9}) for i in range(14)]
+        g = CausalGraph.make(variables)
+        assert len(enumerate_hypotheses(g, "a", max_size=4)) <= HYPOTHESIS_CAP
+        with pytest.raises(HypothesisError, match=f"16383 hypotheses .* cap of {HYPOTHESIS_CAP}"):
+            enumerate_hypotheses(g, "a", max_size=14)
 
     def test_max_size_must_be_positive(self, sport_doc):
         with pytest.raises(HypothesisError):
@@ -122,21 +127,11 @@ class TestPredictedRates:
         ]
         assert len(set(natural)) == 1
 
-    def test_accepts_raw_parameter_mapping(self, sport_doc):
-        got = predicted_rates(
-            sport_doc.graph,
-            "practice",
-            {"p_act": 0.8, "p_base": 0.05, "theta": 0.1},
-            frozenset({("be_fit", 1)}),
-            [Regime({"protein_diet": 0})],
-        )
-        assert got == pytest.approx([0.05], rel=1e-9)
-
 
 class TestScoring:
     def test_truth_wins_by_thousands_of_nats(self, sport_doc, battery_results):
-        scores = score_hypotheses(
-            battery_results, sport_doc.graph, "practice", sport_doc.policy
+        scores = score_arms(
+            arms_from_results(battery_results), sport_doc.graph, "practice", sport_doc.policy
         )
         by_name = {next(iter(s.hypothesis))[0]: s for s in scores}
         assert by_name["be_fit"].verdict == VERDICT_CONSISTENT
@@ -147,8 +142,8 @@ class TestScoring:
         assert gap > 1000
 
     def test_identify_unique_truth(self, sport_doc, battery_results):
-        scores = score_hypotheses(
-            battery_results, sport_doc.graph, "practice", sport_doc.policy
+        scores = score_arms(
+            arms_from_results(battery_results), sport_doc.graph, "practice", sport_doc.policy
         )
         ident = identify(scores)
         assert ident.verdict == IDENT_UNIQUE
@@ -157,11 +152,16 @@ class TestScoring:
 
     def test_result_order_does_not_matter(self, sport_doc, battery_results):
         forward = identify(
-            score_hypotheses(battery_results, sport_doc.graph, "practice", sport_doc.policy)
+            score_arms(
+                arms_from_results(battery_results), sport_doc.graph, "practice", sport_doc.policy
+            )
         )
         backward = identify(
-            score_hypotheses(
-                list(reversed(battery_results)), sport_doc.graph, "practice", sport_doc.policy
+            score_arms(
+                arms_from_results(list(reversed(battery_results))),
+                sport_doc.graph,
+                "practice",
+                sport_doc.policy,
             )
         )
         assert forward.verdict == backward.verdict
@@ -346,15 +346,15 @@ def slow_agent_results(sport_doc):
 
 class TestMisfit:
     def test_wrong_act_rate_refutes_everything(self, sport_doc, slow_agent_results):
-        scores = score_hypotheses(
-            slow_agent_results, sport_doc.graph, "practice", sport_doc.policy
+        scores = score_arms(
+            arms_from_results(slow_agent_results), sport_doc.graph, "practice", sport_doc.policy
         )
         assert all(s.verdict == VERDICT_REFUTED for s in scores)
         assert identify(scores).verdict == IDENT_INDETERMINATE
 
     def test_sensitivity_recovers_at_true_parameters(self, sport_doc, slow_agent_results):
         grid = sensitivity(
-            slow_agent_results,
+            arms_from_results(slow_agent_results),
             sport_doc.graph,
             "practice",
             sport_doc.policy,

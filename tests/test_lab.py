@@ -14,6 +14,7 @@ from teleo import (
     run_randomized,
     two_proportion_test,
 )
+from teleo.lab import MIN_SUPPORT
 from teleo.models import SPORT_LEVERS, sport_lab, sport_lab_graph
 
 from .helpers import make_dataset
@@ -206,9 +207,9 @@ class TestPatternCheck:
         assert (count, ok) == (2, True)
 
     def test_min_support(self):
-        data = make_dataset(["a"], [(1,), (1,)])
-        _, ok = pattern_check(data, {"a": 1}, "must-observe", min_support=3)
-        assert not ok
+        data = make_dataset(["a", "b"], [(1, 0), (0, 1)])
+        assert pattern_check(data, {"a": 1}, "must-observe") == (MIN_SUPPORT, True)
+        assert pattern_check(data, {"a": 1, "b": 1}, "must-observe") == (0, False)
 
     def test_unknown_mode(self):
         data = make_dataset(["a"], [(1,)])

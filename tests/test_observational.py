@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from teleo import (
+    Battery,
     Dataset,
     Regime,
     TeleoError,
@@ -163,7 +164,15 @@ class TestStratifiedComparison:
             ["act"], [(1,), (0,), (1,), (0,)], ["natural", "natural", "ban", "ban"]
         )
         with pytest.raises(TeleoError, match="minimum cell"):
-            stratified_action_comparison(data, "act", min_cell=5)
+            stratified_action_comparison(data, "act")
+
+    def test_min_cell_is_five_rows_per_arm(self):
+        rows = [(1,)] * 5 + [(0,)] * 5
+        five = make_dataset(["act"], rows, ["natural"] * 5 + ["ban"] * 5)
+        assert stratified_action_comparison(five, "act").strata[0].included
+        four = make_dataset(["act"], rows[1:], ["natural"] * 4 + ["ban"] * 5)
+        with pytest.raises(TeleoError, match="minimum cell"):
+            stratified_action_comparison(four, "act")
 
 
 @pytest.fixture(scope="module")
@@ -212,7 +221,7 @@ class TestObservationalBattery:
         )
         data = Dataset.concat([natural, diet])
         results = observational_battery(
-            data, battery, cls, (), p_base=sport_doc.policy.p_base
+            data, battery, cls, (), sport_doc.graph, p_base=sport_doc.policy.p_base
         )
         statuses = {r.experiment.target: r.status for r in results}
         assert statuses == {
@@ -251,7 +260,7 @@ class TestObservationalBattery:
         assert all(FLAG_CONFOUNDED not in r.comparison.flags for r in adjusted)
         assert all(r.comparison.adjustment_set == ("age",) for r in adjusted)
 
-    def test_accepts_plain_experiment_list(self, sport_doc, sport_battery):
+    def test_single_experiment_battery(self, sport_doc, sport_battery):
         cls, battery = sport_battery
         model = sport_doc.bind()
         natural = sample(model.bound_graph(Regime()), 1000, 71)
@@ -262,9 +271,8 @@ class TestObservationalBattery:
             regime_label="enroll=0",
         )
         data = Dataset.concat([natural, ban])
-        results = observational_battery(
-            data, list(battery.experiments[:1]), cls, ()
-        )
+        one = Battery(experiments=battery.experiments[:1])
+        results = observational_battery(data, one, cls, (), sport_doc.graph)
         assert len(results) == 1
         assert results[0].status == "ok"
         assert results[0].verdict == "no-change"

@@ -4,6 +4,7 @@ import pytest
 
 from teleo import (
     Report,
+    arms_from_results,
     SpecError,
     classify_effects,
     emit_report,
@@ -11,7 +12,7 @@ from teleo import (
     parse_machine_report,
     plan,
     run_battery,
-    score_hypotheses,
+    score_arms,
 )
 from teleo.models import SPORT_LEVERS
 from teleo.report import (
@@ -33,7 +34,8 @@ def full_report(sport_doc):
     cls = classify_effects(g, "practice", "be_fit")
     battery = plan(g, cls, SPORT_LEVERS)
     runs = run_battery(model, battery, 500, 77)
-    scores = score_hypotheses([r.result for r in runs], g, "practice", sport_doc.policy)
+    arms = arms_from_results([r.result for r in runs])
+    scores = score_arms(arms, g, "practice", sport_doc.policy)
     return Report(
         provenance={"command": "experiment", "seed": 77, "n_per_arm": 500},
         sections={
