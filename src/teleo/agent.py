@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping
 
-from .engine import Regime, joint_enumerate, marginals, mutilate
+from .engine import Regime, _sweep, joint_enumerate, mutilate
 from .errors import HypothesisError, PolicyError, RegimeError
 from .graph import CausalGraph, Variable
 
@@ -128,8 +128,9 @@ def servable(
     """Check whether acting still raises every intended effect enough.
 
     For each intended (A, a) the margin is
-    P(A=a | do(action=1)) - P(A=a | do(action=0)), both computed exactly in
-    the regime-mutilated graph.  Servable means every margin >= theta.
+    P(A=a | do(action=1)) - P(A=a | do(action=0)) under the regime's clamps,
+    both from one sweep of ``graph`` that the graph memoises per (action,
+    regime, intended names).  Servable means every margin >= theta.
     """
     intentions = sorted(set(intention_set))
     if not intentions:
@@ -140,12 +141,12 @@ def servable(
     for name, _ in intentions:
         if name not in effects:
             raise HypothesisError(f"{name!r} is not a strict descendant of action {action!r}")
-    base = mutilate(graph, regime)
-    names = [name for name, _ in intentions]
-    hi, lo = (marginals(mutilate(base, Regime({action: value})), names) for value in (1, 0))
+    key = (action, regime, tuple(name for name, _ in intentions))
+    if key not in graph._do_margins:
+        graph._do_margins[key] = tuple(map(tuple, _sweep(graph, key[2], regime.clamps, action)))
     margins = []
-    for name, target in intentions:
-        p_hi, p_lo = (p[name] if target else 1.0 - p[name] for p in (hi, lo))
+    for (name, target), (lo, hi) in zip(intentions, graph._do_margins[key]):
+        p_hi, p_lo = (p if target else 1.0 - p for p in (hi, lo))
         margins.append((name, target, p_hi - p_lo))
     return Servability(
         servable=meets_theta((margin for _, _, margin in margins), theta),

@@ -345,6 +345,9 @@ def run_command(argv: Sequence[str]) -> int:
     except (TeleoError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 1
 
 
 def main() -> None:

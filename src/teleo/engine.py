@@ -8,8 +8,8 @@ Four capabilities live here:
 * exact joint enumeration (:func:`joint_enumerate`, :func:`query`), the
   oracle of record for every probability in the package;
 * exact marginals (:func:`marginals`) from one variable-elimination sweep
-  over the ancestors of the variables asked for, which serves the
-  do-margins of servability on graphs too large to enumerate;
+  over the ancestors of the variables asked for; the same sweep applies
+  clamps itself and yields both do-margins of servability in one pass;
 * seeded ancestral sampling (:func:`sample`), the Monte Carlo counterpart
   used by simulated experiments.  Identical (graph, n, seed) gives a
   bit-identical dataset; the generator algorithm ("pcg64") is recorded in
@@ -23,7 +23,7 @@ import io
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -212,15 +212,36 @@ def marginals(graph: CausalGraph, names: Iterable[str]) -> dict[str, float]:
     once its last child has joined.  Raises :class:`EnumerationLimitError` before it
     builds a factor over more than ``ENUMERATION_CAP`` variables.
     """
-    graph.require_valid()
     names = list(names)
+    return dict(zip(names, _sweep(graph, names, {})))
+
+
+_EYE = np.eye(2)
+
+
+def _sweep(
+    graph: CausalGraph, names: Sequence[str], clamps: Mapping[str, int], action: str | None = None
+) -> list:
+    """The sweep of :func:`marginals` under ``clamps``, straight from
+    ``graph``: a clamped variable joins with no parents and the factor
+    ``[1 - c, c]``.  With ``action``, a leading batch axis b that the cap
+    does not count joins the action as ``eye(2)``, so each result holds
+    [P(name = 1 | do(action = b)) for b = 0, 1]; without it, P(name = 1)."""
+    for name in clamps:
+        graph.variable(name)
+    graph.require_valid()
     wanted = set(names)
+    fixed = {action: _EYE, **{name: _EYE[value] for name, value in clamps.items()}}
+
+    def parents(node: str) -> tuple[str, ...]:
+        return () if node in fixed else graph.parents(node)
+
     order: list[str] = []
     placed: set[str] = set()
     for name in names:
         stack = [name]
         while stack:
-            pending = [p for p in graph.parents(stack[-1]) if p not in placed]
+            pending = [p for p in parents(stack[-1]) if p not in placed]
             if pending:
                 stack.extend(reversed(pending))
                 continue
@@ -230,36 +251,36 @@ def marginals(graph: CausalGraph, names: Iterable[str]) -> dict[str, float]:
                 order.append(node)
     children_left = dict.fromkeys(order, 0)
     for node in order:
-        for p in graph.parents(node):
+        for p in parents(node):
             children_left[p] += 1
 
+    batch = [] if action is None else [0]
     frontier: list[str] = []
-    factor = np.ones(())
+    factor = np.ones((2,) * len(batch))
     out = {}
     for node in order:
-        var = graph.variable(node)
-        for p in var.parents:
+        for p in parents(node):
             children_left[p] -= 1
         joined = [a for a in frontier if children_left[a]] + [node]
         if len(joined) > ENUMERATION_CAP:
             raise EnumerationLimitError(
                 f"frontier of {len(joined)} variables exceeds enumeration cap {ENUMERATION_CAP}"
             )
-        axis = {a: k for k, a in enumerate(frontier + [node])}
+        axis = {a: k for k, a in enumerate(frontier + [node], len(batch))}
         factor = np.einsum(
             factor,
-            list(range(len(frontier))),
-            var.factor,
-            [axis[p] for p in var.parents] + [axis[node]],
-            [axis[a] for a in joined],
+            batch + [axis[a] for a in frontier],
+            fixed[node] if node in fixed else graph.variable(node).factor,
+            (batch if node == action else []) + [axis[p] for p in parents(node)] + [axis[node]],
+            batch + [axis[a] for a in joined],
         )
         if node in wanted:
-            out[node] = float(factor[..., 1].sum())
+            out[node] = factor[..., 1].reshape(factor.shape[: len(batch)] + (-1,)).sum(axis=-1)
         frontier = joined
         if not children_left[node]:
             factor = factor.sum(axis=-1)
             frontier.pop()
-    return {name: out[name] for name in names}
+    return [out[name].tolist() for name in names]
 
 
 def _code_dtype(n_labels: int) -> np.dtype:

@@ -171,6 +171,11 @@ class CausalGraph:
             graph.__dict__["_violations"] = ()
         return graph
 
+    @cached_property
+    def _do_margins(self) -> dict:
+        """Do-margins per (action, regime, intended names); a derived graph starts empty."""
+        return {}
+
     # --- validation ------------------------------------------------------
 
     def validate(self) -> list[str]:

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,18 +9,27 @@ from teleo import (
     ArmCounts,
     CausalGraph,
     HypothesisError,
+    InvalidGraphError,
     PolicyError,
     Regime,
     RegimeError,
+    UnknownVariableError,
     Variable,
+    arms_from_results,
     bind_agent,
+    classify_effects,
     joint_enumerate,
     marginals,
     mutilate,
+    oracle_identify,
+    plan,
+    run_battery,
     score_arms,
+    sensitivity,
     servable,
 )
-from teleo.models import sport_lab_graph, stove_water
+from teleo import agent
+from teleo.models import sport_lab, sport_lab_graph, stove_water
 
 from .helpers import dag_from_seed
 
@@ -105,6 +115,22 @@ class TestServability:
     def test_regime_may_not_clamp_action(self, lab):
         with pytest.raises(RegimeError):
             servable(lab, "practice", [("be_fit", 1)], theta=0.1, regime=Regime({"practice": 1}))
+
+    def test_unknown_clamp_rejected(self, lab):
+        with pytest.raises(UnknownVariableError):
+            servable(lab, "practice", [("be_fit", 1)], theta=0.1, regime=Regime({"nope": 1}))
+
+    def test_invalid_graph_rejected_even_where_a_clamp_cuts_the_cycle(self):
+        cyclic = CausalGraph.make(
+            [
+                Variable.make("act", (), 0.5),
+                Variable.make("b", ("act", "c"), {(0, 0): 0.1, (0, 1): 0.2, (1, 0): 0.3, (1, 1): 0.9}),
+                Variable.make("c", ("b",), {0: 0.2, 1: 0.7}),
+                Variable.make("e", ("b",), {0: 0.2, 1: 0.7}),
+            ]
+        )
+        with pytest.raises(InvalidGraphError, match="cycle: b -> c -> b"):
+            servable(cyclic, "act", [("e", 1)], theta=0.1, regime=Regime({"b": 1}))
 
     def test_conjunction_needs_every_intent(self, lab):
         regime = Regime({"enroll": 0})
@@ -272,6 +298,84 @@ def test_sweep_matches_dense_enumeration(seed, data):
             assert (margin >= theta) == (dense >= theta)
     if all(abs(m - theta) > 1e-9 for m in want.values()):
         assert report.servable == all(m >= theta for m in want.values())
+
+
+def bits(report):
+    margins = tuple((name, target, margin.hex()) for name, target, margin in report.margins)
+    return report.servable, margins
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 10_000), data=st.data())
+def test_do_margin_memo_is_never_stale(seed, data):
+    graph = dag_from_seed(seed, max_nodes=14)
+    actions = [name for name in graph.names if graph.descendants(name)]
+    if not actions:
+        return
+
+    def draw_call():
+        action = data.draw(st.sampled_from(actions))
+        effects = sorted(graph.descendants(action))
+        intentions = data.draw(
+            st.sets(st.tuples(st.sampled_from(effects), st.integers(0, 1)), min_size=1, max_size=4)
+        )
+        others = [name for name in graph.names if name != action]
+        clamps = data.draw(st.dictionaries(st.sampled_from(others), st.integers(0, 1), max_size=2))
+        return action, intentions, Regime(clamps)
+
+    # Calls repeat from a small pool, so later ones read the memo.
+    pool = [draw_call() for _ in range(data.draw(st.integers(1, 4)))]
+    calls = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=10))
+    for action, intentions, regime in calls:
+        got = servable(graph, action, intentions, 0.1, regime)
+        fresh = servable(CausalGraph(graph.variables), action, intentions, 0.1, regime)
+        assert bits(got) == bits(fresh)
+        want = dense_margins(graph, action, intentions, regime)
+        for name, target, margin in got.margins:
+            assert abs(margin - want[(name, target)]) <= 1e-12
+
+    action, intentions, regime = calls[-1]
+    var = graph.variable(data.draw(st.sampled_from(graph.names)))
+    row = data.draw(st.sampled_from(sorted(var.cpt)))
+    changed = graph.replace(
+        Variable.make(var.name, var.parents, {**var.cpt, row: data.draw(st.floats(0.0, 1.0))})
+    )
+    clamp = data.draw(st.sampled_from(graph.names))
+    derived = [
+        changed,
+        mutilate(graph, Regime({clamp: data.draw(st.integers(0, 1))})),
+        graph.ancestral_subgraph(data.draw(st.sampled_from(graph.names))),
+        bind_agent(graph, action, AgentPolicy.make(intentions)).bound_graph(regime),
+    ]
+    assert graph._do_margins
+    for other in derived:
+        assert other._do_margins == {}
+    want = dense_margins(changed, action, intentions, regime)
+    for name, target, margin in servable(changed, action, intentions, 0.1, regime).margins:
+        assert abs(margin - want[(name, target)]) <= 1e-12
+
+
+def test_servability_is_computed_once_per_key(monkeypatch):
+    sweeps = Counter()
+    sweep = agent._sweep
+
+    def counting(graph, names, clamps, action):
+        sweeps[(id(graph), action, tuple(clamps.items()), tuple(names))] += 1
+        return sweep(graph, names, clamps, action)
+
+    monkeypatch.setattr(agent, "_sweep", counting)
+    doc = sport_lab()
+    graph = doc.graph
+    model = bind_agent(graph, "practice", doc.policy)
+    battery = plan(graph, classify_effects(graph, "practice", "be_fit"), doc.levers)
+    arms = arms_from_results([run.result for run in run_battery(model, battery, 200, 3)])
+    sensitivity(arms, graph, "practice", doc.policy, [0.6, 0.7, 0.8], [0.02, 0.05, 0.1])
+    truths = ("lose_weight", "be_fit", "live_longer", "win_medals")
+    for seed in range(8):
+        policy = AgentPolicy.make([(truths[seed % 4], 1)])
+        oracle_identify(graph, "practice", policy, doc.levers, 200, seed)
+    assert len(sweeps) > len(doc.levers)
+    assert set(sweeps.values()) == {1}
 
 
 def lever_pair(p_hi: float, p_lo: float) -> CausalGraph:

@@ -1,4 +1,5 @@
 import hashlib
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -425,6 +426,23 @@ class TestAnalyzeAndInfer:
         argv = ["infer", "--graph", str(sport_spec_path), "--data", str(data)]
         proc = subprocess.run(
             [sys.executable, "-m", "teleo.cli", *argv], capture_output=True, text=True
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+
+    def test_row_count_beyond_memory_exits_1(self, sport_spec_path, tmp_path):
+        # 2 GB of address space holds the interpreter but not 10^11 rows.
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        out = tmp_path / "x.csv"
+        argv = ["simulate", "--graph", str(sport_spec_path), "--seed", "1", "--n", str(10**11)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "teleo.cli", *argv, "--out", str(out)],
+            capture_output=True,
+            text=True,
+            preexec_fn=cap_address_space,
         )
         assert proc.returncode == 1
         assert proc.stderr.startswith("error:")
