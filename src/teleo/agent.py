@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping
 
-from .engine import Regime, _sweep, joint_enumerate, mutilate
+from .engine import Regime, _sweep, joint_enumerate
 from .errors import HypothesisError, PolicyError, RegimeError
 from .graph import CausalGraph, Variable
 
@@ -57,6 +57,7 @@ class AgentPolicy:
             raise PolicyError(f"theta must be >= 0, got {self.theta}")
         if not self.intention_set:
             raise PolicyError("intention set is empty")
+        _require_binary_targets(self.intention_set)
         for (parent, value), factor in self.cause_modifiers.items():
             if value not in (0, 1):
                 raise PolicyError(f"modifier on {parent!r} has value {value!r}, expected 0 or 1")
@@ -85,17 +86,6 @@ class AgentPolicy:
         """Same behavioral parameters, different intention hypothesis."""
         return replace(self, intention_set=frozenset(intentions))
 
-    def params(self) -> dict:
-        return {
-            "p_act": self.p_act,
-            "p_base": self.p_base,
-            "theta": self.theta,
-            "cause_modifiers": {
-                f"{parent}={value}": factor
-                for (parent, value), factor in sorted(self.cause_modifiers.items())
-            },
-        }
-
 
 @dataclass(frozen=True)
 class Servability:
@@ -110,6 +100,12 @@ class Servability:
             if var == name:
                 return margin
         raise KeyError(name)
+
+
+def _require_binary_targets(intentions: Iterable[Intention]) -> None:
+    for name, target in intentions:
+        if target not in (0, 1):
+            raise PolicyError(f"intended value for {name!r} must be 0 or 1, got {target!r}")
 
 
 def meets_theta(margins: Iterable[float], theta: float) -> bool:
@@ -130,19 +126,22 @@ def servable(
     For each intended (A, a) the margin is
     P(A=a | do(action=1)) - P(A=a | do(action=0)) under the regime's clamps,
     both from one sweep of ``graph`` that the graph memoises per (action,
-    regime, intended names).  Servable means every margin >= theta.
+    regime, intended names).  Servable means every margin >= theta.  A
+    stored key already passed the checks on action, regime and names;
+    targets are not in the key, so every call checks them.
     """
     intentions = sorted(set(intention_set))
-    if not intentions:
-        raise PolicyError("intention set is empty")
-    if action in regime.clamps:
-        raise RegimeError(f"regime clamps the action {action!r}; the agent chooses it")
-    effects = graph.descendants(action, strict=True)
-    for name, _ in intentions:
-        if name not in effects:
-            raise HypothesisError(f"{name!r} is not a strict descendant of action {action!r}")
+    _require_binary_targets(intentions)
     key = (action, regime, tuple(name for name, _ in intentions))
     if key not in graph._do_margins:
+        if not intentions:
+            raise PolicyError("intention set is empty")
+        if action in regime.clamps:
+            raise RegimeError(f"regime clamps the action {action!r}; the agent chooses it")
+        effects = graph.descendants(action, strict=True)
+        for name, _ in intentions:
+            if name not in effects:
+                raise HypothesisError(f"{name!r} is not a strict descendant of action {action!r}")
         graph._do_margins[key] = tuple(map(tuple, _sweep(graph, key[2], regime.clamps, action)))
     margins = []
     for (name, target), (lo, hi) in zip(intentions, graph._do_margins[key]):
@@ -160,39 +159,30 @@ class TeleologicalModel:
 
     The original CPT is kept on ``base_graph`` for reference; while the
     policy is bound, sampling and rate computations use the policy instead.
-    Immutable; servability is memoized per regime and bound graphs per
-    (regime, servable).
+    The model holds no cache: the base graph memoises do-margins and bound
+    graphs, so models that differ only in their intentions share them.
     """
 
     base_graph: CausalGraph
     action: str
     policy: AgentPolicy
-    _servability: dict = field(default_factory=dict, repr=False)
-    _bound: dict = field(default_factory=dict, repr=False)
 
     def servability(self, regime: Regime = Regime()) -> Servability:
-        if regime not in self._servability:
-            self._servability[regime] = servable(
-                self.base_graph, self.action, self.policy.intention_set, self.policy.theta, regime
-            )
-        return self._servability[regime]
+        return servable(
+            self.base_graph, self.action, self.policy.intention_set, self.policy.theta, regime
+        )
 
-    def _policy_variable(self, is_servable: bool) -> Variable:
-        """The action's CPT under the policy: p_act scaled by matching
+    def _policy_rows(self, is_servable: bool) -> tuple:
+        """The action's CPT rows under the policy: p_act scaled by matching
         modifiers when servable, flat p_base otherwise."""
         action_var = self.base_graph.variable(self.action)
-        rows = {}
+        rows = []
         for key in action_var.cpt:
-            if is_servable:
-                p = self.policy.p_act
-                for bit, parent in zip(key, action_var.parents):
-                    factor = self.policy.cause_modifiers.get((parent, bit))
-                    if factor is not None:
-                        p *= factor
-                rows[key] = min(1.0, max(0.0, p))
-            else:
-                rows[key] = self.policy.p_base
-        return Variable(name=self.action, parents=action_var.parents, cpt=rows)
+            p = self.policy.p_act
+            for parent_bit in zip(action_var.parents, key):
+                p *= self.policy.cause_modifiers.get(parent_bit, 1.0)
+            rows.append((key, min(1.0, max(0.0, p)) if is_servable else self.policy.p_base))
+        return tuple(rows)
 
     def bound_graph(
         self, regime: Regime = Regime(), is_servable: bool | None = None
@@ -205,12 +195,14 @@ class TeleologicalModel:
             raise RegimeError(f"regime clamps the action {self.action!r}")
         if is_servable is None:
             is_servable = self.servability(regime).servable
-        key = (regime, is_servable)
-        if key not in self._bound:
-            self._bound[key] = mutilate(self.base_graph, regime).replace(
-                self._policy_variable(is_servable)
+        base = self.base_graph
+        key = (self.action, regime, self._policy_rows(is_servable))
+        if key not in base._bound:
+            base._bound[key] = base.replace(
+                *(Variable.constant(name, value) for name, value in regime.clamps.items()),
+                Variable(self.action, base.variable(self.action).parents, dict(key[2])),
             )
-        return self._bound[key]
+        return base._bound[key]
 
     def action_rate(self, regime: Regime = Regime(), is_servable: bool | None = None) -> float:
         """Exact P(action = 1) under the policy and regime, marginalizing
@@ -227,12 +219,10 @@ def bind_agent(graph: CausalGraph, action: str, policy: AgentPolicy) -> Teleolog
     graph.require_valid()
     action_var = graph.variable(action)
     effects = graph.descendants(action, strict=True)
-    for name, target in sorted(policy.intention_set):
+    for name, _ in sorted(policy.intention_set):
         graph.variable(name)
         if name not in effects:
             raise HypothesisError(f"{name!r} is not a strict descendant of action {action!r}")
-        if target not in (0, 1):
-            raise PolicyError(f"intended value for {name!r} must be 0 or 1, got {target!r}")
     for parent, _ in policy.cause_modifiers:
         if parent not in action_var.parents:
             raise PolicyError(f"modifier names {parent!r}, which is not a parent of {action!r}")

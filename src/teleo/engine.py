@@ -57,12 +57,13 @@ class Regime:
     clamps: Mapping[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        items = tuple(sorted(self.clamps.items()))
-        for name, value in items:
+        clamps = {}
+        for name, value in sorted(self.clamps.items()):
             if value not in (0, 1):
                 raise RegimeError(f"clamp value for {name!r} must be 0 or 1, got {value!r}")
-        object.__setattr__(self, "clamps", MappingProxyType(dict(items)))
-        object.__setattr__(self, "_hash", hash(items))
+            clamps[name] = int(value)  # True and 1.0 equal 1, so they label as 1 too
+        object.__setattr__(self, "clamps", MappingProxyType(clamps))
+        object.__setattr__(self, "_hash", hash(tuple(clamps.items())))
 
     def __hash__(self) -> int:
         return self._hash
@@ -98,11 +99,7 @@ def mutilate(graph: CausalGraph, regime: Regime = Regime()) -> CausalGraph:
     CPT, everything else is untouched."""
     if not regime.clamps:
         return graph
-    replacements = []
-    for name, value in regime.clamps.items():
-        graph.variable(name)
-        replacements.append(Variable.constant(name, value))
-    return graph.replace(*replacements)
+    return graph.replace(*(Variable.constant(name, value) for name, value in regime.clamps.items()))
 
 
 @dataclass(frozen=True)

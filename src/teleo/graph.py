@@ -154,18 +154,19 @@ class CausalGraph:
         return self._children[name]
 
     def replace(self, *replacements: Variable) -> "CausalGraph":
-        """A copy of this graph with the named variables swapped out.
+        """A copy of this graph with the named variables swapped out; a
+        replacement that names no variable raises :class:`UnknownVariableError`.
 
         A replacement that passes its local checks and either has no parents
         (a clamp) or keeps the parents of the variable it replaces adds no
         edge, so it can add no cycle: the copy of a valid graph is then valid
         without another check."""
         table = {v.name: v for v in replacements}
+        for name in table:
+            self.variable(name)
         graph = CausalGraph(tuple(table.get(v.name, v) for v in self.variables))
         if not self._violations and all(
-            v.name in self._by_name
-            and v.parents in ((), self._by_name[v.name].parents)
-            and not v.local_violations()
+            v.parents in ((), self._by_name[v.name].parents) and not v.local_violations()
             for v in table.values()
         ):
             graph.__dict__["_violations"] = ()
@@ -174,6 +175,11 @@ class CausalGraph:
     @cached_property
     def _do_margins(self) -> dict:
         """Do-margins per (action, regime, intended names); a derived graph starts empty."""
+        return {}
+
+    @cached_property
+    def _bound(self) -> dict:
+        """Bound graphs per (action, regime, policy CPT rows); a derived graph starts empty."""
         return {}
 
     # --- validation ------------------------------------------------------

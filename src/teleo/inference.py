@@ -178,16 +178,11 @@ def _rate_table(
     regime depends on a hypothesis only through its servable bit, so each
     regime needs at most two rate evaluations."""
     rates = {}
-    table = []
     for row in bits:
-        out = []
-        for regime, bit in zip(regimes, row):
-            key = (regime, bit)
+        for key in zip(regimes, row):
             if key not in rates:
-                rates[key] = model.action_rate(regime, bit)
-            out.append(rates[key])
-        table.append(out)
-    return table
+                rates[key] = model.action_rate(*key)
+    return [[rates[key] for key in zip(regimes, row)] for row in bits]
 
 
 def predicted_rates(

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from collections import Counter
 
@@ -13,6 +14,8 @@ from teleo import (
     PolicyError,
     Regime,
     RegimeError,
+    TeleoError,
+    TeleologicalModel,
     UnknownVariableError,
     Variable,
     arms_from_results,
@@ -40,6 +43,12 @@ def lab():
 
 
 class TestPolicyValidation:
+    def test_intended_target_must_be_binary(self):
+        with pytest.raises(PolicyError, match="must be 0 or 1"):
+            AgentPolicy.make([("be_fit", 2)])
+        with pytest.raises(PolicyError, match="must be 0 or 1"):
+            AgentPolicy.make([("be_fit", 1)]).with_intentions([("be_fit", -1)])
+
     def test_defaults(self):
         p = AgentPolicy.make([("water", 1)])
         assert (p.p_act, p.p_base, p.theta) == (0.8, 0.05, 0.1)
@@ -159,7 +168,7 @@ class TestBoundModel:
         model = bind_agent(lab, "practice", AgentPolicy.make([("be_fit", 1)]))
         a = Regime({"protein_diet": 0, "enroll": 0})
         b = Regime({"enroll": 0, "protein_diet": 0})
-        assert model.servability(a) is model.servability(b)
+        assert model.servability(a) == model.servability(b)
         assert model.bound_graph(a) is model.bound_graph(b)
         assert model.bound_graph(a, True) is not model.bound_graph(b, False)
         assert model.bound_graph() is model.bound_graph(Regime())
@@ -424,3 +433,132 @@ class TestTies:
         flipped = [ArmCounts(Regime(), 10, 9), ArmCounts(Regime({"mid": 1}), 10, 0)]
         (score,) = score_arms(flipped, g, "act", policy, hypotheses=[frozenset({("eff", 1)})])
         assert score.log_likelihood == -math.inf
+
+
+class TestStatelessModel:
+    def test_model_is_its_three_fields(self):
+        names = [f.name for f in dataclasses.fields(TeleologicalModel)]
+        assert names == ["base_graph", "action", "policy"]
+        assert not hasattr(agent, "mutilate")
+
+    def test_bound_graph_miss_makes_one_replace(self, monkeypatch):
+        calls = []
+        original = CausalGraph.replace
+
+        def counting(graph, *replacements):
+            calls.append(tuple(v.name for v in replacements))
+            return original(graph, *replacements)
+
+        monkeypatch.setattr(CausalGraph, "replace", counting)
+        model = bind_agent(sport_lab_graph(), "practice", AgentPolicy.make([("be_fit", 1)]))
+        regime = Regime({"smoke": 1, "protein_diet": 0})
+        bound = model.bound_graph(regime)
+        assert calls == [("protein_diet", "smoke", "practice")]
+        assert model.bound_graph(regime) is bound
+        assert len(calls) == 1
+
+    def test_target_checked_even_on_a_memo_hit(self):
+        graph = sport_lab_graph()
+        with pytest.raises(PolicyError, match="must be 0 or 1"):
+            servable(graph, "practice", [("be_fit", 2)], 0.1)
+        assert servable(graph, "practice", [("be_fit", 1)], 0.1).servable
+        with pytest.raises(PolicyError, match="must be 0 or 1"):
+            servable(graph, "practice", [("be_fit", 2)], 0.1)
+
+    def test_bool_and_float_clamps_sweep_as_ints(self):
+        intentions = [("be_fit", 1), ("live_longer", 1)]
+        want = servable(sport_lab_graph(), "practice", intentions, 0.1, Regime({"smoke": 1}))
+        for value in (True, 1.0):
+            regime = Regime({"smoke": value})
+            assert servable(sport_lab_graph(), "practice", intentions, 0.1, regime) == want
+
+
+def policy_rows(graph: CausalGraph, action: str, policy: AgentPolicy, bit: bool) -> dict:
+    """The action's CPT under ``policy``, written out row by row."""
+    var = graph.variable(action)
+    rows = {}
+    for key in var.cpt:
+        p = policy.p_act
+        for parent, value in zip(var.parents, key):
+            if (parent, value) in policy.cause_modifiers:
+                p *= policy.cause_modifiers[(parent, value)]
+        rows[key] = min(1.0, max(0.0, p)) if bit else policy.p_base
+    return rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 10_000), data=st.data())
+def test_bound_graph_memo(seed, data):
+    graph = dag_from_seed(seed, max_nodes=14)
+    actions = [name for name in graph.names if graph.descendants(name)]
+    if not actions:
+        return
+    action = data.draw(st.sampled_from(actions))
+    effects = sorted(graph.descendants(action))
+    parents = graph.parents(action)
+
+    def draw_intentions():
+        targets = st.tuples(st.sampled_from(effects), st.integers(0, 1))
+        return data.draw(st.sets(targets, min_size=1, max_size=3))
+
+    modifiers = {}
+    if parents:
+        bits = st.tuples(st.sampled_from(parents), st.integers(0, 1))
+        modifiers = data.draw(st.dictionaries(bits, st.floats(0.0, 3.0), max_size=2))
+    policy = AgentPolicy.make(
+        draw_intentions(),
+        p_act=data.draw(st.floats(0.6, 1.0)),
+        p_base=data.draw(st.floats(0.0, 0.5)),
+        cause_modifiers=modifiers,
+    )
+    model = bind_agent(graph, action, policy)
+    others = [name for name in graph.names if name != action]
+    regime = Regime(data.draw(st.dictionaries(st.sampled_from(others), st.integers(0, 1), max_size=2)))
+    model.bound_graph(regime)  # fills both memos through the servability check
+
+    for bit in (True, False):
+        bound = model.bound_graph(regime, bit)
+        fresh = mutilate(CausalGraph(graph.variables), regime)
+        policy_var = Variable(action, parents, policy_rows(graph, action, policy, bit))
+        assert bound.variables == fresh.replace(policy_var).variables
+        # Models that differ only in their intentions share the bound graph.
+        other = bind_agent(graph, action, policy.with_intentions(draw_intentions()))
+        assert other.bound_graph(regime, bit) is bound
+        # Other behavioral parameters share it exactly when the CPT is the same.
+        for changed in (
+            dataclasses.replace(policy, p_act=policy.p_act - 0.05),
+            dataclasses.replace(policy, p_base=policy.p_base + 0.05),
+        ):
+            got = bind_agent(graph, action, changed).bound_graph(regime, bit)
+            same_cpt = policy_rows(graph, action, changed, bit) == policy_var.cpt
+            assert (got is bound) == same_cpt
+        if not bit:
+            assert got is not bound  # every row of a non-servable CPT is p_base
+
+    clamp = data.draw(st.sampled_from(graph.names))
+    derived = [
+        graph.replace(graph.variable(action)),
+        mutilate(graph, Regime({clamp: data.draw(st.integers(0, 1))})),
+        graph.ancestral_subgraph(action),
+        bound,
+    ]
+    assert graph._bound
+    for other_graph in derived:
+        assert other_graph._bound == {}
+
+    # Invalid calls store nothing, though both memos already hold valid keys.
+    margins, bounds = dict(graph._do_margins), dict(graph._bound)
+    assert margins and bounds
+    outsider = next(name for name in graph.names if name not in effects)
+    invalid = [
+        lambda: servable(graph, action, [(effects[0], 1)], 0.1, Regime({action: 1})),
+        lambda: servable(graph, action, [(outsider, 1)], 0.1, regime),
+        lambda: servable(graph, action, [], 0.1, regime),
+        lambda: servable(graph, action, [(effects[0], 2)], 0.1, regime),
+        lambda: model.bound_graph(Regime({**regime.clamps, action: 0})),
+        lambda: model.bound_graph(Regime({**regime.clamps, "ghost": 1}), True),
+    ]
+    for call in invalid:
+        with pytest.raises(TeleoError):
+            call()
+        assert graph._do_margins == margins and graph._bound == bounds

@@ -64,6 +64,15 @@ class TestRegime:
         assert len({r1, r2, Regime(), Regime({})}) == 2
         assert r1 != Regime({"a": 1, "b": 1})
 
+    def test_equal_clamp_values_label_alike(self):
+        for value in (True, 1.0, np.int64(1)):
+            r = Regime({"smoke": value})
+            assert r == Regime({"smoke": 1})
+            assert type(r.clamps["smoke"]) is int
+            assert r.label() == "smoke=1"
+            assert Regime.from_label(r.label()) == r
+        assert Regime({"smoke": False}).label() == "smoke=0"
+
     def test_clamps_are_copied(self):
         clamps = {"a": 1}
         r = Regime(clamps)

@@ -221,6 +221,13 @@ def test_mutilated_and_bound_graphs_are_valid(seed, data):
 
 
 class TestValidityMemo:
+    def test_replacement_naming_no_variable_is_rejected(self, sport_doc):
+        with pytest.raises(UnknownVariableError, match="'ghost'"):
+            sport_doc.graph.replace(Variable.constant("ghost", 1))
+        g = chain("a", "b")
+        with pytest.raises(UnknownVariableError, match="'ghost'"):
+            g.replace(Variable.constant("a", 0), Variable.constant("ghost", 1))
+
     def test_replacement_that_adds_an_edge_is_checked(self):
         g = chain("a", "b", "c")
         assert g.validate() == []
