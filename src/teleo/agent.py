@@ -15,7 +15,8 @@ separates interference from reverse causation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .engine import Regime, _sweep, joint_enumerate
@@ -37,15 +38,19 @@ class AgentPolicy:
     multiplicative factor on ``p_act``; this is how confounding causes such
     as age get to influence the action rate.  Factors multiply and the
     result is clamped to [0, 1].  Modifiers never apply to ``p_base``.
+    They are stored as a read-only mapping (``None`` gives none), so a
+    policy is an immutable value that compares and hashes by its fields.
     """
 
     intention_set: frozenset[Intention]
     p_act: float = DEFAULT_P_ACT
     p_base: float = DEFAULT_P_BASE
     theta: float = DEFAULT_THETA
-    cause_modifiers: Mapping[tuple[str, int], float] = field(default_factory=dict)
+    cause_modifiers: Mapping[tuple[str, int], float] | None = None
 
     def __post_init__(self):
+        modifiers = MappingProxyType(dict(self.cause_modifiers or {}))
+        object.__setattr__(self, "cause_modifiers", modifiers)
         for name, value in (("p_act", self.p_act), ("p_base", self.p_base), ("theta", self.theta)):
             if not math.isfinite(value):
                 raise PolicyError(f"{name} must be finite, got {value}")
@@ -66,6 +71,15 @@ class AgentPolicy:
                     f"modifier factor for ({parent!r}, {value}) must be finite and >= 0"
                 )
 
+    def __hash__(self) -> int:
+        modifiers = frozenset(self.cause_modifiers.items())
+        return hash((self.intention_set, self.p_act, self.p_base, self.theta, modifiers))
+
+    def __reduce__(self):
+        # A mapping proxy cannot be pickled or deep-copied; its dict can.
+        fields = (self.intention_set, self.p_act, self.p_base, self.theta)
+        return AgentPolicy, (*fields, dict(self.cause_modifiers))
+
     @staticmethod
     def make(
         intentions: Iterable[Intention],
@@ -79,7 +93,7 @@ class AgentPolicy:
             p_act=p_act,
             p_base=p_base,
             theta=theta,
-            cause_modifiers=dict(cause_modifiers or {}),
+            cause_modifiers=cause_modifiers,
         )
 
     def with_intentions(self, intentions: Iterable[Intention]) -> "AgentPolicy":

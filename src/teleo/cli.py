@@ -46,7 +46,11 @@ class _UsageError(Exception):
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        bad = exc.object[exc.start]
+        raise TeleoError(f"{path} is not UTF-8 text: byte {bad:#04x} at offset {exc.start}") from None
 
 
 def _write(text: str, out: str | None) -> None:

@@ -291,6 +291,60 @@ def _first_seen(codes: np.ndarray) -> np.ndarray:
     return present[np.argsort(first)]
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    view = array.view()
+    view.flags.writeable = False
+    return view
+
+
+@dataclass(frozen=True, eq=False)
+class CellTable:
+    """The distinct (regime code, row) cells of a dataset and how many rows
+    fall in each, sorted by code and then by row, first variable most
+    significant.  For binary variables every count an analysis takes is a
+    sum over these cells: they are the sufficient statistic of a discrete
+    Bayesian network (Koller & Friedman 2009, ch. 17)."""
+
+    codes: np.ndarray  # (n_cells,) regime codes
+    rows: np.ndarray  # (n_cells, n_variables) int8
+    counts: np.ndarray  # (n_cells,) rows per cell, each > 0
+
+    def __post_init__(self):
+        for name in ("codes", "rows", "counts"):
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
+
+
+def _cell_table(codes: np.ndarray, values: np.ndarray, n_labels: int) -> CellTable:
+    """Count the cells with one integer key per row: the code's bits, then
+    one bit per variable.  A key of at most 64 bits is decoded back into its
+    cell.  A wider row renumbers the key by its rank among the keys so far
+    whenever the next bit would not fit; ranks keep the order, so the cells
+    come out sorted alike, and a representative row gives each cell."""
+    width = max(n_labels - 1, 0).bit_length()
+    n_vars = values.shape[1]
+    key = codes.astype(np.min_scalar_type((1 << min(width + n_vars, 64)) - 1))
+    renumbered = False
+    for column in values.view(np.uint8).T:
+        if width == 64:
+            present, key = np.unique(key, return_inverse=True)
+            key = key.astype(np.uint64)
+            width = max(len(present) - 1, 0).bit_length()
+            renumbered = True
+        key <<= 1
+        key |= column
+        width += 1
+    if renumbered:
+        _, first, counts = np.unique(key, return_index=True, return_counts=True)
+        return CellTable(codes[first], values[first], counts)
+    present, counts = np.unique(key, return_counts=True)
+    shifts = np.arange(n_vars - 1, -1, -1, dtype=key.dtype)
+    return CellTable(
+        (present >> n_vars).astype(codes.dtype),
+        ((present[:, None] >> shifts) & 1).astype(np.int8),
+        counts,
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Rows of binary samples plus a per-row regime label.
@@ -298,9 +352,11 @@ class Dataset:
     ``values`` is an (n_rows, n_variables) int8 array in declared variable
     order.  Row ``i`` is labeled ``regime_table[regime_codes[i]]``: the table
     holds distinct labels (in first-seen order when built from per-row
-    labels or CSV), the codes are an unsigned integer array.  ``provenance``
-    records how each block of rows was produced (seed, generator algorithm,
-    regime); it is carried for reporting and excluded from equality.
+    labels or CSV), the codes are an unsigned integer array.  Both arrays
+    are kept as read-only views, so :attr:`cells`, built once on first use,
+    cannot go stale.  ``provenance`` records how each block of rows was
+    produced (seed, generator algorithm, regime); it is carried for
+    reporting and excluded from equality.
     """
 
     variables: tuple[str, ...]
@@ -310,6 +366,8 @@ class Dataset:
     provenance: tuple[Mapping, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "values", _read_only(np.asarray(self.values, dtype=np.int8)))
+        object.__setattr__(self, "regime_codes", _read_only(self.regime_codes))
         if self.regime_codes.ndim != 1 or self.values.shape != (
             len(self.regime_codes),
             len(self.variables),
@@ -364,12 +422,31 @@ class Dataset:
         """The label of every row."""
         return tuple(np.array(self.regime_table, dtype=object)[self.regime_codes])
 
-    def column(self, name: str) -> np.ndarray:
+    def _index(self, name: str) -> int:
         try:
-            k = self.variables.index(name)
+            return self.variables.index(name)
         except ValueError:
             raise UnknownVariableError(f"unknown column {name!r}") from None
-        return self.values[:, k]
+
+    def column(self, name: str) -> np.ndarray:
+        return self.values[:, self._index(name)]
+
+    @cached_property
+    def cells(self) -> CellTable:
+        """The rows reduced to their distinct (regime code, row) cells."""
+        return _cell_table(self.regime_codes, self.values, len(self.regime_table))
+
+    def count(self, label: str, event: Mapping[str, int]) -> int:
+        """How many rows carry ``label`` and match every entry of
+        ``event``, summed over :attr:`cells`."""
+        columns = [(self._index(name), value) for name, value in event.items()]
+        if label not in self.regime_table:
+            return 0
+        cells = self.cells
+        match = cells.codes == self.regime_table.index(label)
+        for k, value in columns:
+            match &= cells.rows[:, k] == value
+        return int(cells.counts[match].sum())
 
     def regimes_present(self) -> tuple[str, ...]:
         """The labels that occur, in first-seen row order."""
@@ -382,10 +459,20 @@ class Dataset:
         return self.regime_codes == self.regime_table.index(label)
 
     def filter_regimes(self, labels: Iterable[str]) -> "Dataset":
+        """The rows labeled one of ``labels``, carrying their cells of this
+        dataset's table."""
         wanted = set(labels)
         keep = np.array([label in wanted for label in self.regime_table], dtype=bool)
-        mask = keep[self.regime_codes]
-        return replace(self, values=self.values[mask], regime_codes=self.regime_codes[mask])
+        mask = keep.take(self.regime_codes)
+        # compress copies whole rows; a 2-D boolean index is 5x slower here.
+        values = np.compress(mask, self.values, axis=0)
+        kept = replace(self, values=values, regime_codes=self.regime_codes[mask])
+        cells = self.cells
+        inside = keep[cells.codes]
+        kept.__dict__["cells"] = CellTable(
+            cells.codes[inside], cells.rows[inside], cells.counts[inside]
+        )
+        return kept
 
     @staticmethod
     def concat(parts: Iterable["Dataset"]) -> "Dataset":
@@ -631,6 +718,8 @@ def require_possible(dataset: Dataset, graph: CausalGraph, exempt: Iterable[str]
     probability 0 under its regime's mutilated graph: a clamped variable
     off its clamp, or a value that contradicts a 0/1 CPT row.  Variables in
     ``exempt`` are not checked (an action whose CPT a policy replaces).
+    Each cell of :attr:`Dataset.cells` is checked once, and an impossible
+    cell counts all its rows.
     """
     if set(dataset.variables) != set(graph.names):
         raise DataError(
@@ -638,14 +727,15 @@ def require_possible(dataset: Dataset, graph: CausalGraph, exempt: Iterable[str]
             f"the graph's variables {sorted(graph.names)}"
         )
     exempt = set(exempt)
+    cells = dataset.cells
     regimes = {}
-    for code in _first_seen(dataset.regime_codes).tolist():
+    for code in dict.fromkeys(cells.codes.tolist()):
         regimes[code] = Regime.from_label(dataset.regime_table[code])
         for name in regimes[code].clamps:
             graph.variable(name)
     column = {name: k for k, name in enumerate(dataset.variables)}
-    codes = dataset.regime_codes.astype(np.int64)
-    impossible = np.zeros(dataset.n_rows, dtype=bool)
+    codes = cells.codes.astype(np.int64)
+    impossible = np.zeros(len(codes), dtype=bool)
     for var in graph.variables:
         if var.name in exempt:
             continue
@@ -661,9 +751,9 @@ def require_possible(dataset: Dataset, graph: CausalGraph, exempt: Iterable[str]
             continue
         index = codes
         for name in (*var.parents, var.name):
-            index = (index << 1) | dataset.values[:, column[name]]
+            index = (index << 1) | cells.rows[:, column[name]]
         impossible |= zero.reshape(-1)[index]
-    rejected = int(impossible.sum())
+    rejected = int(cells.counts[impossible].sum())
     if rejected:
         raise DataError(
             f"{rejected} of {dataset.n_rows} rows have probability 0 under their regime"

@@ -83,13 +83,13 @@ def arms_from_results(results: Sequence[ExperimentResult]) -> list[ArmCounts]:
 
 def arms_from_dataset(dataset: Dataset, action: str) -> list[ArmCounts]:
     """One arm per regime label present in the dataset, in sorted label
-    order.  Labels are parsed back into regimes; clamps are treated as
-    interference."""
-    acts = dataset.column(action)
+    order, counted from the dataset's cells.  Labels are parsed back into
+    regimes; clamps are treated as interference."""
     arms = []
-    for label in sorted(dataset.regimes_present()):
-        mask = dataset.regime_mask(label)
-        arms.append(ArmCounts(Regime.from_label(label), int(mask.sum()), int(acts[mask].sum())))
+    for label in sorted(dataset.regime_table):
+        n, acts = dataset.count(label, {}), dataset.count(label, {action: 1})
+        if n:
+            arms.append(ArmCounts(Regime.from_label(label), n, acts))
     return arms
 
 

@@ -227,7 +227,8 @@ def run_randomized(
         verdict = "change"
     else:
         verdict = "no-change"
-    count, passed = expected_pattern_check(treated, experiment, model.policy.p_base)
+    matches = _matching_rows(treated, experiment.expected_pattern)
+    count, passed = expected_pattern_check(matches, n_per_arm, experiment, model.policy.p_base)
     result = ExperimentResult(
         experiment=experiment,
         control_n=n_per_arm,
@@ -253,30 +254,35 @@ def pattern_check(
     must-observe passes iff count >= ``MIN_SUPPORT``; must-not-observe
     passes iff count <= max_violations.
     """
-    if mode not in (MODE_MUST_OBSERVE, MODE_MUST_NOT_OBSERVE):
-        raise ValueError(f"unknown mode {mode!r}")
+    return _judged(_matching_rows(dataset, pattern), mode, max_violations)
+
+
+def _matching_rows(dataset: Dataset, pattern: Mapping[str, int]) -> int:
     mask = np.ones(dataset.n_rows, dtype=bool)
     for name, value in pattern.items():
         mask &= dataset.column(name) == value
-    count = int(mask.sum())
+    return int(mask.sum())
+
+
+def _judged(count: int, mode: str, max_violations: int) -> tuple[int, bool]:
+    if mode not in (MODE_MUST_OBSERVE, MODE_MUST_NOT_OBSERVE):
+        raise ValueError(f"unknown mode {mode!r}")
     if mode == MODE_MUST_OBSERVE:
         return count, count >= MIN_SUPPORT
     return count, count <= max_violations
 
 
 def expected_pattern_check(
-    treated: Dataset, experiment: InterferenceExperiment, p_base: float
+    count: int, n: int, experiment: InterferenceExperiment, p_base: float
 ) -> tuple[int, bool]:
-    """Judge an experiment's expected pattern on its treated rows.  A
-    must-not-observe pattern may occur as often as an agent with base rate
-    ``p_base`` allows (:func:`base_rate_violation_budget`), so at 0 not at
-    all."""
+    """Judge an experiment's expected pattern, matched by ``count`` of its
+    ``n`` treated rows.  A must-not-observe pattern may occur as often as
+    an agent with base rate ``p_base`` allows
+    (:func:`base_rate_violation_budget`), so at 0 not at all."""
     budget = 0
     if experiment.pattern_mode == MODE_MUST_NOT_OBSERVE:
-        budget = base_rate_violation_budget(p_base, treated.n_rows)
-    return pattern_check(
-        treated, experiment.expected_pattern, experiment.pattern_mode, max_violations=budget
-    )
+        budget = base_rate_violation_budget(p_base, n)
+    return _judged(count, experiment.pattern_mode, budget)
 
 
 def base_rate_violation_budget(p_base: float, n: int) -> int:

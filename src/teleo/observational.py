@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass, replace
 from typing import Iterable
 
-import numpy as np
-
 from .effects import EffectClassification, confounding_causes
 from .engine import NATURAL_LABEL, Dataset
 from .errors import TeleoError
@@ -95,12 +93,15 @@ def stratified_action_comparison(
     The natural regime is the control group when present (otherwise the
     lexicographically first label).  Strata with an empty arm are dropped
     with a flag; strata with an arm below ``MIN_CELL`` are reported but
-    excluded from pooling.  Output is invariant to row order.
+    excluded from pooling.  Counts are read from the dataset's cells, so
+    output is invariant to row order.
     """
     adjustment = tuple(adjustment)
     if action in adjustment:
         raise TeleoError("adjustment variables must not include the action")
-    labels = sorted(dataset.regimes_present())
+    if len(set(adjustment)) != len(adjustment):
+        raise TeleoError(f"adjustment variables must be distinct, got {list(adjustment)}")
+    labels = sorted(label for label in dataset.regime_table if dataset.count(label, {}))
     if len(labels) < 2:
         raise TeleoError(f"need 2 regimes to compare, found {labels}")
     if len(labels) > 2:
@@ -111,25 +112,22 @@ def stratified_action_comparison(
     else:
         control_label, treated_label = labels
 
-    acts = dataset.column(action)
-    in_treated = dataset.regime_mask(treated_label)
-    strat_cols = [dataset.column(name) for name in adjustment]
+    for name in (action, *adjustment):
+        dataset.column(name)  # an unknown name fails before any stratum
 
     strata = []
     flags: set[str] = set()
     for combo in itertools.product((0, 1), repeat=len(adjustment)):
-        mask = np.ones(dataset.n_rows, dtype=bool)
-        for col, value in zip(strat_cols, combo):
-            mask &= col == value
-        n_t = int((mask & in_treated).sum())
-        n_c = int((mask & ~in_treated).sum())
+        stratum = dict(zip(adjustment, combo))
+        n_t = dataset.count(treated_label, stratum)
+        n_c = dataset.count(control_label, stratum)
         if n_t == 0 and n_c == 0:
             continue
         if n_t == 0 or n_c == 0:
             flags.add(FLAG_EMPTY_CELLS)
             continue
-        k_t = int(acts[mask & in_treated].sum())
-        k_c = int(acts[mask & ~in_treated].sum())
+        k_t = dataset.count(treated_label, {**stratum, action: 1})
+        k_c = dataset.count(control_label, {**stratum, action: 1})
         diff = k_t / n_t - k_c / n_c
         variance = _weight_variance(k_c, n_c) + _weight_variance(k_t, n_t)
         included = min(n_c, n_t) >= MIN_CELL
@@ -206,7 +204,7 @@ def observational_battery(
     """
     adjustment = tuple(adjustment)
     action = classification.action
-    present = set(dataset.regimes_present())
+    present = {label for label in dataset.regime_table if dataset.count(label, {})}
     results = []
     for experiment in plan.experiments:
         if experiment.label not in present or NATURAL_LABEL not in present:
@@ -225,8 +223,12 @@ def observational_battery(
         comparison = stratified_action_comparison(pair, action, adjustment=adjustment)
         if not confounding_causes(graph, action, experiment.target) <= set(adjustment):
             comparison = comparison.with_flags(FLAG_CONFOUNDED)
-        treated_rows = pair.filter_regimes([experiment.label])
-        count, passed = expected_pattern_check(treated_rows, experiment, p_base)
+        count, passed = expected_pattern_check(
+            pair.count(experiment.label, experiment.expected_pattern),
+            pair.count(experiment.label, {}),
+            experiment,
+            p_base,
+        )
         verdict = "change" if comparison.pooled_p < alpha else "no-change"
         results.append(
             ObservationalResult(

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+import pickle
 from collections import Counter
 
 import pytest
@@ -48,6 +50,16 @@ class TestPolicyValidation:
             AgentPolicy.make([("be_fit", 2)])
         with pytest.raises(PolicyError, match="must be 0 or 1"):
             AgentPolicy.make([("be_fit", 1)]).with_intentions([("be_fit", -1)])
+
+    def test_equal_policies_hash_alike(self):
+        make = lambda: AgentPolicy.make([("be_fit", 1)], cause_modifiers={("age", 1): 0.5})
+        a, b = make(), make()
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, AgentPolicy.make([("be_fit", 1)])}) == 2
+        with pytest.raises(TypeError):
+            a.cause_modifiers[("age", 0)] = 2.0
+        assert pickle.loads(pickle.dumps(a)) == a == copy.deepcopy(a)
+        assert hash(a.with_intentions([("be_fit", 1)])) == hash(a)
 
     def test_defaults(self):
         p = AgentPolicy.make([("water", 1)])

@@ -448,6 +448,26 @@ class TestAnalyzeAndInfer:
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
 
+    def test_repeated_adjustment_variable_is_rejected(self, sport_spec_path, data_csv, capsys):
+        argv = ["analyze", "--graph", str(sport_spec_path), "--data", str(data_csv)]
+        assert run_command([*argv, "--adjust", "smoke,smoke"]) == 1
+        assert capsys.readouterr().err.startswith("error: adjustment variables must be distinct")
+
+    @pytest.mark.parametrize(
+        "command, flag", [("validate", "--graph"), ("infer", "--graph"), ("infer", "--data")]
+    )
+    def test_file_that_is_not_utf8_is_an_error(
+        self, sport_spec_path, data_csv, tmp_path, command, flag, capsys
+    ):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"var a\n  p = 0.5\xff\n")
+        files = {"--graph": str(sport_spec_path), "--data": str(data_csv)}
+        files = {k: v for k, v in files.items() if command == "infer" or k == "--graph"}
+        files[flag] = str(bad)
+        argv = [command, *(item for pair in files.items() for item in pair)]
+        assert run_command(argv) == 1
+        assert capsys.readouterr().err == f"error: {bad} is not UTF-8 text: byte 0xff at offset 15\n"
+
     def test_infer_requires_policy(self, tmp_path, data_csv):
         spec = tmp_path / "action_only.spec"
         spec.write_text(ACTION_ONLY)
@@ -524,6 +544,17 @@ class TestGraphsOverTwentyVariables:
         assert code == 0
         assert len(report.sections["scores"]) == 20 + 190
         assert report.sections["identification"]["top"] == ["e10=1"]
+
+    def test_chain_of_71_variables(self, tmp_path, capsys):
+        # 36 regimes and 71 variables: each row's cell key needs 77 bits.
+        levers = {f"e{i}": (f"l{i}", 0) for i in range(35)}
+        spec = _write_doc(tmp_path / "chain.spec", lever_chain(35), "e17", levers)
+        data = tmp_path / "chain.csv"
+        argv = ["simulate", "--graph", str(spec), "--seed", "3", "--n", "300", "--out", str(data)]
+        assert run_command(argv) == 0
+        code, report = machine(capsys, ["infer", "--graph", str(spec), "--data", str(data)])
+        assert code == 0
+        assert report.sections["identification"]["top"] == ["e17=1"]
 
     def test_frontier_over_the_cap_is_an_error(self, tmp_path):
         graph = twin_chains(20)

@@ -3,6 +3,7 @@ import csv
 import io
 import itertools
 import pickle
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,9 +17,11 @@ from teleo import (
     Regime,
     RegimeError,
     SpecError,
+    TeleoError,
     UnknownVariableError,
     Variable,
     ZeroProbabilityError,
+    arms_from_dataset,
     joint_enumerate,
     marginals,
     mutilate,
@@ -26,6 +29,7 @@ from teleo import (
     require_possible,
     sample,
     sample_observational,
+    stratified_action_comparison,
 )
 from teleo.graph import CausalGraph
 from teleo.models import ball_pins, education_salary, sport_chain, stove_water
@@ -518,6 +522,28 @@ class TestDatasetOps:
         data = make_dataset(["a"], [(0,), (1,), (0,)], ["z=1", "natural", "z=1"])
         assert data.regimes_present() == ("z=1", "natural")
 
+    def test_arrays_are_read_only(self):
+        values = np.array([[0, 1], [1, 1]], dtype=np.int8)
+        data = Dataset.from_labels(["a", "b"], values, ["natural", "x=1"])
+        for array in (data.values, data.regime_codes, *vars(data.cells).values()):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+        values[0, 0] = 1  # the caller's own array stays writable
+
+    def test_cell_table_is_carried_by_filter_regimes(self):
+        data = make_dataset(
+            ["a", "b"], [(0, 1), (1, 1), (0, 1), (1, 0)], ["natural", "x=1", "natural", "x=1"]
+        )
+        assert "cells" not in vars(data)
+        kept = data.filter_regimes(["x=1"])
+        assert "cells" in vars(data) and "cells" in vars(kept)
+        assert _cell_counts(kept) == {(1, (1, 0)): 1, (1, (1, 1)): 1} == _cell_reference(kept)
+        joined = Dataset.concat([data, kept])
+        read = Dataset.from_csv(data.to_csv())
+        assert "cells" not in vars(joined) and "cells" not in vars(read)
+        assert _cell_counts(joined) == _cell_reference(joined)
+        assert _cell_counts(read) == _cell_reference(read)
+
 
 class TestRequirePossible:
     """ball -> pins is a copy, so pins must equal ball unless pins is clamped."""
@@ -566,6 +592,28 @@ class TestRequirePossible:
         extra = make_dataset(["ball", "pins", "dog"], [(1, 1, 0)])
         with pytest.raises(DataError, match="columns"):
             require_possible(extra, ball_pins())
+
+
+def _cell_reference(dataset) -> dict:
+    """Reference for Dataset.cells: the rows tallied one at a time."""
+    return dict(Counter(zip(dataset.regime_codes.tolist(), map(tuple, dataset.values.tolist()))))
+
+
+def _cell_counts(dataset) -> dict:
+    """Dataset.cells as a dict, after checking that it is sorted."""
+    cells = dataset.cells
+    keys = list(zip(cells.codes.tolist(), map(tuple, cells.rows.tolist())))
+    assert keys == sorted(keys) and (cells.counts > 0).all()
+    return dict(zip(keys, cells.counts.tolist()))
+
+
+def _row_count(dataset, label, event) -> int:
+    """Reference for Dataset.count: rows labeled ``label`` matching ``event``."""
+    count = 0
+    for values, row_label in zip(dataset.values.tolist(), dataset.regime_labels):
+        row = dict(zip(dataset.variables, values))
+        count += row_label == label and all(row[k] == v for k, v in event.items())
+    return count
 
 
 def _impossible_rows(dataset, graph, exempt) -> int:
@@ -625,6 +673,58 @@ def test_require_possible_matches_per_row_reference(seed, data):
             require_possible(dataset, graph, exempt=exempt)
     else:
         require_possible(dataset, graph, exempt=exempt)
+    assert _cell_counts(dataset) == _cell_reference(dataset)
+
+    # Arms and stratum counts, read from the same cells.
+    action = data.draw(st.sampled_from(names))
+    present = sorted(set(row_labels))
+    arms = [(arm.regime.label(), arm.n, arm.acts) for arm in arms_from_dataset(dataset, action)]
+    assert arms == [
+        (label, _row_count(dataset, label, {}), _row_count(dataset, label, {action: 1}))
+        for label in present
+    ]
+    others = [name for name in names if name != action]
+    adjustment = data.draw(st.lists(st.sampled_from(others), unique=True, max_size=2))
+    for label in present:
+        for combo in itertools.product((0, 1), repeat=len(adjustment)):
+            stratum = dict(zip(adjustment, combo))
+            assert dataset.count(label, stratum) == _row_count(dataset, label, stratum)
+    if len(present) < 2:
+        return
+    pair = dataset.filter_regimes(present[:2])
+    try:
+        comparison = stratified_action_comparison(pair, action, adjustment)
+    except TeleoError as exc:
+        assert "minimum cell size" in str(exc)
+        return
+    for s in comparison.strata:
+        stratum, acted = dict(s.key), {**dict(s.key), action: 1}
+        assert (s.control_n, s.control_acts, s.treated_n, s.treated_acts) == (
+            _row_count(pair, comparison.control_label, stratum),
+            _row_count(pair, comparison.control_label, acted),
+            _row_count(pair, comparison.treated_label, stratum),
+            _row_count(pair, comparison.treated_label, acted),
+        )
+
+
+def test_wide_rows_reduce_to_cells():
+    # 71 variables and 3 regime codes need 73 key bits, more than one
+    # 64-bit key holds.  Every row is possible but the planted one, which
+    # has e0 = 0 where e0 = AND(a, l0) = 1.
+    graph = lever_chain(35)
+    planted = dict.fromkeys(graph.names, 0) | {"a": 1, "l0": 1}
+    data = Dataset.concat(
+        [
+            sample(graph, 300, 1),
+            sample(mutilate(graph, Regime({"l0": 0})), 300, 2, "l0=0"),
+            make_dataset(graph.names, [tuple(planted.values())], ["l3=0"]),
+        ]
+    )
+    assert _cell_counts(data) == _cell_reference(data)
+    assert _impossible_rows(data, graph, ()) == 1
+    with pytest.raises(DataError, match=f"^1 of {data.n_rows} rows "):
+        require_possible(data, graph)
+    require_possible(data.filter_regimes(["natural", "l0=0"]), graph)
 
 
 class TestObservationalSampling:

@@ -147,6 +147,10 @@ class TestStratifiedComparison:
         with pytest.raises(TeleoError, match="adjustment"):
             stratified_action_comparison(two_strata_dataset(), "act", adjustment=("act",))
 
+    def test_rejects_repeated_adjustment_variable(self):
+        with pytest.raises(TeleoError, match="must be distinct"):
+            stratified_action_comparison(two_strata_dataset(), "act", adjustment=("age", "age"))
+
     def test_rejects_single_regime(self):
         data = make_dataset(["act"], [(1,), (0,)], ["natural", "natural"])
         with pytest.raises(TeleoError, match="2 regimes"):
