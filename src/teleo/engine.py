@@ -313,36 +313,29 @@ class CellTable:
         for name in ("codes", "rows", "counts"):
             object.__setattr__(self, name, _read_only(getattr(self, name)))
 
+    def __reduce__(self):
+        # Through the constructor, so a copy's arrays are read-only too.
+        return CellTable, (self.codes, self.rows, self.counts)
+
 
 def _cell_table(codes: np.ndarray, values: np.ndarray, n_labels: int) -> CellTable:
     """Count the cells with one integer key per row: the code's bits, then
-    one bit per variable.  A key of at most 64 bits is decoded back into its
-    cell.  A wider row renumbers the key by its rank among the keys so far
-    whenever the next bit would not fit; ranks keep the order, so the cells
-    come out sorted alike, and a representative row gives each cell."""
+    one bit per variable.  A row wider than 64 bits renumbers the key by
+    its rank among the keys so far whenever the next bit would not fit;
+    ranks keep the order, so the cells come out sorted either way.  Each
+    cell takes its first row."""
     width = max(n_labels - 1, 0).bit_length()
-    n_vars = values.shape[1]
-    key = codes.astype(np.min_scalar_type((1 << min(width + n_vars, 64)) - 1))
-    renumbered = False
+    key = codes.astype(np.min_scalar_type((1 << min(width + values.shape[1], 64)) - 1))
     for column in values.view(np.uint8).T:
         if width == 64:
             present, key = np.unique(key, return_inverse=True)
             key = key.astype(np.uint64)
             width = max(len(present) - 1, 0).bit_length()
-            renumbered = True
         key <<= 1
         key |= column
         width += 1
-    if renumbered:
-        _, first, counts = np.unique(key, return_index=True, return_counts=True)
-        return CellTable(codes[first], values[first], counts)
-    present, counts = np.unique(key, return_counts=True)
-    shifts = np.arange(n_vars - 1, -1, -1, dtype=key.dtype)
-    return CellTable(
-        (present >> n_vars).astype(codes.dtype),
-        ((present[:, None] >> shifts) & 1).astype(np.int8),
-        counts,
-    )
+    _, first, counts = np.unique(key, return_index=True, return_counts=True)
+    return CellTable(codes[first], values[first], counts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -382,6 +375,12 @@ class Dataset:
             0 <= self.regime_codes.min() and self.regime_codes.max() < len(self.regime_table)
         ):
             raise ValueError(f"regime codes outside a table of {len(self.regime_table)} labels")
+
+    def __reduce__(self):
+        # Through the constructor, so a copy's arrays are read-only too and
+        # its cells are counted afresh.
+        fields = (self.variables, self.values, self.regime_codes, self.regime_table)
+        return Dataset, (*fields, self.provenance)
 
     @classmethod
     def from_labels(
@@ -448,15 +447,15 @@ class Dataset:
             match &= cells.rows[:, k] == value
         return int(cells.counts[match].sum())
 
+    def _present(self) -> dict[int, str]:
+        """The labels that occur, keyed by code in ascending order, read
+        from :attr:`cells`."""
+        return {code: self.regime_table[code] for code in self.cells.codes.tolist()}
+
     def regimes_present(self) -> tuple[str, ...]:
         """The labels that occur, in first-seen row order."""
-        return tuple(self.regime_table[k] for k in _first_seen(self.regime_codes))
-
-    def regime_mask(self, label: str) -> np.ndarray:
-        """Boolean mask of the rows labeled ``label``."""
-        if label not in self.regime_table:
-            return np.zeros(self.n_rows, dtype=bool)
-        return self.regime_codes == self.regime_table.index(label)
+        first = {code: int(np.argmax(self.regime_codes == code)) for code in self._present()}
+        return tuple(self.regime_table[code] for code in sorted(first, key=first.get))
 
     def filter_regimes(self, labels: Iterable[str]) -> "Dataset":
         """The rows labeled one of ``labels``, carrying their cells of this
@@ -729,8 +728,8 @@ def require_possible(dataset: Dataset, graph: CausalGraph, exempt: Iterable[str]
     exempt = set(exempt)
     cells = dataset.cells
     regimes = {}
-    for code in dict.fromkeys(cells.codes.tolist()):
-        regimes[code] = Regime.from_label(dataset.regime_table[code])
+    for code, label in dataset._present().items():
+        regimes[code] = Regime.from_label(label)
         for name in regimes[code].clamps:
             graph.variable(name)
     column = {name: k for k, name in enumerate(dataset.variables)}

@@ -86,10 +86,9 @@ def arms_from_dataset(dataset: Dataset, action: str) -> list[ArmCounts]:
     order, counted from the dataset's cells.  Labels are parsed back into
     regimes; clamps are treated as interference."""
     arms = []
-    for label in sorted(dataset.regime_table):
+    for label in sorted(dataset._present().values()):
         n, acts = dataset.count(label, {}), dataset.count(label, {action: 1})
-        if n:
-            arms.append(ArmCounts(Regime.from_label(label), n, acts))
+        arms.append(ArmCounts(Regime.from_label(label), n, acts))
     return arms
 
 

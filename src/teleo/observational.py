@@ -101,7 +101,7 @@ def stratified_action_comparison(
         raise TeleoError("adjustment variables must not include the action")
     if len(set(adjustment)) != len(adjustment):
         raise TeleoError(f"adjustment variables must be distinct, got {list(adjustment)}")
-    labels = sorted(label for label in dataset.regime_table if dataset.count(label, {}))
+    labels = sorted(dataset._present().values())
     if len(labels) < 2:
         raise TeleoError(f"need 2 regimes to compare, found {labels}")
     if len(labels) > 2:
@@ -204,7 +204,7 @@ def observational_battery(
     """
     adjustment = tuple(adjustment)
     action = classification.action
-    present = {label for label in dataset.regime_table if dataset.count(label, {})}
+    present = set(dataset._present().values())
     results = []
     for experiment in plan.experiments:
         if experiment.label not in present or NATURAL_LABEL not in present:

@@ -515,7 +515,6 @@ class TestDatasetOps:
         assert same == data and data == same
         assert same.regime_labels == data.regime_labels
         assert same.regimes_present() == ("x=1", "natural")
-        assert not same.regime_mask("unused").any()
         assert make_dataset(["a"], [(0,)], ["x=1"]) != make_dataset(["a"], [(0,)], ["natural"])
 
     def test_regimes_present_preserves_first_seen_order(self):
@@ -529,6 +528,21 @@ class TestDatasetOps:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
         values[0, 0] = 1  # the caller's own array stays writable
+
+    def test_copies_stay_read_only_and_recount_their_cells(self):
+        data = make_dataset(["a", "b"], [(0, 1), (1, 1), (0, 1)], ["natural", "x=1", "natural"])
+        data.cells
+        for twin in (copy.deepcopy(data), pickle.loads(pickle.dumps(data))):
+            assert twin == data and "cells" not in vars(twin)
+            for array in (twin.values, twin.regime_codes):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0
+            assert _cell_counts(twin) == _cell_counts(data)
+        for table in (copy.deepcopy(data.cells), pickle.loads(pickle.dumps(data.cells))):
+            for name, array in vars(table).items():
+                assert np.array_equal(array, getattr(data.cells, name))
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0
 
     def test_cell_table_is_carried_by_filter_regimes(self):
         data = make_dataset(
