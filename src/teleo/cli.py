@@ -45,12 +45,18 @@ class _UsageError(Exception):
     pass
 
 
-def _read(path: str) -> str:
+def _read(path: str) -> bytes:
+    """The bytes of ``path``, checked as UTF-8, with each "\\r\\n" and then
+    each lone "\\r" turned into "\\n", as ``Path.read_text`` reads them."""
+    data = Path(path).read_bytes()
     try:
-        return Path(path).read_text(encoding="utf-8")
+        data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        bad = exc.object[exc.start]
+        bad = data[exc.start]
         raise TeleoError(f"{path} is not UTF-8 text: byte {bad:#04x} at offset {exc.start}") from None
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return data
 
 
 def _write(text: str, out: str | None) -> None:
@@ -61,7 +67,7 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _load_doc(path: str) -> GraphSpecDocument:
-    return parse_graph_spec(_read(path))
+    return parse_graph_spec(_read(path).decode("utf-8"))
 
 
 def _load_data(path: str, doc: GraphSpecDocument, action: str) -> Dataset:
@@ -89,7 +95,7 @@ def _emit(args, sections: dict, provenance: dict) -> None:
 
 
 def _cmd_validate(args) -> int:
-    text = _read(args.graph)
+    text = _read(args.graph).decode("utf-8")
     graph = None
     violations: list[str] = []
     try:
@@ -149,11 +155,11 @@ def _cmd_simulate(args) -> int:
     model = doc.bind()
     regimes = _simulation_regimes(doc, model.action)
     children = np.random.SeedSequence(args.seed).spawn(len(regimes))
-    parts = [
+    data = Dataset.concat(
         sample(model.bound_graph(regime), args.n, child, regime_label=regime.label())
         for regime, child in zip(regimes, children)
-    ]
-    _write(Dataset.concat(parts).to_csv(), args.out)
+    )
+    _write(data.to_csv(), args.out)
     return 0
 
 

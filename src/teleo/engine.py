@@ -285,12 +285,6 @@ def _code_dtype(n_labels: int) -> np.dtype:
     return np.min_scalar_type(max(n_labels - 1, 0))
 
 
-def _first_seen(codes: np.ndarray) -> np.ndarray:
-    """The distinct codes, in the order of the first row that carries each."""
-    present, first = np.unique(codes, return_index=True)
-    return present[np.argsort(first)]
-
-
 def _read_only(array: np.ndarray) -> np.ndarray:
     view = array.view()
     view.flags.writeable = False
@@ -344,8 +338,8 @@ class Dataset:
 
     ``values`` is an (n_rows, n_variables) int8 array in declared variable
     order.  Row ``i`` is labeled ``regime_table[regime_codes[i]]``: the table
-    holds distinct labels (in first-seen order when built from per-row
-    labels or CSV), the codes are an unsigned integer array.  Both arrays
+    holds distinct labels (in first-seen order when read from CSV), the
+    codes are an unsigned integer array.  Both arrays
     are kept as read-only views, so :attr:`cells`, built once on first use,
     cannot go stale.  ``provenance`` records how each block of rows was
     produced (seed, generator algorithm, regime); it is carried for
@@ -381,25 +375,6 @@ class Dataset:
         # its cells are counted afresh.
         fields = (self.variables, self.values, self.regime_codes, self.regime_table)
         return Dataset, (*fields, self.provenance)
-
-    @classmethod
-    def from_labels(
-        cls,
-        variables: Iterable[str],
-        values: np.ndarray,
-        labels: Iterable[str],
-        provenance: tuple[Mapping, ...] = (),
-    ) -> "Dataset":
-        """Dataset from one regime label per row."""
-        index: dict[str, int] = {}
-        codes = [index.setdefault(label, len(index)) for label in labels]
-        return cls(
-            variables=tuple(variables),
-            values=values,
-            regime_codes=np.array(codes, dtype=_code_dtype(len(index))),
-            regime_table=tuple(index),
-            provenance=provenance,
-        )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):
@@ -452,11 +427,6 @@ class Dataset:
         from :attr:`cells`."""
         return {code: self.regime_table[code] for code in self.cells.codes.tolist()}
 
-    def regimes_present(self) -> tuple[str, ...]:
-        """The labels that occur, in first-seen row order."""
-        first = {code: int(np.argmax(self.regime_codes == code)) for code in self._present()}
-        return tuple(self.regime_table[code] for code in sorted(first, key=first.get))
-
     def filter_regimes(self, labels: Iterable[str]) -> "Dataset":
         """The rows labeled one of ``labels``, carrying their cells of this
         dataset's table."""
@@ -504,41 +474,25 @@ class Dataset:
         are strictly "0"/"1".  Quoting is ``csv.writer``'s: the header and
         each distinct label pass through it once, and every row is its
         fixed-width 0/1 cells followed by its label's encoded tail."""
-        width = 2 * len(self.variables)
-        header = _csv_record(list(self.variables) + ["regime"]).encode("utf-8", "surrogatepass")
-        cells = ["0"] * len(self.variables)
-        tails = [
-            _csv_record(cells + [label])[width:].encode("utf-8", "surrogatepass")
-            for label in self.regime_table
-        ]
-        row_lengths = width + np.array([len(t) for t in tails], dtype=np.int64)[self.regime_codes]
-        starts = len(header) + np.cumsum(row_lengths) - row_lengths
-        out = np.empty(len(header) + int(row_lengths.sum()), dtype=np.uint8)
-        out[: len(header)] = np.frombuffer(header, dtype=np.uint8)
-        prefix = np.empty((self.n_rows, width), dtype=np.uint8)
-        prefix[:, 0::2] = self.values + ord("0")
-        prefix[:, 1::2] = ord(",")
-        _scatter(out, starts, prefix)
-        by_label = np.argsort(self.regime_codes, kind="stable")
-        bounds = np.searchsorted(self.regime_codes[by_label], np.arange(1, len(tails)))
-        for tail, rows in zip(tails, np.split(by_label, bounds)):
-            _scatter(out, starts[rows] + width, np.frombuffer(tail, dtype=np.uint8))
-        return str(out.data, "utf-8", "surrogatepass")
+        return str(_encode_rows(self).data, "utf-8", "surrogatepass")
 
     @staticmethod
-    def from_csv(text: str) -> "Dataset":
-        """Read a header ending in a "regime" column, then one record of 0/1
-        cells and a label per row, under the ``csv`` module's rules: quoted
-        cells and labels, CRLF line ends and a missing final newline are
-        accepted, blank lines are skipped.  Errors carry the record number,
-        counting the header as 1 and blank lines as records."""
+    def from_csv(data: bytes | str) -> "Dataset":
+        """Read UTF-8 bytes or text: a header ending in a "regime" column,
+        then one record of 0/1 cells and a label per row, under the ``csv``
+        module's rules: quoted cells and labels, CRLF line ends and a
+        missing final newline are accepted, blank lines are skipped.  Errors
+        carry the record number, counting the header as 1 and blank lines as
+        records."""
+        if isinstance(data, str):
+            data = data.encode("utf-8", "surrogatepass")
         pos = 0
 
         def lines():
             nonlocal pos
-            while pos < len(text):
-                start, pos = pos, text.find("\n", pos) + 1 or len(text)
-                yield text[start:pos]
+            while pos < len(data):
+                start, pos = pos, data.find(b"\n", pos) + 1 or len(data)
+                yield data[start:pos].decode("utf-8", "surrogatepass")
 
         try:
             header = next(csv.reader(lines()))
@@ -548,15 +502,8 @@ class Dataset:
             raise SpecError(f"unreadable CSV record: {exc}", line=1) from None
         if not header or header[-1] != "regime":
             raise SpecError('CSV header must end with a "regime" column')
-        skip = len(text[:pos].encode("utf-8", "surrogatepass"))
-        body = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)[skip:]
-        values, codes, table = _decode_rows(body, len(header) - 1)
-        return Dataset(
-            variables=tuple(header[:-1]),
-            values=values,
-            regime_codes=codes,
-            regime_table=table,
-        )
+        body = np.frombuffer(data, dtype=np.uint8)[pos:]
+        return Dataset(tuple(header[:-1]), *_decode_rows(body, len(header) - 1))
 
 
 def _csv_record(row: list[str]) -> str:
@@ -570,29 +517,63 @@ def _csv_record(row: list[str]) -> str:
 # ``csv`` module must read record by record.
 _SKIP = -1
 _SLOW = -2
-# A "0," or "1," cell as one native-order uint16, and the bit "0" and "1"
-# differ in.
+# The "0," and "1," cells as native-order uint16s, and the bit they differ in.
+_ZERO_CELL = np.frombuffer(b"0,", dtype=np.uint16)[0]
 _CELL = np.frombuffer(b"1,", dtype=np.uint16)[0]
 _DIGIT_BIT = np.frombuffer(b"\x01\x00", dtype=np.uint16)[0]
 
 
+def _encode_rows(data: Dataset) -> np.ndarray:
+    """The bytes of :meth:`Dataset.to_csv`.  Its temporaries, each the
+    size of the rows, are gone when it returns."""
+    width = 2 * len(data.variables)
+    header = _csv_record(list(data.variables) + ["regime"]).encode("utf-8", "surrogatepass")
+    cells = ["0"] * len(data.variables)
+    tails = [
+        _csv_record(cells + [label])[width:].encode("utf-8", "surrogatepass")
+        for label in data.regime_table
+    ]
+    row_lengths = width + np.array([len(t) for t in tails], dtype=np.int64)[data.regime_codes]
+    starts = np.cumsum(row_lengths)
+    starts -= row_lengths
+    starts += len(header)
+    out = np.empty(len(header) + int(row_lengths.sum()), dtype=np.uint8)
+    del row_lengths
+    out[: len(header)] = np.frombuffer(header, dtype=np.uint8)
+    prefix = np.multiply(data.values.view(np.uint8), _DIGIT_BIT, dtype=np.uint16, order="C")
+    prefix |= _ZERO_CELL
+    _scatter(out, starts, prefix.view(np.uint8))
+    del prefix
+    by_label = np.argsort(data.regime_codes, kind="stable")
+    bounds = np.searchsorted(data.regime_codes[by_label], np.arange(1, len(tails)))
+    for tail, rows in zip(tails, np.split(by_label, bounds)):
+        _scatter(out, starts[rows] + width, np.frombuffer(tail, dtype=np.uint8))
+    return out
+
+
+def _items(buf: np.ndarray, width: int) -> np.ndarray:
+    """Every ``width``-byte run of the contiguous bytes ``buf`` as one
+    fixed-size item, item ``i`` starting at byte ``i``: a view, not a copy."""
+    return np.ndarray((len(buf) - width + 1,), dtype=(np.void, width), buffer=buf, strides=(1,))
+
+
 def _scatter(out: np.ndarray, starts: np.ndarray, rows: np.ndarray) -> None:
     """Write ``rows`` (one per start, or one row for every start) into
-    ``out`` at ``starts``, one row at a time (never an index per byte).
-    The written ranges must not overlap."""
-    if len(starts):
-        windows = np.lib.stride_tricks.sliding_window_view(out, rows.shape[-1], writeable=True)
-        windows[starts] = rows
+    ``out`` at ``starts``, one fixed-size item per row.  The written ranges
+    must not overlap."""
+    width = rows.shape[-1]
+    if len(starts) and width:
+        _items(out, width)[starts] = rows.view((np.void, width))[..., 0]
 
 
 def _windows(buf: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
     """The ``width`` bytes from each start as an (n, width) array, gathered
-    one row at a time (never an index per byte).  Rows that would run past
-    the end read the last ``width`` bytes instead; callers ignore them."""
+    as one fixed-size item per row.  Rows that would run past the end read
+    the last ``width`` bytes instead; callers ignore them."""
     if len(buf) < width:
         return np.zeros((len(starts), width), dtype=np.uint8)
-    windows = np.lib.stride_tricks.sliding_window_view(buf, width)
-    return windows[np.minimum(starts, len(buf) - width)]
+    rows = _items(buf, width)[np.minimum(starts, len(buf) - width)]
+    return rows.view(np.uint8).reshape(len(starts), width)
 
 
 def _distinct_rows(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -637,6 +618,7 @@ def _decode_rows(body: np.ndarray, n_cells: int) -> tuple[np.ndarray, np.ndarray
     once per distinct tail.  Every other non-blank line starts a record
     that ``csv`` reads on its own, joining the lines a quoted field spans;
     only these records can be malformed, and they are checked in order.
+    The table lists the labels in the order of the first row of each.
     """
     width = 2 * n_cells
     ends = np.flatnonzero(body == ord("\n"))
@@ -649,23 +631,28 @@ def _decode_rows(body: np.ndarray, n_cells: int) -> tuple[np.ndarray, np.ndarray
     fast = ends - starts >= max(width, 1)
     for k in range(n_cells):
         fast &= (pairs[:, k] | _DIGIT_BIT) == _CELL
-    line_code = np.where(ends > starts, _SLOW, _SKIP)
+    # Only fast lines keep these values; the others are read again or dropped.
+    values = cells[:, 0::2].view(np.int8) - np.int8(ord("0"))
+    del cells, pairs
+    line_code = np.full(len(ends), _SKIP, dtype=np.int32)
+    line_code[ends > starts] = _SLOW
     table: dict[str, int] = {}
+    seen = []  # (line, code) of the first line of each distinct tail and of each record read alone
 
     # A tail keeps the "\r" of a CRLF line end; csv reads it as the end.
-    lines = np.flatnonzero(fast)
-    tail_starts = starts[lines] + width
-    tail_lengths = ends[lines] - tail_starts
+    tail_lengths = np.where(fast, ends - starts - width, -1)
     by_length = np.argsort(tail_lengths, kind="stable")
-    for group in np.split(by_length, np.flatnonzero(np.diff(tail_lengths[by_length])) + 1):
-        if not len(group):
-            continue
-        tails = _windows(body, tail_starts[group], int(tail_lengths[group[0]]))
+    sorted_lengths = tail_lengths[by_length]
+    for group in np.split(by_length, np.flatnonzero(sorted_lengths[1:] != sorted_lengths[:-1]) + 1):
+        length = int(tail_lengths[group[0]]) if len(group) else -1
+        if length < 0:
+            continue  # no line, or lines that are not fast
+        tails = _windows(body, starts[group] + width, length)
         first, inverse = _distinct_rows(tails)
         outcome = np.array([_tail_code(tails[i].tobytes(), n_cells, table) for i in first])
-        line_code[lines[group]] = outcome[inverse]
+        line_code[group] = outcome[inverse]
+        seen += zip(group[first].tolist(), outcome.tolist())
 
-    values = (cells[:, 0::2] - ord("0")).astype(np.int8)
     joined = 0  # continuation lines before the current one
     free = 0  # first line not inside a record already read
     for k in np.flatnonzero(line_code == _SLOW).tolist():
@@ -689,17 +676,23 @@ def _decode_rows(body: np.ndarray, n_cells: int) -> tuple[np.ndarray, np.ndarray
             if cell not in ("0", "1"):
                 raise SpecError(f"value {cell!r} is not 0 or 1", line=record)
         values[k] = [int(c) for c in row[:-1]]
-        line_code[k] = table.setdefault(row[-1], len(table))
+        line_code[k] = code = table.setdefault(row[-1], len(table))
+        seen.append((k, code))
 
+    first_line = {code: k for k, code in sorted(seen, reverse=True) if code >= 0}
+    # A tail's first line may have turned out to continue a quoted record;
+    # its code's first row, if it has one, is then found by a scan.
+    for code in {code for k, code in seen if code >= 0 and line_code[k] != code}:
+        hits = np.flatnonzero(line_code == code)
+        first_line[code] = hits[0] if len(hits) else -1
+    order = sorted((k for k in first_line if first_line[k] >= 0), key=first_line.get)
+    renumber = np.zeros(len(table), dtype=_code_dtype(len(order)))
+    renumber[order] = np.arange(len(order))
+    labels = tuple(table)
     keep = line_code >= 0
     if keep.all():
         keep = slice(None)
-    codes = line_code[keep].astype(_code_dtype(len(table)))
-    order = _first_seen(codes)
-    renumber = np.zeros(len(table), dtype=codes.dtype)
-    renumber[order] = np.arange(len(order))
-    labels = tuple(table)
-    return values[keep], renumber[codes], tuple(labels[k] for k in order)
+    return values[keep], renumber[line_code[keep]], tuple(labels[k] for k in order)
 
 
 def _lines_from(body: np.ndarray, starts: np.ndarray, ends: np.ndarray, k: int, used: list):

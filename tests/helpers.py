@@ -63,9 +63,21 @@ def twin_chains(k: int) -> CausalGraph:
     return CausalGraph.make(variables)
 
 
+def labeled_dataset(variables, values, labels) -> Dataset:
+    """Dataset from one regime label per row, its table in first-seen order."""
+    index: dict[str, int] = {}
+    codes = [index.setdefault(label, len(index)) for label in labels]
+    return Dataset(
+        variables=tuple(variables),
+        values=values,
+        regime_codes=np.array(codes, dtype=np.min_scalar_type(max(len(index) - 1, 0))),
+        regime_table=tuple(index),
+    )
+
+
 def make_dataset(variables, rows, labels=None) -> Dataset:
     """Dataset from a list of row tuples (one int per variable)."""
     values = np.array(rows, dtype=np.int8).reshape(len(rows), len(variables))
     if labels is None:
         labels = ["natural"] * len(rows)
-    return Dataset.from_labels(variables, values, labels)
+    return labeled_dataset(variables, values, labels)

@@ -15,6 +15,7 @@ from teleo import (
     parse_machine_report,
     serialize_graph_spec,
 )
+from teleo import cli
 from teleo.cli import run_command
 
 from .helpers import lever_chain, twin_chains
@@ -188,7 +189,7 @@ class TestSimulate:
         first = out.read_text()
         data = Dataset.from_csv(first)
         assert data.n_rows == 4 * 50
-        assert data.regimes_present() == (
+        assert tuple(data._present().values()) == (
             "natural",
             "enroll=0",
             "protein_diet=0",
@@ -467,6 +468,36 @@ class TestAnalyzeAndInfer:
         argv = [command, *(item for pair in files.items() for item in pair)]
         assert run_command(argv) == 1
         assert capsys.readouterr().err == f"error: {bad} is not UTF-8 text: byte 0xff at offset 15\n"
+
+    @pytest.mark.parametrize("line_end", [b"\r\n", b"\r"])
+    def test_line_ends_read_like_lf(
+        self, sport_spec_path, data_csv, tmp_path, monkeypatch, line_end, capsys
+    ):
+        # Each file is data.csv in a directory of its own, so the reports'
+        # provenance names the same path.
+        reports = []
+        lf = data_csv.read_bytes()
+        for name, content in (("lf", lf), ("other", lf.replace(b"\n", line_end))):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "data.csv").write_bytes(content)
+            monkeypatch.chdir(tmp_path / name)
+            argv = ["infer", "--graph", str(sport_spec_path), "--data", "data.csv"]
+            assert run_command([*argv, "--format", "machine"]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+
+    def test_line_ends_inside_a_quoted_label_read_as_newlines(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b'a,regime\r\n0,"x\r\ny"\r\n1,"lone\rcr"\r\n0,"x\ny"\n')
+        data = Dataset.from_csv(cli._read(str(path)))
+        assert data.regime_table == ("x\ny", "lone\ncr")
+        assert data.regime_codes.tolist() == [0, 1, 0]
+
+    def test_bad_byte_offset_counts_crlf_line_ends(self, sport_spec_path, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"a,regime\r\n0,natural\r\n\xff\r\n")
+        assert run_command(["infer", "--graph", str(sport_spec_path), "--data", str(bad)]) == 1
+        assert capsys.readouterr().err == f"error: {bad} is not UTF-8 text: byte 0xff at offset 21\n"
 
     def test_infer_requires_policy(self, tmp_path, data_csv):
         spec = tmp_path / "action_only.spec"

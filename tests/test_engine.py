@@ -34,7 +34,7 @@ from teleo import (
 from teleo.graph import CausalGraph
 from teleo.models import ball_pins, education_salary, sport_chain, stove_water
 
-from .helpers import dag_from_seed, lever_chain, make_dataset, twin_chains
+from .helpers import dag_from_seed, labeled_dataset, lever_chain, make_dataset, twin_chains
 
 
 class TestRegime:
@@ -393,7 +393,7 @@ def reference_from_csv(text: str) -> Dataset:
         rows.append([int(c) for c in row[:-1]])
         labels.append(row[-1])
     values = np.array(rows, dtype=np.int8).reshape(len(rows), len(header) - 1)
-    return Dataset.from_labels(header[:-1], values, labels)
+    return labeled_dataset(header[:-1], values, labels)
 
 
 def parse_outcome(parse, text):
@@ -408,6 +408,11 @@ def parse_outcome(parse, text):
 # No "\r": csv.writer leaves it unquoted when the line terminator is "\n",
 # so a field holding one does not survive a csv round trip at all.
 csv_text = st.text(alphabet=st.sampled_from(list('ab0,"\n é✓=;')), max_size=6)
+# Labels may also hold lines that read like a row of 0/1 cells, so a line
+# inside a quoted label can look like the start of a record.
+csv_label = st.lists(
+    st.sampled_from(['"', "\n", "\n0,", "\n1,", "\n0,1,", '"\n1,', "a", ",", "é"]), max_size=4
+).map("".join)
 
 
 @st.composite
@@ -416,10 +421,12 @@ def datasets(draw):
     n_rows = draw(st.integers(0, 25))
     variables = draw(st.lists(csv_text, min_size=n_vars, max_size=n_vars))
     cells = draw(st.lists(st.integers(0, 1), min_size=n_rows * n_vars, max_size=n_rows * n_vars))
-    table = draw(st.lists(st.one_of(st.just("natural"), csv_text), min_size=1, max_size=4, unique=True))
+    table = draw(
+        st.lists(st.one_of(st.just("natural"), csv_text, csv_label), min_size=1, max_size=4, unique=True)
+    )
     labels = draw(st.lists(st.sampled_from(table), min_size=n_rows, max_size=n_rows))
     values = np.array(cells, dtype=np.int8).reshape(n_rows, n_vars)
-    return Dataset.from_labels(variables, values, labels)
+    return labeled_dataset(variables, values, labels)
 
 
 PERTURBATIONS = ("bad_cell", "short_row", "long_row", "blank_line", "quoted_cell", "crlf", "no_final_newline")
@@ -452,7 +459,10 @@ class TestCsvCodecProperties:
     def test_to_csv_matches_reference_and_round_trips(self, data):
         text = data.to_csv()
         assert text == reference_to_csv(data)
-        assert Dataset.from_csv(text) == data
+        read = Dataset.from_csv(text)
+        assert read == data
+        from_bytes = Dataset.from_csv(text.encode("utf-8"))
+        assert from_bytes == read and from_bytes.regime_table == read.regime_table
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -465,7 +475,11 @@ class TestCsvCodecProperties:
         text = data.to_csv()
         for kind, at in edits:
             text = perturb(text, kind, at)
-        assert parse_outcome(Dataset.from_csv, text) == parse_outcome(reference_from_csv, text)
+        outcome = parse_outcome(Dataset.from_csv, text)
+        assert outcome == parse_outcome(reference_from_csv, text)
+        assert parse_outcome(Dataset.from_csv, text.encode("utf-8")) == outcome
+        if isinstance(outcome, Dataset):
+            assert outcome.regime_table == reference_from_csv(text).regime_table
 
     @pytest.mark.parametrize(
         "text",
@@ -482,6 +496,24 @@ class TestCsvCodecProperties:
     )
     def test_examples_read_like_reference(self, text):
         assert parse_outcome(Dataset.from_csv, text) == parse_outcome(reference_from_csv, text)
+
+    def test_label_order_skips_a_line_inside_a_quoted_label(self):
+        # "1,y\"" reads like a row with label 'y"', but it ends the quoted
+        # label of the record before it.
+        data = Dataset.from_csv('a,regime\n0,"x\n1,y"\n1,z\n')
+        assert data.regime_table == ("x\n1,y", "z")
+        assert data.regime_codes.tolist() == [0, 1]
+        assert data.values.tolist() == [[0], [1]]
+
+    def test_many_labels_round_trip(self):
+        # 300 labels need 16-bit codes; some are quoted and span lines.
+        labels = [f"x{k}=1" if k % 3 else f'"x{k}"\n1,' for k in range(300)]
+        rows = np.arange(900) % 2
+        data = labeled_dataset(["a"], rows.reshape(-1, 1), labels[::-1] + labels * 2)
+        read = Dataset.from_csv(data.to_csv())
+        assert read == data and read.regime_table == tuple(labels[::-1])
+        assert read.regime_codes.dtype == np.uint16
+        assert read.regime_labels == data.regime_labels
 
 
 class TestDatasetOps:
@@ -514,16 +546,18 @@ class TestDatasetOps:
         )
         assert same == data and data == same
         assert same.regime_labels == data.regime_labels
-        assert same.regimes_present() == ("x=1", "natural")
+        assert tuple(same._present().values()) == ("natural", "x=1")
         assert make_dataset(["a"], [(0,)], ["x=1"]) != make_dataset(["a"], [(0,)], ["natural"])
 
     def test_regimes_present_preserves_first_seen_order(self):
         data = make_dataset(["a"], [(0,), (1,), (0,)], ["z=1", "natural", "z=1"])
-        assert data.regimes_present() == ("z=1", "natural")
+        read = Dataset.from_csv(data.to_csv())
+        assert read.regime_table == ("z=1", "natural")
+        assert tuple(read._present().values()) == ("z=1", "natural")
 
     def test_arrays_are_read_only(self):
         values = np.array([[0, 1], [1, 1]], dtype=np.int8)
-        data = Dataset.from_labels(["a", "b"], values, ["natural", "x=1"])
+        data = labeled_dataset(["a", "b"], values, ["natural", "x=1"])
         for array in (data.values, data.regime_codes, *vars(data.cells).values()):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
@@ -679,7 +713,7 @@ def test_require_possible_matches_per_row_reference(seed, data):
     values = np.array(rows, dtype=np.int8).reshape(n, len(names))
     row_labels = data.draw(st.lists(st.sampled_from(labels), min_size=n, max_size=n))
     exempt = data.draw(st.sets(st.sampled_from(names), max_size=2))
-    dataset = Dataset.from_labels(columns, values, row_labels)
+    dataset = labeled_dataset(columns, values, row_labels)
 
     expected = _impossible_rows(dataset, graph, exempt)
     if expected:

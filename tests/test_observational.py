@@ -22,7 +22,7 @@ from teleo.observational import (
     FLAG_SMALL_STRATA,
 )
 
-from .helpers import make_dataset
+from .helpers import labeled_dataset, make_dataset
 
 
 def two_strata_dataset():
@@ -88,7 +88,7 @@ class TestStratifiedComparison:
     def test_row_order_invariance(self):
         data = two_strata_dataset()
         perm = np.random.Generator(np.random.PCG64(3)).permutation(data.n_rows)
-        shuffled = Dataset.from_labels(
+        shuffled = labeled_dataset(
             data.variables,
             data.values[perm],
             tuple(data.regime_labels[i] for i in perm),
