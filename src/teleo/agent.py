@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .engine import Regime, _sweep, joint_enumerate
 from .errors import HypothesisError, PolicyError, RegimeError
@@ -109,12 +109,6 @@ class Servability:
     servable: bool
     margins: tuple[tuple[str, int, float], ...]  # (variable, target, margin)
 
-    def margin_of(self, name: str) -> float:
-        for var, _, margin in self.margins:
-            if var == name:
-                return margin
-        raise KeyError(name)
-
 
 def _require_binary_targets(intentions: Iterable[Intention]) -> None:
     for name, target in intentions:
@@ -128,6 +122,32 @@ def meets_theta(margins: Iterable[float], theta: float) -> bool:
     return all(margin >= theta for margin in margins)
 
 
+def _fill_do_margins(graph: CausalGraph, action: str, names: tuple, regimes: Iterable) -> None:
+    """Memoise on ``graph`` the do-margins of ``names`` under each regime it
+    lacks, keyed per (action, regime, names).  Every missing regime is
+    checked before any is swept, and regimes that share a cut set (the
+    clamped variables that have parents) share one sweep."""
+    if not names:
+        raise PolicyError("intention set is empty")
+    missing = [r for r in dict.fromkeys(regimes) if (action, r, names) not in graph._do_margins]
+    for regime in missing:
+        if action in regime.clamps:
+            raise RegimeError(f"regime clamps the action {action!r}; the agent chooses it")
+    if missing:
+        effects = graph.descendants(action, strict=True)
+        for name in names:
+            if name not in effects:
+                raise HypothesisError(f"{name!r} is not a strict descendant of action {action!r}")
+    groups: dict[frozenset, list[Regime]] = {}
+    for regime in missing:
+        cut = frozenset(name for name in regime.clamps if graph.parents(name))
+        groups.setdefault(cut, []).append(regime)
+    for group in groups.values():
+        results = _sweep(graph, names, [regime.clamps for regime in group], action)
+        for regime, margins in zip(group, results):
+            graph._do_margins[(action, regime, names)] = tuple(map(tuple, margins))
+
+
 def servable(
     graph: CausalGraph,
     action: str,
@@ -139,26 +159,17 @@ def servable(
 
     For each intended (A, a) the margin is
     P(A=a | do(action=1)) - P(A=a | do(action=0)) under the regime's clamps,
-    both from one sweep of ``graph`` that the graph memoises per (action,
-    regime, intended names).  Servable means every margin >= theta.  A
-    stored key already passed the checks on action, regime and names;
-    targets are not in the key, so every call checks them.
+    both from one sweep of ``graph`` that :func:`_fill_do_margins` memoises
+    per (action, regime, intended names).  Servable means every margin >=
+    theta.  A stored key already passed the checks on action, regime and
+    names; targets are not in the key, so every call checks them.
     """
     intentions = sorted(set(intention_set))
     _require_binary_targets(intentions)
-    key = (action, regime, tuple(name for name, _ in intentions))
-    if key not in graph._do_margins:
-        if not intentions:
-            raise PolicyError("intention set is empty")
-        if action in regime.clamps:
-            raise RegimeError(f"regime clamps the action {action!r}; the agent chooses it")
-        effects = graph.descendants(action, strict=True)
-        for name, _ in intentions:
-            if name not in effects:
-                raise HypothesisError(f"{name!r} is not a strict descendant of action {action!r}")
-        graph._do_margins[key] = tuple(map(tuple, _sweep(graph, key[2], regime.clamps, action)))
+    names = tuple(name for name, _ in intentions)
+    _fill_do_margins(graph, action, names, [regime])
     margins = []
-    for (name, target), (lo, hi) in zip(intentions, graph._do_margins[key]):
+    for (name, target), (lo, hi) in zip(intentions, graph._do_margins[(action, regime, names)]):
         p_hi, p_lo = (p if target else 1.0 - p for p in (hi, lo))
         margins.append((name, target, p_hi - p_lo))
     return Servability(
@@ -185,6 +196,13 @@ class TeleologicalModel:
         return servable(
             self.base_graph, self.action, self.policy.intention_set, self.policy.theta, regime
         )
+
+    def servabilities(self, regimes: Sequence[Regime]) -> list[Servability]:
+        """:meth:`servability` under each of ``regimes``, after one batched
+        fill of the do-margin memo for all of them."""
+        names = tuple(name for name, _ in sorted(set(self.policy.intention_set)))
+        _fill_do_margins(self.base_graph, self.action, names, regimes)
+        return [self.servability(regime) for regime in regimes]
 
     def _policy_rows(self, is_servable: bool) -> tuple:
         """The action's CPT rows under the policy: p_act scaled by matching

@@ -9,7 +9,9 @@ Four capabilities live here:
   oracle of record for every probability in the package;
 * exact marginals (:func:`marginals`) from one variable-elimination sweep
   over the ancestors of the variables asked for; the same sweep applies
-  clamps itself and yields both do-margins of servability in one pass;
+  clamps itself, yields both do-margins of servability in one pass, and
+  runs every regime with the same cut set (the clamped variables that have
+  parents) at once, along a leading regime axis;
 * seeded ancestral sampling (:func:`sample`), the Monte Carlo counterpart
   used by simulated experiments.  Identical (graph, n, seed) gives a
   bit-identical dataset; the generator algorithm ("pcg64") is recorded in
@@ -210,28 +212,38 @@ def marginals(graph: CausalGraph, names: Iterable[str]) -> dict[str, float]:
     builds a factor over more than ``ENUMERATION_CAP`` variables.
     """
     names = list(names)
-    return dict(zip(names, _sweep(graph, names, {})))
+    return dict(zip(names, _sweep(graph, names, [{}])[0]))
 
 
 _EYE = np.eye(2)
 
 
 def _sweep(
-    graph: CausalGraph, names: Sequence[str], clamps: Mapping[str, int], action: str | None = None
+    graph: CausalGraph, names: Sequence[str], regimes: Sequence[Mapping], action: str | None = None
 ) -> list:
-    """The sweep of :func:`marginals` under ``clamps``, straight from
-    ``graph``: a clamped variable joins with no parents and the factor
-    ``[1 - c, c]``.  With ``action``, a leading batch axis b that the cap
-    does not count joins the action as ``eye(2)``, so each result holds
-    [P(name = 1 | do(action = b)) for b = 0, 1]; without it, P(name = 1)."""
-    for name in clamps:
-        graph.variable(name)
+    """The sweep of :func:`marginals` under each of ``regimes``, straight
+    from ``graph``, with one result per regime.  A clamped variable joins
+    with the factor ``[1 - c, c]`` and no parents.  The regimes must share
+    their cut set (the clamped variables that have parents), so they share
+    one elimination order, and a leading regime axis r carries the factors
+    that differ.  With ``action``, a batch axis b joins the action as
+    ``eye(2)``, so each result holds [P(name = 1 | do(action = b)) for
+    b = 0, 1]; without it, P(name = 1).  The cap counts neither axis; a
+    batch whose factor would hold more cells than one at the cap is split
+    in halves, each swept alone."""
+    cut = {name for clamps in regimes for name in clamps if graph.parents(name)}
+    clamped = set().union(*regimes)
+    assert all(cut <= clamps.keys() for clamps in regimes), "regimes must share their cut set"
     graph.require_valid()
     wanted = set(names)
-    fixed = {action: _EYE, **{name: _EYE[value] for name, value in clamps.items()}}
 
     def parents(node: str) -> tuple[str, ...]:
-        return () if node in fixed else graph.parents(node)
+        return () if node == action or node in cut else graph.parents(node)
+
+    def factor_of(node: str) -> np.ndarray:
+        if node not in clamped:
+            return _EYE if node == action else graph.variable(node).factor
+        return np.stack([_EYE[c[node]] if node in c else graph.variable(node).factor for c in regimes])
 
     order: list[str] = []
     placed: set[str] = set()
@@ -251,9 +263,9 @@ def _sweep(
         for p in parents(node):
             children_left[p] += 1
 
-    batch = [] if action is None else [0]
+    batch = [0] if action is None else [0, 1]
     frontier: list[str] = []
-    factor = np.ones((2,) * len(batch))
+    factor = np.ones((len(regimes),) + (2,) * (len(batch) - 1))
     out = {}
     for node in order:
         for p in parents(node):
@@ -263,12 +275,16 @@ def _sweep(
             raise EnumerationLimitError(
                 f"frontier of {len(joined)} variables exceeds enumeration cap {ENUMERATION_CAP}"
             )
+        if len(regimes) << len(joined) > 1 << ENUMERATION_CAP:
+            halves = regimes[: len(regimes) // 2], regimes[len(regimes) // 2 :]
+            return [result for half in halves for result in _sweep(graph, names, half, action)]
         axis = {a: k for k, a in enumerate(frontier + [node], len(batch))}
         factor = np.einsum(
             factor,
             batch + [axis[a] for a in frontier],
-            fixed[node] if node in fixed else graph.variable(node).factor,
-            (batch if node == action else []) + [axis[p] for p in parents(node)] + [axis[node]],
+            factor_of(node),
+            [0] * (node in clamped) + [1] * (node == action)
+            + [axis[p] for p in parents(node)] + [axis[node]],
             batch + [axis[a] for a in joined],
         )
         if node in wanted:
@@ -277,7 +293,7 @@ def _sweep(
         if not children_left[node]:
             factor = factor.sum(axis=-1)
             frontier.pop()
-    return [out[name].tolist() for name in names]
+    return [[out[name][r].tolist() for name in names] for r in range(len(regimes))]
 
 
 def _code_dtype(n_labels: int) -> np.dtype:

@@ -157,12 +157,13 @@ def _servable_bits(
     model: TeleologicalModel, hypotheses: Sequence[Hypothesis], regimes: Sequence[Regime]
 ) -> list[list[bool]]:
     """Whether each regime (columns) leaves every intended effect of each
-    hypothesis (rows) servable.  One servability check per distinct set of
-    clamps, judged per hypothesis by :func:`meets_theta` on its margins."""
+    hypothesis (rows) servable.  One servability check per regime, judged
+    per hypothesis by :func:`meets_theta` on its margins; the do-margins of
+    all regimes come from one batched sweep per cut set."""
     theta = model.policy.theta
     columns = [
-        {(name, target): margin for name, target, margin in model.servability(regime).margins}
-        for regime in regimes
+        {(name, target): margin for name, target, margin in report.margins}
+        for report in model.servabilities(regimes)
     ]
     return [
         [meets_theta((column[intent] for intent in hypothesis), theta) for column in columns]
@@ -173,15 +174,19 @@ def _servable_bits(
 def _rate_table(
     model: TeleologicalModel, bits: list[list[bool]], regimes: Sequence[Regime]
 ) -> list[list[float]]:
-    """Predicted action rates for a servability table.  The rate under a
-    regime depends on a hypothesis only through its servable bit, so each
-    regime needs at most two rate evaluations."""
+    """Predicted action rates for a servability table.  The rate depends on
+    a hypothesis only through its servable bit, and on a regime only through
+    its clamps on the action's ancestors: every other clamp is barren for
+    the action (Shachter 1998).  So each (ancestor clamps, bit) is
+    evaluated once, on the same ancestral subgraph as the full regime."""
+    ancestors = model.base_graph.ancestors(model.action)
+    keys = [Regime({n: v for n, v in r.clamps.items() if n in ancestors}) for r in regimes]
     rates = {}
     for row in bits:
-        for key in zip(regimes, row):
+        for key in zip(keys, row):
             if key not in rates:
                 rates[key] = model.action_rate(*key)
-    return [[rates[key] for key in zip(regimes, row)] for row in bits]
+    return [[rates[key] for key in zip(keys, row)] for row in bits]
 
 
 def predicted_rates(

@@ -23,6 +23,7 @@ from teleo import (
     arms_from_results,
     bind_agent,
     classify_effects,
+    enumerate_hypotheses,
     joint_enumerate,
     marginals,
     mutilate,
@@ -33,7 +34,7 @@ from teleo import (
     sensitivity,
     servable,
 )
-from teleo import agent
+from teleo import agent, engine
 from teleo.models import sport_lab, sport_lab_graph, stove_water
 
 from .helpers import dag_from_seed
@@ -111,18 +112,18 @@ class TestServability:
     def test_stove_margin(self):
         report = servable(stove_water(), "stove", [("water", 1)], theta=0.1)
         assert report.servable
-        assert report.margin_of("water") == pytest.approx(1.0)
+        assert report.margins == (("water", 1, pytest.approx(1.0)),)
 
     def test_margin_is_do_difference(self, lab):
         # P(win|do(practice=1)) - P(win|do(practice=0)) = 0.7 - 0.0
         report = servable(lab, "practice", [("win_medals", 1)], theta=0.1)
-        assert report.margin_of("win_medals") == pytest.approx(0.7)
+        assert report.margins == (("win_medals", 1, pytest.approx(0.7)),)
 
     def test_not_servable_under_neutralizing_regime(self, lab):
         regime = Regime({"enroll": 0})
         report = servable(lab, "practice", [("win_medals", 1)], theta=0.1, regime=regime)
         assert not report.servable
-        assert report.margin_of("win_medals") == pytest.approx(0.0)
+        assert report.margins == (("win_medals", 1, pytest.approx(0.0)),)
 
     def test_target_zero_margin(self, lab):
         # intending live_longer=0 is served by NOT practicing, margin <= 0
@@ -321,6 +322,101 @@ def test_sweep_matches_dense_enumeration(seed, data):
         assert report.servable == all(m >= theta for m in want.values())
 
 
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 10_000), data=st.data())
+def test_batched_do_margins_match_single_sweeps(seed, data):
+    graph = dag_from_seed(seed, max_nodes=12)
+    actions = [name for name in graph.names if graph.descendants(name)]
+    if not actions:
+        return
+    action = data.draw(st.sampled_from(actions))
+    effects = sorted(graph.descendants(action))
+    intentions = data.draw(
+        st.sets(st.tuples(st.sampled_from(effects), st.integers(0, 1)), min_size=1, max_size=4)
+    )
+    others = [name for name in graph.names if name != action]
+    roots = [name for name in others if not graph.parents(name)]
+    inner = [name for name in others if graph.parents(name)]
+
+    def clamps(pool, size):
+        return st.dictionaries(st.sampled_from(pool), st.integers(0, 1), min_size=size, max_size=size)
+
+    # Root clamps, non-root clamps and two-variable clamps, in any mix.
+    kinds = [clamps(others, min(2, len(others)))] + [clamps(pool, 1) for pool in (roots, inner) if pool]
+    drawn = data.draw(st.lists(st.one_of(kinds), min_size=1, max_size=8))
+    regimes = [Regime()] + [Regime(c) for c in drawn]
+    theta = data.draw(st.sampled_from((0.0, 0.1, 0.5)))
+    model = bind_agent(graph, action, AgentPolicy.make(intentions, theta=theta))
+    reports = model.servabilities(regimes)
+    assert len(graph._do_margins) == len(set(regimes))
+    for regime, report in zip(regimes, reports):
+        assert report == servable(CausalGraph(graph.variables), action, intentions, theta, regime)
+        want = dense_margins(graph, action, intentions, regime)
+        for name, target, margin in report.margins:
+            dense = want[(name, target)]
+            assert abs(margin - dense) <= 1e-12
+            if abs(dense - theta) > 1e-9:
+                assert (margin >= theta) == (dense >= theta)
+
+    # Without an action the batched sweep gives each regime's marginals.
+    names = sorted({name for name, _ in intentions})
+    groups = {}
+    for regime in dict.fromkeys(regimes):
+        cut = frozenset(name for name in regime.clamps if graph.parents(name))
+        groups.setdefault(cut, []).append(regime.clamps)
+    for group in groups.values():
+        singles = [agent._sweep(graph, names, [c])[0] for c in group]
+        assert agent._sweep(graph, names, group) == singles
+
+
+def test_batch_wider_than_the_cap_is_split_in_halves(monkeypatch):
+    graph = sport_lab_graph()
+    names = ["be_fit", "live_longer", "win_medals"]
+    regimes = [{}, {"enroll": 0}, {"smoke": 1}, {"protein_diet": 0}, {"enroll": 0, "smoke": 1}]
+    want = [engine._sweep(graph, names, [clamps], "practice")[0] for clamps in regimes]
+    batches = []
+    sweep = engine._sweep
+
+    def counting(graph, names, regimes, action=None):
+        batches.append(len(regimes))
+        return sweep(graph, names, regimes, action)
+
+    monkeypatch.setattr(engine, "_sweep", counting)
+    # The widest frontier here holds 3 variables: 5 regimes x 2^3 cells pass
+    # a cap of 6 in one sweep, but a cap of 4 admits at most 2 regimes.
+    monkeypatch.setattr(engine, "ENUMERATION_CAP", 6)
+    assert engine._sweep(graph, names, regimes, "practice") == want
+    assert batches == [5]
+    del batches[:]
+    monkeypatch.setattr(engine, "ENUMERATION_CAP", 4)
+    assert engine._sweep(graph, names, regimes, "practice") == want
+    assert batches == [5, 2, 3, 1, 2]
+
+
+class TestScoringErrors:
+    """A bad scoring call raises before it sweeps, so the memo stays empty."""
+
+    def test_arm_that_clamps_the_action(self):
+        doc = sport_lab()
+        lab = doc.graph
+        arms = [ArmCounts(Regime(), 10, 8), ArmCounts(Regime({"enroll": 0}), 10, 1)]
+        arms.append(ArmCounts(Regime({"practice": 1}), 10, 10))
+        message = "regime clamps the action 'practice'; the agent chooses it"
+        with pytest.raises(RegimeError, match=message):
+            score_arms(arms, lab, "practice", doc.policy)
+        assert lab._do_margins == {}
+
+    def test_hypothesis_on_a_non_descendant(self):
+        doc = sport_lab()
+        lab = doc.graph
+        arms = [ArmCounts(Regime(), 10, 8), ArmCounts(Regime({"enroll": 0}), 10, 1)]
+        hypotheses = [frozenset({("be_fit", 1)}), frozenset({("smoke", 1)})]
+        message = "'smoke' is not a strict descendant of action 'practice'"
+        with pytest.raises(HypothesisError, match=message):
+            score_arms(arms, lab, "practice", doc.policy, hypotheses=hypotheses)
+        assert lab._do_margins == {}
+
+
 def bits(report):
     margins = tuple((name, target, margin.hex()) for name, target, margin in report.margins)
     return report.servable, margins
@@ -378,11 +474,14 @@ def test_do_margin_memo_is_never_stale(seed, data):
 
 def test_servability_is_computed_once_per_key(monkeypatch):
     sweeps = Counter()
+    batches = []
     sweep = agent._sweep
 
-    def counting(graph, names, clamps, action):
-        sweeps[(id(graph), action, tuple(clamps.items()), tuple(names))] += 1
-        return sweep(graph, names, clamps, action)
+    def counting(graph, names, regimes, action):
+        batches.append(len(regimes))
+        for clamps in regimes:
+            sweeps[(id(graph), action, tuple(clamps.items()), tuple(names))] += 1
+        return sweep(graph, names, regimes, action)
 
     monkeypatch.setattr(agent, "_sweep", counting)
     doc = sport_lab()
@@ -397,6 +496,14 @@ def test_servability_is_computed_once_per_key(monkeypatch):
         oracle_identify(graph, "practice", policy, doc.levers, 200, seed)
     assert len(sweeps) > len(doc.levers)
     assert set(sweeps.values()) == {1}
+
+    # Every lever is a root, so one sweep covers the natural regime and all
+    # three lever regimes of a scoring call on a fresh graph.
+    fresh = sport_lab().graph
+    assert all(not fresh.parents(name) for name, _ in doc.levers.values())
+    del batches[:]
+    score_arms(arms, fresh, "practice", doc.policy, hypotheses=enumerate_hypotheses(fresh, "practice"))
+    assert batches == [len(doc.levers) + 1]
 
 
 def lever_pair(p_hi: float, p_lo: float) -> CausalGraph:
@@ -414,20 +521,20 @@ class TestTies:
     def test_margin_equal_to_theta_is_servable(self):
         g = lever_pair(0.75, 0.25)
         report = servable(g, "act", [("eff", 1)], theta=0.5)
-        assert report.margin_of("eff") == 0.5
+        assert report.margins == (("eff", 1, 0.5),)
         assert report.servable
         assert not servable(g, "act", [("eff", 1)], theta=math.nextafter(0.5, 1.0)).servable
 
     def test_target_zero_margin_equal_to_theta(self):
         report = servable(lever_pair(0.25, 0.75), "act", [("eff", 0)], theta=0.5)
-        assert report.margin_of("eff") == 0.5
+        assert report.margins == (("eff", 0, 0.5),)
         assert report.servable
 
     def test_neutralized_margin_is_exactly_zero(self):
         g = lever_pair(0.75, 0.25)
         for target in (0, 1):
             report = servable(g, "act", [("eff", target)], theta=0.0, regime=Regime({"mid": 1}))
-            assert report.margin_of("eff") == 0.0
+            assert report.margins == (("eff", target, 0.0),)
             assert report.servable
             assert not servable(
                 g, "act", [("eff", target)], theta=5e-324, regime=Regime({"mid": 1})

@@ -28,6 +28,8 @@ from teleo import (
     score_arms,
     sensitivity,
 )
+from teleo import inference
+from teleo.agent import TeleologicalModel
 from teleo.graph import CausalGraph, Variable
 from teleo.inference import (
     HYPOTHESIS_CAP,
@@ -41,7 +43,7 @@ from teleo.inference import (
     VERDICT_INDISTINGUISHABLE,
     VERDICT_REFUTED,
 )
-from teleo.models import SPORT_LEVERS
+from teleo.models import SPORT_LEVERS, sport_lab_confounded
 
 from .helpers import make_dataset
 
@@ -126,6 +128,42 @@ class TestPredictedRates:
             for h in SINGLETONS
         ]
         assert len(set(natural)) == 1
+
+
+def test_rates_key_on_clamps_of_the_action_ancestors(monkeypatch):
+    """Each rate is evaluated once per (clamps on the action's ancestors,
+    servable bit) and equals the rate under the full regime."""
+    doc = sport_lab_confounded()
+    graph = doc.graph
+    assert "age" in graph.ancestors("practice") and "smoke" not in graph.ancestors("practice")
+    regimes = [
+        Regime(),
+        Regime({"age": 1}),
+        Regime({"smoke": 1}),
+        Regime({"age": 1, "smoke": 1}),
+        Regime({"age": 0, "enroll": 0}),
+    ]
+    hypotheses = enumerate_hypotheses(graph, "practice", max_size=2)
+    model = inference._scoring_model(graph, "practice", doc.policy, hypotheses)
+    bits = inference._servable_bits(model, hypotheses, regimes)
+    table = bits + [[bit] * len(regimes) for bit in (True, False)]
+    evaluated = []
+    action_rate = TeleologicalModel.action_rate
+
+    def counting(self, regime=Regime(), is_servable=None):
+        evaluated.append((regime, is_servable))
+        return action_rate(self, regime, is_servable)
+
+    monkeypatch.setattr(TeleologicalModel, "action_rate", counting)
+    rates = inference._rate_table(model, table, regimes)
+    monkeypatch.undo()
+    assert len(evaluated) == len(set(evaluated)) == 6  # natural, age=1, age=0; two bits each
+    fresh = bind_agent(CausalGraph(graph.variables), "practice", doc.policy)
+    for row, rate_row in zip(table, rates):
+        for regime, bit, rate in zip(regimes, row, rate_row):
+            assert rate == fresh.action_rate(regime, bit)
+    # Clamping age moves the rate; clamping smoke does not.
+    assert rates[-2][1] != rates[-2][0] == rates[-2][2]
 
 
 class TestScoring:
