@@ -89,9 +89,9 @@ def _default_hypothesis(doc: GraphSpecDocument) -> str:
     raise _UsageError("--hypothesis is required when the graph spec declares no intend lines")
 
 
-def _emit(args, sections: dict, provenance: dict) -> None:
-    rep = Report(provenance=provenance, sections=sections)
-    _write(emit_report(rep, args.format), args.out)
+def _emit(args, sections: dict, **provenance) -> None:
+    provenance = {"command": args.command, "graph": args.graph, **provenance}
+    _write(emit_report(Report(provenance=provenance, sections=sections), args.format), args.out)
 
 
 def _cmd_validate(args) -> int:
@@ -106,38 +106,37 @@ def _cmd_validate(args) -> int:
         violations = list(exc.violations)
     else:
         graph = doc.graph
-    sections = {"validation": validation_section(graph, violations)}
-    _emit(args, sections, {"command": "validate", "graph": args.graph})
+    _emit(args, {"validation": validation_section(graph, violations)})
     return 0 if not violations else 1
 
 
-def _classified(args, doc: GraphSpecDocument):
+def _classified(args, doc: GraphSpecDocument, planned: bool = True):
+    """The action, its effect classification around the hypothesis and,
+    when ``planned``, the battery (else None), with the report sections of
+    each: one place for what classify, plan, experiment and analyze share."""
     action = _require_action(doc)
     hypothesized = args.hypothesis or _default_hypothesis(doc)
-    return action, classify_effects(doc.graph, action, hypothesized)
-
-
-def _cmd_classify(args) -> int:
-    doc = _load_doc(args.graph)
-    _, classification = _classified(args, doc)
+    classification = classify_effects(doc.graph, action, hypothesized)
     sections = {
         "validation": validation_section(doc.graph, []),
         "classification": classification_section(classification, doc.graph),
     }
-    _emit(args, sections, {"command": "classify", "graph": args.graph})
+    battery = None
+    if planned:
+        battery = plan(doc.graph, classification, doc.levers)
+        sections["plan"] = plan_section(battery)
+    return action, classification, battery, sections
+
+
+def _cmd_classify(args) -> int:
+    *_, sections = _classified(args, _load_doc(args.graph), planned=False)
+    _emit(args, sections)
     return 0
 
 
 def _cmd_plan(args) -> int:
-    doc = _load_doc(args.graph)
-    _, classification = _classified(args, doc)
-    battery = plan(doc.graph, classification, doc.levers)
-    sections = {
-        "validation": validation_section(doc.graph, []),
-        "classification": classification_section(classification, doc.graph),
-        "plan": plan_section(battery),
-    }
-    _emit(args, sections, {"command": "plan", "graph": args.graph})
+    *_, sections = _classified(args, _load_doc(args.graph))
+    _emit(args, sections)
     return 0
 
 
@@ -166,24 +165,11 @@ def _cmd_simulate(args) -> int:
 def _cmd_experiment(args) -> int:
     doc = _load_doc(args.graph)
     model = doc.bind()
-    _, classification = _classified(args, doc)
-    battery = plan(doc.graph, classification, doc.levers)
-    runs = run_battery(model, battery, args.n, args.seed, alpha=args.alpha)
-    sections = {
-        "validation": validation_section(doc.graph, []),
-        "classification": classification_section(classification, doc.graph),
-        "plan": plan_section(battery),
-        "experiments": experiments_section(runs),
-    }
-    provenance = {
-        "command": "experiment",
-        "graph": args.graph,
-        "seed": args.seed,
-        "n_per_arm": args.n,
-        "alpha": args.alpha,
-        "rng": RNG_ALGORITHM,
-    }
-    _emit(args, sections, provenance)
+    _, _, battery, sections = _classified(args, doc)
+    sections["experiments"] = experiments_section(
+        run_battery(model, battery, args.n, args.seed, alpha=args.alpha)
+    )
+    _emit(args, sections, seed=args.seed, n_per_arm=args.n, alpha=args.alpha, rng=RNG_ALGORITHM)
     return 0
 
 
@@ -196,8 +182,7 @@ def _auto_adjustment(graph, action, battery) -> list[str]:
 
 def _cmd_analyze(args) -> int:
     doc = _load_doc(args.graph)
-    action, classification = _classified(args, doc)
-    battery = plan(doc.graph, classification, doc.levers)
+    action, classification, battery, sections = _classified(args, doc)
     dataset = _load_data(args.data, doc, action)
     if args.adjust is not None:
         adjustment = [name for name in args.adjust.split(",") if name]
@@ -212,20 +197,8 @@ def _cmd_analyze(args) -> int:
         p_base=doc.policy.p_base if doc.policy is not None else 0.0,
         alpha=args.alpha,
     )
-    sections = {
-        "validation": validation_section(doc.graph, []),
-        "classification": classification_section(classification, doc.graph),
-        "plan": plan_section(battery),
-        "stratified": stratified_section(results),
-    }
-    provenance = {
-        "command": "analyze",
-        "graph": args.graph,
-        "data": args.data,
-        "alpha": args.alpha,
-        "adjustment": adjustment,
-    }
-    _emit(args, sections, provenance)
+    sections["stratified"] = stratified_section(results)
+    _emit(args, sections, data=args.data, alpha=args.alpha, adjustment=adjustment)
     return 0
 
 
@@ -238,19 +211,12 @@ def _cmd_infer(args) -> int:
     arms = arms_from_dataset(dataset, action)
     hypotheses = enumerate_hypotheses(doc.graph, action, max_size=args.max_size)
     scores = score_arms(arms, doc.graph, action, doc.policy, hypotheses=hypotheses)
-    identification = identify(scores)
     sections = {
         "validation": validation_section(doc.graph, []),
         "scores": scores_section(scores),
-        "identification": identification_section(identification),
+        "identification": identification_section(identify(scores)),
     }
-    provenance = {
-        "command": "infer",
-        "graph": args.graph,
-        "data": args.data,
-        "max_size": args.max_size,
-    }
-    _emit(args, sections, provenance)
+    _emit(args, sections, data=args.data, max_size=args.max_size)
     return 0
 
 

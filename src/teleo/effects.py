@@ -22,19 +22,10 @@ on.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 from .errors import HypothesisError
 from .graph import CausalGraph
-
-
-class EffectClass(str, enum.Enum):
-    MEDIATING = "mediating"
-    FURTHER = "further"
-    PARALLEL = "parallel"
-    HYPOTHESIZED = "hypothesized"
-    NOT_AN_EFFECT = "not an effect"
 
 
 @dataclass(frozen=True)
@@ -79,20 +70,6 @@ def classify_effects(graph: CausalGraph, action: str, hypothesized: str) -> Effe
     )
 
 
-def classify_variable(classification: EffectClassification, name: str) -> EffectClass:
-    """Constant-time class lookup; anything outside the partition (the
-    action itself, ancestors, unrelated variables) is "not an effect"."""
-    if name == classification.hypothesized:
-        return EffectClass.HYPOTHESIZED
-    if name in classification.mediating:
-        return EffectClass.MEDIATING
-    if name in classification.further:
-        return EffectClass.FURTHER
-    if name in classification.parallel:
-        return EffectClass.PARALLEL
-    return EffectClass.NOT_AN_EFFECT
-
-
 def confounding_causes(graph: CausalGraph, action: str, effect: str) -> set[str]:
     """Common ancestors of ``action`` and ``effect``, excluding both.
 
@@ -112,17 +89,17 @@ def justifying_paths(
 
     mediating: the action-to-hypothesized paths through it; further: paths
     from the hypothesized effect to it; parallel: action-to-it paths;
-    hypothesized: the action-to-hypothesized paths themselves.
+    hypothesized: the action-to-hypothesized paths themselves; any other
+    variable (the action, its ancestors, unrelated variables): none.
     """
-    cls = classify_variable(classification, name)
     action = classification.action
     hyp = classification.hypothesized
-    if cls is EffectClass.MEDIATING:
-        return [p for p in graph.directed_paths(action, hyp) if name in p[1:-1]]
-    if cls is EffectClass.FURTHER:
-        return graph.directed_paths(hyp, name)
-    if cls is EffectClass.PARALLEL:
-        return graph.directed_paths(action, name)
-    if cls is EffectClass.HYPOTHESIZED:
+    if name == hyp:
         return graph.directed_paths(action, hyp)
+    if name in classification.mediating:
+        return [p for p in graph.directed_paths(action, hyp) if name in p[1:-1]]
+    if name in classification.further:
+        return graph.directed_paths(hyp, name)
+    if name in classification.parallel:
+        return graph.directed_paths(action, name)
     return []

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import csv
 import io
+import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from types import MappingProxyType
@@ -722,13 +724,16 @@ def _lines_from(body: np.ndarray, starts: np.ndarray, ends: np.ndarray, k: int, 
 def require_possible(dataset: Dataset, graph: CausalGraph, exempt: Iterable[str] = ()) -> None:
     """Reject a dataset the graph cannot have produced.
 
-    The header must name exactly the graph's variables, and no row may have
-    probability 0 under its regime's mutilated graph: a clamped variable
-    off its clamp, or a value that contradicts a 0/1 CPT row.  Variables in
-    ``exempt`` are not checked (an action whose CPT a policy replaces).
-    Each cell of :attr:`Dataset.cells` is checked once, and an impossible
-    cell counts all its rows.
+    The header must name exactly the graph's variables, each once, and no
+    row may have probability 0 under its regime's mutilated graph: a
+    clamped variable off its clamp, or a value that contradicts a 0/1 CPT
+    row.  Variables in ``exempt`` are not checked (an action whose CPT a
+    policy replaces).  Each cell of :attr:`Dataset.cells` is checked once,
+    and an impossible cell counts all its rows.
     """
+    repeated = sorted(name for name, k in Counter(dataset.variables).items() if k > 1)
+    if repeated:
+        raise DataError(f"data columns {repeated} appear more than once")
     if set(dataset.variables) != set(graph.names):
         raise DataError(
             f"data columns {sorted(dataset.variables)} do not match "
@@ -864,6 +869,10 @@ def sample_observational(
         probs = selection_probs[value]
         if set(probs) != set(labels):
             raise ValueError("selection probabilities must cover exactly the supplied regimes")
+        if not all(math.isfinite(p) and p >= 0.0 for p in probs.values()):
+            raise ValueError(
+                f"selection probabilities for {selector}={value} must be finite and >= 0"
+            )
         total = sum(probs.values())
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"selection probabilities for {selector}={value} sum to {total}")

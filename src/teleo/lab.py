@@ -23,7 +23,7 @@ import numpy as np
 
 from .agent import TeleologicalModel
 from .effects import EffectClassification
-from .engine import Dataset, Regime, sample
+from .engine import Regime, sample
 from .errors import RegimeError, UnknownVariableError
 from .graph import CausalGraph
 
@@ -227,8 +227,12 @@ def run_randomized(
         verdict = "change"
     else:
         verdict = "no-change"
-    matches = _matching_rows(treated, experiment.expected_pattern)
-    count, passed = expected_pattern_check(matches, n_per_arm, experiment, model.policy.p_base)
+    match = np.ones(n_per_arm, dtype=bool)
+    for name, value in experiment.expected_pattern.items():
+        match &= treated.column(name) == value
+    count, passed = expected_pattern_check(
+        int(match.sum()), n_per_arm, experiment, model.policy.p_base
+    )
     result = ExperimentResult(
         experiment=experiment,
         control_n=n_per_arm,
@@ -243,46 +247,20 @@ def run_randomized(
     return ExperimentRun(result=result, pattern_count=count, pattern_passed=passed)
 
 
-def pattern_check(
-    dataset: Dataset,
-    pattern: Mapping[str, int],
-    mode: str,
-    max_violations: int = 0,
-) -> tuple[int, bool]:
-    """Count rows matching every pattern entry and judge them.
-
-    must-observe passes iff count >= ``MIN_SUPPORT``; must-not-observe
-    passes iff count <= max_violations.
-    """
-    return _judged(_matching_rows(dataset, pattern), mode, max_violations)
-
-
-def _matching_rows(dataset: Dataset, pattern: Mapping[str, int]) -> int:
-    mask = np.ones(dataset.n_rows, dtype=bool)
-    for name, value in pattern.items():
-        mask &= dataset.column(name) == value
-    return int(mask.sum())
-
-
-def _judged(count: int, mode: str, max_violations: int) -> tuple[int, bool]:
-    if mode not in (MODE_MUST_OBSERVE, MODE_MUST_NOT_OBSERVE):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == MODE_MUST_OBSERVE:
-        return count, count >= MIN_SUPPORT
-    return count, count <= max_violations
-
-
 def expected_pattern_check(
     count: int, n: int, experiment: InterferenceExperiment, p_base: float
 ) -> tuple[int, bool]:
     """Judge an experiment's expected pattern, matched by ``count`` of its
-    ``n`` treated rows.  A must-not-observe pattern may occur as often as
-    an agent with base rate ``p_base`` allows
-    (:func:`base_rate_violation_budget`), so at 0 not at all."""
-    budget = 0
-    if experiment.pattern_mode == MODE_MUST_NOT_OBSERVE:
-        budget = base_rate_violation_budget(p_base, n)
-    return _judged(count, experiment.pattern_mode, budget)
+    ``n`` treated rows.  A must-observe pattern needs ``MIN_SUPPORT`` rows;
+    a must-not-observe pattern may occur as often as an agent with base
+    rate ``p_base`` allows (:func:`base_rate_violation_budget`), so at 0
+    not at all.  Any other mode raises ``ValueError``."""
+    mode = experiment.pattern_mode
+    if mode == MODE_MUST_OBSERVE:
+        return count, count >= MIN_SUPPORT
+    if mode == MODE_MUST_NOT_OBSERVE:
+        return count, count <= base_rate_violation_budget(p_base, n)
+    raise ValueError(f"unknown mode {mode!r}")
 
 
 def base_rate_violation_budget(p_base: float, n: int) -> int:

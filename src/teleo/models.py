@@ -14,7 +14,10 @@ is what interference experiments need.
 
 from __future__ import annotations
 
-from .agent import DEFAULT_P_ACT, DEFAULT_P_BASE, DEFAULT_THETA, AgentPolicy
+import itertools
+from dataclasses import replace
+
+from .agent import AgentPolicy
 from .graph import CausalGraph, Tagging, Variable
 from .specfmt import GraphSpecDocument
 
@@ -57,12 +60,12 @@ def education_salary() -> CausalGraph:
     )
 
 
-def sport_chain(p_practice: float = 0.8) -> CausalGraph:
+def sport_chain() -> CausalGraph:
     """The five-node sport model with fully deterministic mechanisms:
     practice -> lose_weight -> be_fit -> live_longer, practice -> win_medals."""
     return CausalGraph.make(
         [
-            Variable.make("practice", (), p_practice),
+            Variable.make("practice", (), 0.8),
             Variable.make("lose_weight", ("practice",), COPY),
             Variable.make("be_fit", ("lose_weight",), COPY),
             Variable.make("live_longer", ("be_fit",), COPY),
@@ -71,25 +74,19 @@ def sport_chain(p_practice: float = 0.8) -> CausalGraph:
     )
 
 
-def sport_lab_graph(
-    enroll_rate: float = 0.7,
-    smoke_rate: float = 0.3,
-    diet_rate: float = 0.9,
-    p_practice: float = 0.8,
-) -> CausalGraph:
+def sport_lab_graph() -> CausalGraph:
     """The sport model extended with one lever per controllable effect.
 
     win_medals = practice AND enroll; be_fit = lose_weight AND protein_diet;
-    live_longer = be_fit AND NOT smoke.  The lever marginals are free
-    configuration; the defaults keep every singleton intention servable
-    under the natural regime.
+    live_longer = be_fit AND NOT smoke.  The lever marginals keep every
+    singleton intention servable under the natural regime.
     """
     return CausalGraph.make(
         [
-            Variable.make("enroll", (), enroll_rate),
-            Variable.make("smoke", (), smoke_rate),
-            Variable.make("protein_diet", (), diet_rate),
-            Variable.make("practice", (), p_practice),
+            Variable.make("enroll", (), 0.7),
+            Variable.make("smoke", (), 0.3),
+            Variable.make("protein_diet", (), 0.9),
+            Variable.make("practice", (), 0.8),
             Variable.make("lose_weight", ("practice",), COPY),
             Variable.make("be_fit", ("lose_weight", "protein_diet"), AND),
             Variable.make(
@@ -109,77 +106,35 @@ SPORT_LEVERS = {
 }
 
 
-def sport_lab(
-    intentions: tuple[tuple[str, int], ...] = (("be_fit", 1),),
-    p_act: float = DEFAULT_P_ACT,
-    p_base: float = DEFAULT_P_BASE,
-    theta: float = DEFAULT_THETA,
-) -> GraphSpecDocument:
-    """The full sport document: lab graph, tagging, policy, and levers."""
-    graph = sport_lab_graph()
+def sport_lab() -> GraphSpecDocument:
+    """The full sport document: lab graph, tagging, levers, and a policy
+    with the default rates that intends be_fit=1."""
+    intentions = (("be_fit", 1),)
     return GraphSpecDocument(
-        graph=graph,
+        graph=sport_lab_graph(),
         tagging=Tagging.make("practice", intentions),
-        policy=AgentPolicy.make(intentions, p_act=p_act, p_base=p_base, theta=theta),
+        policy=AgentPolicy.make(intentions),
         levers=dict(SPORT_LEVERS),
     )
 
 
-def sport_lab_confounded(
-    intentions: tuple[tuple[str, int], ...] = (("be_fit", 1),),
-    age_rate: float = 0.5,
-    old_factor: float = 0.5,
-    p_act: float = DEFAULT_P_ACT,
-    p_base: float = DEFAULT_P_BASE,
-    theta: float = DEFAULT_THETA,
-) -> GraphSpecDocument:
+def sport_lab_confounded() -> GraphSpecDocument:
     """The lab model with age as a confounding cause of practice and medals.
 
     Age feeds both the action (via a cause modifier that halves the act
-    rate for older people by default) and win_medals (older athletes win
-    less often), so unadjusted observational comparisons across regimes
-    that select on age are biased.
+    rate for older people) and win_medals (older athletes win less often),
+    so unadjusted observational comparisons across regimes that select on
+    age are biased.
     """
-    graph = CausalGraph.make(
-        [
-            Variable.make("age", (), age_rate),
-            Variable.make("enroll", (), 0.7),
-            Variable.make("smoke", (), 0.3),
-            Variable.make("protein_diet", (), 0.9),
-            Variable.make("practice", ("age",), {(0,): 0.8, (1,): 0.4}),
-            Variable.make("lose_weight", ("practice",), COPY),
-            Variable.make("be_fit", ("lose_weight", "protein_diet"), AND),
-            Variable.make(
-                "live_longer",
-                ("be_fit", "smoke"),
-                {(0, 0): 0.0, (0, 1): 0.0, (1, 0): 1.0, (1, 1): 0.0},
-            ),
-            Variable.make(
-                "win_medals",
-                ("practice", "enroll", "age"),
-                {
-                    (0, 0, 0): 0.0,
-                    (0, 0, 1): 0.0,
-                    (0, 1, 0): 0.0,
-                    (0, 1, 1): 0.0,
-                    (1, 0, 0): 0.0,
-                    (1, 0, 1): 0.0,
-                    (1, 1, 0): 0.9,
-                    (1, 1, 1): 0.4,
-                },
-            ),
-        ]
+    doc = sport_lab()
+    graph = CausalGraph.make([Variable.make("age", (), 0.5), *doc.graph.variables]).replace(
+        Variable.make("practice", ("age",), {(0,): 0.8, (1,): 0.4}),
+        Variable.make(
+            "win_medals",
+            ("practice", "enroll", "age"),
+            {key: 0.0 for key in itertools.product((0, 1), repeat=3)}
+            | {(1, 1, 0): 0.9, (1, 1, 1): 0.4},
+        ),
     )
-    policy = AgentPolicy.make(
-        intentions,
-        p_act=p_act,
-        p_base=p_base,
-        theta=theta,
-        cause_modifiers={("age", 1): old_factor},
-    )
-    return GraphSpecDocument(
-        graph=graph,
-        tagging=Tagging.make("practice", intentions),
-        policy=policy,
-        levers=dict(SPORT_LEVERS),
-    )
+    policy = replace(doc.policy, cause_modifiers={("age", 1): 0.5})
+    return replace(doc, graph=graph, policy=policy)

@@ -16,7 +16,6 @@ confounding cause is flagged potentially-confounded rather than suppressed.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Iterable
@@ -62,10 +61,6 @@ class StratifiedComparison:
     pooled_p: float
     flags: tuple[str, ...] = ()
 
-    def with_flags(self, *extra: str) -> "StratifiedComparison":
-        merged = self.flags + tuple(f for f in extra if f not in self.flags)
-        return replace(self, flags=merged)
-
 
 def _cell_variance(k: int, n: int) -> float:
     p = k / n
@@ -91,10 +86,11 @@ def stratified_action_comparison(
     on the adjustment variables.
 
     The natural regime is the control group when present (otherwise the
-    lexicographically first label).  Strata with an empty arm are dropped
-    with a flag; strata with an arm below ``MIN_CELL`` are reported but
-    excluded from pooling.  Counts are read from the dataset's cells, so
-    output is invariant to row order.
+    lexicographically first label).  The strata are the adjustment values
+    that occur in the dataset's cells, in ascending order.  Strata with an
+    empty arm are dropped with a flag; strata with an arm below
+    ``MIN_CELL`` are reported but excluded from pooling.  Counts are read
+    from the dataset's cells, so output is invariant to row order.
     """
     adjustment = tuple(adjustment)
     if action in adjustment:
@@ -112,17 +108,15 @@ def stratified_action_comparison(
     else:
         control_label, treated_label = labels
 
-    for name in (action, *adjustment):
-        dataset.column(name)  # an unknown name fails before any stratum
+    dataset.column(action)  # an unknown name fails before any stratum
+    values = dataset.cells.rows[:, [dataset._index(name) for name in adjustment]]
 
     strata = []
     flags: set[str] = set()
-    for combo in itertools.product((0, 1), repeat=len(adjustment)):
+    for combo in sorted(set(map(tuple, values.tolist()))):
         stratum = dict(zip(adjustment, combo))
         n_t = dataset.count(treated_label, stratum)
         n_c = dataset.count(control_label, stratum)
-        if n_t == 0 and n_c == 0:
-            continue
         if n_t == 0 or n_c == 0:
             flags.add(FLAG_EMPTY_CELLS)
             continue
@@ -222,7 +216,7 @@ def observational_battery(
         pair = dataset.filter_regimes([NATURAL_LABEL, experiment.label])
         comparison = stratified_action_comparison(pair, action, adjustment=adjustment)
         if not confounding_causes(graph, action, experiment.target) <= set(adjustment):
-            comparison = comparison.with_flags(FLAG_CONFOUNDED)
+            comparison = replace(comparison, flags=comparison.flags + (FLAG_CONFOUNDED,))
         count, passed = expected_pattern_check(
             pair.count(experiment.label, experiment.expected_pattern),
             pair.count(experiment.label, {}),

@@ -432,6 +432,21 @@ class TestAnalyzeAndInfer:
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
 
+    def test_repeated_column_is_a_data_error(self, sport_spec_path, data_csv, tmp_path):
+        # A second "practice" column, put first and all 1s, would be counted
+        # by name lookups while the possibility check read the other copy.
+        header, *rows = data_csv.read_text().splitlines()
+        data = tmp_path / "repeated.csv"
+        lines = [f"practice,{header}", *(f"1,{row}" for row in rows)]
+        data.write_text("".join(f"{line}\n" for line in lines))
+        argv = ["infer", "--graph", str(sport_spec_path), "--data", str(data)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "teleo.cli", *argv], capture_output=True, text=True
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == "error: data columns ['practice'] appear more than once\n"
+        assert proc.stdout == ""
+
     def test_row_count_beyond_memory_exits_1(self, sport_spec_path, tmp_path):
         # 2 GB of address space holds the interpreter but not 10^11 rows.
         def cap_address_space():

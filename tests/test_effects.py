@@ -3,11 +3,9 @@ from hypothesis import given, settings, strategies as st
 
 from teleo import (
     CausalGraph,
-    EffectClass,
     HypothesisError,
     Variable,
     classify_effects,
-    classify_variable,
     confounding_causes,
     justifying_paths,
 )
@@ -33,11 +31,17 @@ class TestSportClassification:
 
     def test_levers_are_not_effects(self, sport_cls):
         for lever in ("enroll", "smoke", "protein_diet"):
-            assert classify_variable(sport_cls, lever) is EffectClass.NOT_AN_EFFECT
+            assert lever not in sport_cls.all_effects()
+            assert justifying_paths(sport_lab_graph(), sport_cls, lever) == []
 
     def test_hypothesized_class(self, sport_cls):
-        assert classify_variable(sport_cls, "be_fit") is EffectClass.HYPOTHESIZED
-        assert classify_variable(sport_cls, "lose_weight") is EffectClass.MEDIATING
+        g = sport_lab_graph()
+        assert sport_cls.hypothesized == "be_fit"
+        assert justifying_paths(g, sport_cls, "be_fit") == g.directed_paths("practice", "be_fit")
+        assert "lose_weight" in sport_cls.mediating
+        assert justifying_paths(g, sport_cls, "lose_weight") == [
+            ["practice", "lose_weight", "be_fit"]
+        ]
 
 
 class TestOtherHypotheses:

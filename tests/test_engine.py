@@ -808,3 +808,13 @@ class TestObservationalSampling:
         g = education_salary()
         with pytest.raises(Exception):
             sample_observational({"natural": g}, "salary", {0: {"natural": 1.0}, 1: {"natural": 1.0}}, 10, 1)
+
+    @pytest.mark.parametrize(
+        "natural, lever", [(float("nan"), 0.5), (1.5, -0.5)], ids=["nan", "negative"]
+    )
+    def test_selection_probabilities_must_be_finite_and_nonnegative(self, natural, lever):
+        g = stove_water()
+        graphs = {"natural": g, "water=0": mutilate(g, Regime({"water": 0}))}
+        probs = {0: {"natural": natural, "water=0": lever}, 1: {"natural": 0.5, "water=0": 0.5}}
+        with pytest.raises(ValueError, match="must be finite and >= 0"):
+            sample_observational(graphs, "stove", probs, 10, 1)

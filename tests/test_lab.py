@@ -1,20 +1,22 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from teleo import (
+    NATURAL_LABEL,
+    InterferenceExperiment,
     RegimeError,
     UnknownVariableError,
     base_rate_violation_budget,
     classify_effects,
-    pattern_check,
     plan,
     run_battery,
     run_randomized,
     two_proportion_test,
 )
-from teleo.lab import MIN_SUPPORT
+from teleo.lab import MIN_SUPPORT, expected_pattern_check
 from teleo.models import SPORT_LEVERS, sport_lab, sport_lab_graph
 
 from .helpers import make_dataset
@@ -171,8 +173,8 @@ class TestRunRandomized:
         assert result.verdict == "no-change"
 
     def test_underpowered_when_both_arms_tiny(self, battery):
-        doc = sport_lab(p_act=0.02, p_base=0.0)
-        model = doc.bind()
+        doc = sport_lab()
+        model = replace(doc, policy=replace(doc.policy, p_act=0.02, p_base=0.0)).bind()
         result = run_randomized(model, battery.experiments[0], 40, 2).result
         assert result.verdict == "underpowered"
 
@@ -191,30 +193,41 @@ class TestRunRandomized:
             run_randomized(model, exp, 100, 1)
 
 
+def _experiment(mode: str, pattern: dict) -> InterferenceExperiment:
+    return InterferenceExperiment(
+        target="b", lever=("c", 0), rationale="parallel", expected_pattern=pattern, pattern_mode=mode
+    )
+
+
 class TestPatternCheck:
+    """The pattern judge, fed the treated-arm counts that the observational
+    battery reads from a dataset's cells."""
+
+    @staticmethod
+    def judge(data, pattern, mode, p_base=0.0):
+        count = data.count(NATURAL_LABEL, pattern)
+        return expected_pattern_check(count, data.n_rows, _experiment(mode, pattern), p_base)
+
     def test_must_observe(self):
         data = make_dataset(["a", "b"], [(1, 1), (1, 0), (0, 1)])
-        count, ok = pattern_check(data, {"a": 1, "b": 1}, "must-observe")
-        assert (count, ok) == (1, True)
-        count, ok = pattern_check(data, {"a": 0, "b": 0}, "must-observe")
-        assert (count, ok) == (0, False)
+        assert self.judge(data, {"a": 1, "b": 1}, "must-observe") == (1, True)
+        assert self.judge(data, {"a": 0, "b": 0}, "must-observe") == (0, False)
 
     def test_must_not_observe_budget(self):
         data = make_dataset(["a"], [(1,), (1,), (0,)])
-        count, ok = pattern_check(data, {"a": 1}, "must-not-observe")
-        assert (count, ok) == (2, False)
-        count, ok = pattern_check(data, {"a": 1}, "must-not-observe", max_violations=2)
-        assert (count, ok) == (2, True)
+        assert self.judge(data, {"a": 1}, "must-not-observe") == (2, False)
+        assert base_rate_violation_budget(0.05, 3) == 2
+        assert self.judge(data, {"a": 1}, "must-not-observe", p_base=0.05) == (2, True)
 
     def test_min_support(self):
         data = make_dataset(["a", "b"], [(1, 0), (0, 1)])
-        assert pattern_check(data, {"a": 1}, "must-observe") == (MIN_SUPPORT, True)
-        assert pattern_check(data, {"a": 1, "b": 1}, "must-observe") == (0, False)
+        assert self.judge(data, {"a": 1}, "must-observe") == (MIN_SUPPORT, True)
+        assert self.judge(data, {"a": 1, "b": 1}, "must-observe") == (0, False)
 
     def test_unknown_mode(self):
         data = make_dataset(["a"], [(1,)])
-        with pytest.raises(ValueError):
-            pattern_check(data, {"a": 1}, "sometimes")
+        with pytest.raises(ValueError, match="unknown mode 'sometimes'"):
+            self.judge(data, {"a": 1}, "sometimes")
 
 
 class TestBudget:

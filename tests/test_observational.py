@@ -170,6 +170,36 @@ class TestStratifiedComparison:
         with pytest.raises(TeleoError, match="minimum cell"):
             stratified_action_comparison(data, "act")
 
+    def test_counts_only_the_strata_present(self, monkeypatch):
+        # 24 adjustment variables span 2^24 strata; the data hold 9.
+        rng = np.random.default_rng(3)
+        patterns = rng.integers(0, 2, size=(9, 24))
+        adjustment = tuple(f"z{i}" for i in range(24))
+        rows, labels = [], []
+        for k, pattern in enumerate(patterns):
+            arms = ("natural",) if k == 8 else ("natural", "ban")  # the last lacks a treated arm
+            for label in arms:
+                for act in (0, 1, 1, 0, 1, 1):
+                    rows.append([*pattern, act])
+                    labels.append(label)
+        data = labeled_dataset([*adjustment, "act"], np.array(rows, dtype=np.int8), labels)
+        budget = 4 * len(patterns)
+        count = Dataset.count
+        calls = []
+
+        def counted(self, label, event):
+            calls.append(label)
+            if len(calls) > budget:
+                raise AssertionError(f"more than {budget} counts for {len(patterns)} strata")
+            return count(self, label, event)
+
+        monkeypatch.setattr(Dataset, "count", counted)
+        cmp = stratified_action_comparison(data, "act", adjustment=adjustment)
+        keys = [tuple(v for _, v in s.key) for s in cmp.strata]
+        assert keys == sorted(tuple(p) for p in patterns[:8].tolist())
+        assert cmp.flags == (FLAG_EMPTY_CELLS,)
+        assert all(s.difference == 0.0 and s.included for s in cmp.strata)
+
     def test_min_cell_is_five_rows_per_arm(self):
         rows = [(1,)] * 5 + [(0,)] * 5
         five = make_dataset(["act"], rows, ["natural"] * 5 + ["ban"] * 5)

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from teleo import (
@@ -87,6 +89,20 @@ class TestRoundTrip:
         again = parse_graph_spec(text)
         assert again.policy.cause_modifiers == {("age", 1): 0.5}
         assert serialize_graph_spec(again) == text
+
+    @pytest.mark.parametrize(
+        "build, digest",
+        [
+            (sport_lab, "1213c0c7dcb18296b8406db8a068672607bf9b351e7b029862adb13327c20f54"),
+            (
+                sport_lab_confounded,
+                "9bac3ae66457ee6675b463c7a7b7256cc84b3ee82ff938288956be661694b70d",
+            ),
+        ],
+    )
+    def test_sport_documents_are_pinned(self, build, digest):
+        text = serialize_graph_spec(build())
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
     def test_probabilities_survive_exactly(self):
         doc = parse_graph_spec("var a\n  p = 0.1\n")
