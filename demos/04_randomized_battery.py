@@ -15,10 +15,9 @@ model = doc.bind()
 
 cls = classify_effects(doc.graph, "practice", "be_fit")
 battery = plan(doc.graph, cls, SPORT_LEVERS)
-runs = run_battery(model, battery, n_per_arm=2000, seed=20_26)
+results = run_battery(model, battery, n_per_arm=2000, seed=20_26)
 
-for run in runs:
-    r = run.result
+for r in results:
     e = r.experiment
     print(f"clamp {e.lever[0]}={e.lever[1]}  (neutralizes {e.target}, {e.rationale})")
     print(
@@ -28,8 +27,8 @@ for run in runs:
     )
     mode = "saw" if e.pattern_mode == "must-observe" else "tolerated"
     print(
-        f"  pattern check ({e.pattern_mode}): {mode} {run.pattern_count} rows,"
-        f" passed={run.pattern_passed}"
+        f"  pattern check ({e.pattern_mode}): {mode} {r.pattern_count} rows,"
+        f" passed={r.pattern_passed}"
     )
 
 # Reading: "no-change" on the win_medals and live_longer clamps plus

@@ -50,7 +50,7 @@ for stratum in adjusted.strata:
 cls = classify_effects(doc.graph, "practice", "be_fit")
 battery = plan(doc.graph, cls, SPORT_LEVERS)
 ban = next(e for e in battery.experiments if e.lever[0] == "enroll")
-result = run_randomized(model, ban, 15_000, 23).result
+result = run_randomized(model, ban, 15_000, 23)
 diff = result.treated_acts / result.treated_n - result.control_acts / result.control_n
 print(f"randomized difference:  {diff:+.4f}  -> {result.verdict}")
 

@@ -25,7 +25,7 @@ g = doc.graph
 
 cls = classify_effects(g, "practice", "be_fit")
 battery = plan(g, cls, SPORT_LEVERS)
-arms = arms_from_results([run.result for run in run_battery(model, battery, 2000, 99)])
+arms = arms_from_results(run_battery(model, battery, 2000, 99))
 
 hypotheses = enumerate_hypotheses(g, "practice")
 scores = score_arms(arms, g, "practice", doc.policy, hypotheses=hypotheses)

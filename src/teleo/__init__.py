@@ -68,7 +68,6 @@ from .inference import (
 from .lab import (
     Battery,
     ExperimentResult,
-    ExperimentRun,
     InterferenceExperiment,
     base_rate_violation_budget,
     plan,
@@ -106,7 +105,6 @@ __all__ = [
     "ENUMERATION_CAP",
     "EnumerationLimitError",
     "ExperimentResult",
-    "ExperimentRun",
     "GraphSpecDocument",
     "HypothesisError",
     "HypothesisScore",

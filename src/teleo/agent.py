@@ -134,7 +134,7 @@ def _fill_do_margins(graph: CausalGraph, action: str, names: tuple, regimes: Ite
         if action in regime.clamps:
             raise RegimeError(f"regime clamps the action {action!r}; the agent chooses it")
     if missing:
-        effects = graph.descendants(action, strict=True)
+        effects = graph.descendants(action)
         for name in names:
             if name not in effects:
                 raise HypothesisError(f"{name!r} is not a strict descendant of action {action!r}")
@@ -250,7 +250,7 @@ def bind_agent(graph: CausalGraph, action: str, policy: AgentPolicy) -> Teleolog
     actual parent of the action."""
     graph.require_valid()
     action_var = graph.variable(action)
-    effects = graph.descendants(action, strict=True)
+    effects = graph.descendants(action)
     for name, _ in sorted(policy.intention_set):
         graph.variable(name)
         if name not in effects:

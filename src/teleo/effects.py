@@ -53,13 +53,13 @@ def classify_effects(graph: CausalGraph, action: str, hypothesized: str) -> Effe
     the hypothesized effect; parallel otherwise.
     """
     graph.require_valid()
-    effects = graph.descendants(action, strict=True)
+    effects = graph.descendants(action)
     if hypothesized not in effects:
         raise HypothesisError(
             f"{hypothesized!r} is not a strict descendant of action {action!r}"
         )
-    mediating = effects & graph.ancestors(hypothesized, strict=True)
-    further = graph.descendants(hypothesized, strict=True)
+    mediating = effects & graph.ancestors(hypothesized)
+    further = graph.descendants(hypothesized)
     parallel = effects - mediating - further - {hypothesized}
     return EffectClassification(
         action=action,
@@ -77,8 +77,8 @@ def confounding_causes(graph: CausalGraph, action: str, effect: str) -> set[str]
     it is exactly the set of variables an observational comparison of the
     action across regimes must stratify on.
     """
-    a = graph.ancestors(action, strict=True)
-    b = graph.ancestors(effect, strict=True)
+    a = graph.ancestors(action)
+    b = graph.ancestors(effect)
     return (a & b) - {action, effect}
 
 

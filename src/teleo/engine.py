@@ -14,8 +14,7 @@ Four capabilities live here:
   parents) at once, along a leading regime axis;
 * seeded ancestral sampling (:func:`sample`), the Monte Carlo counterpart
   used by simulated experiments.  Identical (graph, n, seed) gives a
-  bit-identical dataset; the generator algorithm ("pcg64") is recorded in
-  dataset provenance.
+  bit-identical dataset.
 """
 
 from __future__ import annotations
@@ -359,18 +358,18 @@ class Dataset:
     holds distinct labels (in first-seen order when read from CSV), the
     codes are an unsigned integer array.  Both arrays
     are kept as read-only views, so :attr:`cells`, built once on first use,
-    cannot go stale.  ``provenance`` records how each block of rows was
-    produced (seed, generator algorithm, regime); it is carried for
-    reporting and excluded from equality.
+    cannot go stale.  A variable named twice raises ``DataError``.
     """
 
     variables: tuple[str, ...]
     values: np.ndarray
     regime_codes: np.ndarray
     regime_table: tuple[str, ...]
-    provenance: tuple[Mapping, ...] = ()
 
     def __post_init__(self):
+        repeated = sorted(name for name, k in Counter(self.variables).items() if k > 1)
+        if repeated:
+            raise DataError(f"data columns {repeated} appear more than once")
         object.__setattr__(self, "values", _read_only(np.asarray(self.values, dtype=np.int8)))
         object.__setattr__(self, "regime_codes", _read_only(self.regime_codes))
         if self.regime_codes.ndim != 1 or self.values.shape != (
@@ -391,8 +390,7 @@ class Dataset:
     def __reduce__(self):
         # Through the constructor, so a copy's arrays are read-only too and
         # its cells are counted afresh.
-        fields = (self.variables, self.values, self.regime_codes, self.regime_table)
-        return Dataset, (*fields, self.provenance)
+        return Dataset, (self.variables, self.values, self.regime_codes, self.regime_table)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):
@@ -408,11 +406,6 @@ class Dataset:
     @property
     def n_rows(self) -> int:
         return self.values.shape[0]
-
-    @property
-    def regime_labels(self) -> tuple[str, ...]:
-        """The label of every row."""
-        return tuple(np.array(self.regime_table, dtype=object)[self.regime_codes])
 
     def _index(self, name: str) -> int:
         try:
@@ -482,7 +475,6 @@ class Dataset:
             values=np.concatenate([d.values for d in parts], axis=0),
             regime_codes=np.concatenate(codes),
             regime_table=table,
-            provenance=tuple(p for d in parts for p in d.provenance),
         )
 
     # --- CSV round trip --------------------------------------------------
@@ -724,16 +716,12 @@ def _lines_from(body: np.ndarray, starts: np.ndarray, ends: np.ndarray, k: int, 
 def require_possible(dataset: Dataset, graph: CausalGraph, exempt: Iterable[str] = ()) -> None:
     """Reject a dataset the graph cannot have produced.
 
-    The header must name exactly the graph's variables, each once, and no
-    row may have probability 0 under its regime's mutilated graph: a
-    clamped variable off its clamp, or a value that contradicts a 0/1 CPT
-    row.  Variables in ``exempt`` are not checked (an action whose CPT a
+    The header must name exactly the graph's variables, and no row may
+    have probability 0 under its regime's mutilated graph: a clamped
+    variable off its clamp, or a value that contradicts a 0/1 CPT row.  Variables in ``exempt`` are not checked (an action whose CPT a
     policy replaces).  Each cell of :attr:`Dataset.cells` is checked once,
     and an impossible cell counts all its rows.
     """
-    repeated = sorted(name for name, k in Counter(dataset.variables).items() if k > 1)
-    if repeated:
-        raise DataError(f"data columns {repeated} appear more than once")
     if set(dataset.variables) != set(graph.names):
         raise DataError(
             f"data columns {sorted(dataset.variables)} do not match "
@@ -821,22 +809,7 @@ def sample(
         values=values,
         regime_codes=np.zeros(n, dtype=np.uint8),
         regime_table=(regime_label,),
-        provenance=(
-            {
-                "regime": regime_label,
-                "seed": _seed_repr(seed_seq),
-                "rng": RNG_ALGORITHM,
-                "n": n,
-            },
-        ),
     )
-
-
-def _seed_repr(seed_seq: np.random.SeedSequence):
-    entropy = seed_seq.entropy
-    if seed_seq.spawn_key:
-        return [entropy, list(seed_seq.spawn_key)]
-    return entropy
 
 
 def sample_observational(
@@ -865,6 +838,11 @@ def sample_observational(
             raise ValueError("all regime graphs must share the same variables")
         if g.variable(selector).parents:
             raise RegimeError(f"selector {selector!r} must be a root variable")
+    if set(selection_probs) != {0, 1}:
+        raise ValueError(
+            f"selection probabilities must be keyed by {selector}=0 and 1, "
+            f"got {sorted(selection_probs, key=repr)}"
+        )
     for value in (0, 1):
         probs = selection_probs[value]
         if set(probs) != set(labels):
@@ -905,13 +883,4 @@ def sample_observational(
         values=values,
         regime_codes=chosen.astype(_code_dtype(len(labels))),
         regime_table=tuple(labels),
-        provenance=(
-            {
-                "regimes": labels,
-                "selector": selector,
-                "seed": seed,
-                "rng": RNG_ALGORITHM,
-                "n": n,
-            },
-        ),
     )

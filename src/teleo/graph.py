@@ -262,41 +262,34 @@ class CausalGraph:
             raise InvalidGraphError(["cycle prevents topological ordering"])
         return tuple(order)
 
-    def descendants(self, name: str, strict: bool = True) -> set[str]:
+    def descendants(self, name: str) -> set[str]:
         """Everything reachable from ``name`` along edge direction."""
-        self.variable(name)
-        reached: set[str] = set()
-        frontier = [name]
-        while frontier:
-            node = frontier.pop()
-            for child in self._children[node]:
-                if child not in reached:
-                    reached.add(child)
-                    frontier.append(child)
-        if not strict:
-            reached.add(name)
-        return reached
+        return self._reach(name, self._children.__getitem__)
 
-    def ancestors(self, name: str, strict: bool = True) -> set[str]:
-        """Everything that can reach ``name`` along edge direction."""
+    def ancestors(self, name: str) -> set[str]:
+        """Everything that can reach ``name`` along edge direction; parents
+        that are not declared variables are left out."""
+        return self._reach(name, lambda node: self._by_name[node].parents)
+
+    def _reach(self, name: str, step) -> set[str]:
+        """The declared variables reached from ``name`` by repeated ``step``
+        (a node's neighbours in one direction); ``name`` itself only if a
+        cycle leads back to it."""
         self.variable(name)
         reached: set[str] = set()
         frontier = [name]
         while frontier:
-            node = frontier.pop()
-            for p in self._by_name[node].parents:
-                if p in self._by_name and p not in reached:
-                    reached.add(p)
-                    frontier.append(p)
-        if not strict:
-            reached.add(name)
+            for node in step(frontier.pop()):
+                if node in self._by_name and node not in reached:
+                    reached.add(node)
+                    frontier.append(node)
         return reached
 
     def ancestral_subgraph(self, name: str) -> "CausalGraph":
         """``name`` and its ancestors, in declaration order.  Every other
         variable is barren for ``name``: summing it out leaves the marginal
         of ``name`` unchanged (Shachter 1998)."""
-        keep = self.ancestors(name, strict=False)
+        keep = self.ancestors(name) | {name}
         graph = CausalGraph(tuple(v for v in self.variables if v.name in keep))
         if not self._violations:
             graph.__dict__["_violations"] = ()  # closed under parents
@@ -349,7 +342,7 @@ class Tagging:
         if self.action not in graph.names:
             problems.append(f"action {self.action!r} is not a declared variable")
             return problems
-        effects = graph.descendants(self.action, strict=True)
+        effects = graph.descendants(self.action)
         for name, target in sorted(self.intention_hypothesis):
             if name not in graph.names:
                 problems.append(f"intended effect {name!r} is not a declared variable")

@@ -326,7 +326,7 @@ def oracle_identify(
     hypothesized = next(name for name in graph.names if name in intended)
     classification = classify_effects(graph, action, hypothesized)
     battery = plan(graph, classification, levers)
-    arms = arms_from_results([run.result for run in run_battery(model, battery, n_per_arm, seed)])
+    arms = arms_from_results(run_battery(model, battery, n_per_arm, seed))
     size = max_size if max_size is not None else len(truth)
     hypotheses = enumerate_hypotheses(graph, action, max_size=size)
     scores = score_arms(arms, graph, action, true_policy, hypotheses=hypotheses)

@@ -74,7 +74,8 @@ class Battery:
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    """Counts and test outcome of one randomized interference trial."""
+    """Counts and test outcome of one randomized interference trial, and
+    the expected-pattern check on its treated arm."""
 
     experiment: InterferenceExperiment
     control_n: int
@@ -85,14 +86,6 @@ class ExperimentResult:
     p_value: float
     verdict: str  # no-change | change | underpowered
     seed: int
-
-
-@dataclass(frozen=True)
-class ExperimentRun:
-    """An experiment's result together with the pattern check evaluated on
-    its treated arm."""
-
-    result: ExperimentResult
     pattern_count: int
     pattern_passed: bool
 
@@ -200,7 +193,7 @@ def run_randomized(
     n_per_arm: int,
     seed: int,
     alpha: float = DEFAULT_ALPHA,
-) -> ExperimentRun:
+) -> ExperimentResult:
     """Sample both arms, test for an action-rate change, and check the
     expected pattern on the treated arm.
 
@@ -233,7 +226,7 @@ def run_randomized(
     count, passed = expected_pattern_check(
         int(match.sum()), n_per_arm, experiment, model.policy.p_base
     )
-    result = ExperimentResult(
+    return ExperimentResult(
         experiment=experiment,
         control_n=n_per_arm,
         control_acts=k1,
@@ -243,8 +236,9 @@ def run_randomized(
         p_value=p,
         verdict=verdict,
         seed=seed,
+        pattern_count=count,
+        pattern_passed=passed,
     )
-    return ExperimentRun(result=result, pattern_count=count, pattern_passed=passed)
 
 
 def expected_pattern_check(
@@ -280,7 +274,7 @@ def run_battery(
     n_per_arm: int,
     seed: int,
     alpha: float = DEFAULT_ALPHA,
-) -> list[ExperimentRun]:
+) -> list[ExperimentResult]:
     """Run every experiment in a battery, each with its own seed spawned
     from ``seed``."""
     seeds = np.random.SeedSequence(seed).spawn(max(1, len(battery.experiments)))

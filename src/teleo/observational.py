@@ -20,6 +20,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import Iterable
 
+import numpy as np
+
 from .effects import EffectClassification, confounding_causes
 from .engine import NATURAL_LABEL, Dataset
 from .errors import TeleoError
@@ -89,8 +91,9 @@ def stratified_action_comparison(
     lexicographically first label).  The strata are the adjustment values
     that occur in the dataset's cells, in ascending order.  Strata with an
     empty arm are dropped with a flag; strata with an arm below
-    ``MIN_CELL`` are reported but excluded from pooling.  Counts are read
-    from the dataset's cells, so output is invariant to row order.
+    ``MIN_CELL`` are reported but excluded from pooling.  Every stratum's
+    counts come from one grouping of the dataset's cells, so output is
+    invariant to row order.
     """
     adjustment = tuple(adjustment)
     if action in adjustment:
@@ -108,20 +111,27 @@ def stratified_action_comparison(
     else:
         control_label, treated_label = labels
 
-    dataset.column(action)  # an unknown name fails before any stratum
-    values = dataset.cells.rows[:, [dataset._index(name) for name in adjustment]]
+    cells = dataset.cells
+    acted = cells.rows[:, dataset._index(action)] == 1
+    combos, stratum = np.unique(
+        cells.rows[:, [dataset._index(name) for name in adjustment]], axis=0, return_inverse=True
+    )
+    stratum = stratum.reshape(-1)
+    treated = cells.codes == dataset.regime_table.index(treated_label)
+
+    def tally(mask: np.ndarray) -> list[int]:
+        """Rows per stratum among the cells in ``mask``."""
+        rows = np.bincount(stratum[mask], weights=cells.counts[mask], minlength=len(combos))
+        return rows.astype(np.int64).tolist()
 
     strata = []
     flags: set[str] = set()
-    for combo in sorted(set(map(tuple, values.tolist()))):
-        stratum = dict(zip(adjustment, combo))
-        n_t = dataset.count(treated_label, stratum)
-        n_c = dataset.count(control_label, stratum)
+    for combo, n_t, k_t, n_c, k_c in zip(
+        combos.tolist(), tally(treated), tally(treated & acted), tally(~treated), tally(~treated & acted)
+    ):
         if n_t == 0 or n_c == 0:
             flags.add(FLAG_EMPTY_CELLS)
             continue
-        k_t = dataset.count(treated_label, {**stratum, action: 1})
-        k_c = dataset.count(control_label, {**stratum, action: 1})
         diff = k_t / n_t - k_c / n_c
         variance = _weight_variance(k_c, n_c) + _weight_variance(k_t, n_t)
         included = min(n_c, n_t) >= MIN_CELL

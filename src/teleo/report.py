@@ -17,7 +17,7 @@ from .effects import EffectClassification, confounding_causes
 from .errors import SpecError
 from .graph import CausalGraph
 from .inference import HypothesisScore, Identification
-from .lab import Battery, ExperimentRun
+from .lab import Battery, ExperimentResult
 from .observational import ObservationalResult
 
 FORMAT_VERSION = 1
@@ -48,22 +48,18 @@ def validation_section(graph: CausalGraph | None, violations: Sequence[str]) -> 
     return section
 
 
-def classification_section(
-    classification: EffectClassification, graph: CausalGraph | None = None
-) -> dict:
-    section = {
+def classification_section(classification: EffectClassification, graph: CausalGraph) -> dict:
+    return {
         "action": classification.action,
         "hypothesized": classification.hypothesized,
         "mediating": sorted(classification.mediating),
         "further": sorted(classification.further),
         "parallel": sorted(classification.parallel),
-    }
-    if graph is not None:
-        section["confounding_causes"] = {
+        "confounding_causes": {
             effect: sorted(confounding_causes(graph, classification.action, effect))
             for effect in sorted(classification.all_effects())
-        }
-    return section
+        },
+    }
 
 
 def _experiment_dict(experiment) -> dict:
@@ -90,11 +86,9 @@ def plan_section(battery: Battery) -> dict:
     }
 
 
-def experiments_section(runs: Sequence[ExperimentRun]) -> list[dict]:
-    rows = []
-    for run in runs:
-        result = run.result
-        row = {
+def experiments_section(results: Sequence[ExperimentResult]) -> list[dict]:
+    return [
+        {
             "experiment": _experiment_dict(result.experiment),
             "control_n": result.control_n,
             "control_acts": result.control_acts,
@@ -104,10 +98,10 @@ def experiments_section(runs: Sequence[ExperimentRun]) -> list[dict]:
             "p_value": result.p_value,
             "verdict": result.verdict,
             "seed": result.seed,
-            "pattern": {"count": run.pattern_count, "passed": run.pattern_passed},
+            "pattern": {"count": result.pattern_count, "passed": result.pattern_passed},
         }
-        rows.append(row)
-    return rows
+        for result in results
+    ]
 
 
 def _stratum_dict(stratum) -> dict:

@@ -81,3 +81,8 @@ def make_dataset(variables, rows, labels=None) -> Dataset:
     if labels is None:
         labels = ["natural"] * len(rows)
     return labeled_dataset(variables, values, labels)
+
+
+def row_labels(data: Dataset) -> tuple[str, ...]:
+    """The regime label of every row, in row order."""
+    return tuple(data.regime_table[code] for code in data.regime_codes.tolist())

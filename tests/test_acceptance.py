@@ -232,7 +232,7 @@ def test_criterion_8_observational_adjustment(confounded_doc):
     cls = classify_effects(confounded_doc.graph, "practice", "be_fit")
     battery = plan(confounded_doc.graph, cls, SPORT_LEVERS)
     experiment = next(e for e in battery.experiments if e.target == "win_medals")
-    randomized = run_randomized(model, experiment, 25_000, 7).result
+    randomized = run_randomized(model, experiment, 25_000, 7)
     p_treated = randomized.treated_acts / randomized.treated_n
     p_control = randomized.control_acts / randomized.control_n
     diff_randomized = p_treated - p_control

@@ -488,7 +488,7 @@ def test_servability_is_computed_once_per_key(monkeypatch):
     graph = doc.graph
     model = bind_agent(graph, "practice", doc.policy)
     battery = plan(graph, classify_effects(graph, "practice", "be_fit"), doc.levers)
-    arms = arms_from_results([run.result for run in run_battery(model, battery, 200, 3)])
+    arms = arms_from_results(run_battery(model, battery, 200, 3))
     sensitivity(arms, graph, "practice", doc.policy, [0.6, 0.7, 0.8], [0.02, 0.05, 0.1])
     truths = ("lose_weight", "be_fit", "live_longer", "win_medals")
     for seed in range(8):

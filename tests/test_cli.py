@@ -1,4 +1,5 @@
 import hashlib
+import json
 import resource
 import subprocess
 import sys
@@ -35,6 +36,15 @@ ACTION_ONLY = UNTAGGED + "action a\n"
 def machine(capsys, argv):
     code = run_command(argv + ["--format", "machine"])
     return code, parse_machine_report(capsys.readouterr().out)
+
+
+def sections_digest(capsys, argv) -> str:
+    """SHA-256 of a machine report's ``sections`` object, written as the
+    report writes it; the provenance, which names file paths, is left out."""
+    code, report = machine(capsys, argv)
+    assert code == 0
+    text = json.dumps(report.sections, sort_keys=True, indent=2)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 class TestExitCodes:
@@ -279,6 +289,11 @@ class TestExperiment:
             outs.append(out.read_text())
         assert outs[0] == outs[1]
 
+    def test_sections_are_pinned(self, capsys):
+        argv = ["experiment", "--graph", str(DEMO_SPORT_SPEC), "--seed", "42", "--n", "2000"]
+        digest = "a49b565cd20dabfa12ad70f5f5b1efc72d9424852f76da8a2aaff93e301f0854"
+        assert sections_digest(capsys, argv) == digest
+
 
 @pytest.fixture(scope="module")
 def data_csv(sport_spec_path, tmp_path_factory):
@@ -342,6 +357,15 @@ class TestAnalyzeAndInfer:
         )
         assert fit["adjustment"] == ["enroll"]
         assert len(fit["strata"]) == 2
+
+    def test_adjusted_sections_are_pinned(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        simulate = ["simulate", "--graph", str(DEMO_SPORT_SPEC), "--seed", "42", "--n", "2000"]
+        assert run_command(simulate + ["--out", str(data)]) == 0
+        argv = ["analyze", "--graph", str(DEMO_SPORT_SPEC), "--data", str(data)]
+        argv += ["--adjust", "enroll,smoke,protein_diet"]
+        digest = "732230c1c5046222fb9799f50e9c568a9c17eeb053e8eb1826b1f594e276c284"
+        assert sections_digest(capsys, argv) == digest
 
     def test_infer_identifies_intention(self, sport_spec_path, data_csv, capsys):
         code, report = machine(

@@ -34,7 +34,14 @@ from teleo import (
 from teleo.graph import CausalGraph
 from teleo.models import ball_pins, education_salary, sport_chain, stove_water
 
-from .helpers import dag_from_seed, labeled_dataset, lever_chain, make_dataset, twin_chains
+from .helpers import (
+    dag_from_seed,
+    labeled_dataset,
+    lever_chain,
+    make_dataset,
+    row_labels,
+    twin_chains,
+)
 
 
 class TestRegime:
@@ -278,7 +285,7 @@ class TestSampling:
 
     def test_regime_label_applied(self):
         data = sample(stove_water(), 5, 1, regime_label="water=0")
-        assert data.regime_labels == ("water=0",) * 5
+        assert row_labels(data) == ("water=0",) * 5
 
     def test_values_are_binary(self):
         data = sample(education_salary(), 500, 9)
@@ -297,13 +304,6 @@ class TestSampling:
         data = sample(sport_chain(), 300, 8)
         assert np.array_equal(data.column("practice"), data.column("win_medals"))
         assert np.array_equal(data.column("practice"), data.column("lose_weight"))
-
-    def test_provenance_records_seed_and_algorithm(self):
-        data = sample(stove_water(), 3, 77)
-        assert len(data.provenance) == 1
-        record = data.provenance[0]
-        assert record["rng"] == "pcg64"
-        assert record["n"] == 3
 
 
 class TestDatasetCsv:
@@ -346,13 +346,20 @@ class TestDatasetCsv:
         with pytest.raises(SpecError):
             Dataset.from_csv("")
 
+    def test_repeated_column_is_a_data_error(self):
+        message = r"^data columns \['practice'\] appear more than once$"
+        with pytest.raises(DataError, match=message):
+            Dataset.from_csv("practice,practice,regime\n1,0,natural\n1,0,natural\n")
+        with pytest.raises(DataError, match=message):
+            make_dataset(["practice", "be_fit", "practice"], [(1, 0, 0)])
+
 
 def reference_to_csv(data: Dataset) -> str:
     """Per-row ``csv.writer`` encoding: the bytes ``to_csv`` must produce."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(list(data.variables) + ["regime"])
-    for row, label in zip(data.values, data.regime_labels):
+    for row, label in zip(data.values, row_labels(data)):
         writer.writerow([str(int(v)) for v in row] + [label])
     return buf.getvalue()
 
@@ -400,7 +407,7 @@ def parse_outcome(parse, text):
     """The Dataset a parser returns, or the type and text of its error."""
     try:
         return parse(text)
-    except (SpecError, csv.Error) as exc:
+    except (SpecError, DataError, csv.Error) as exc:
         return type(exc), str(exc)
 
 
@@ -419,7 +426,7 @@ csv_label = st.lists(
 def datasets(draw):
     n_vars = draw(st.integers(0, 12))
     n_rows = draw(st.integers(0, 25))
-    variables = draw(st.lists(csv_text, min_size=n_vars, max_size=n_vars))
+    variables = draw(st.lists(csv_text, min_size=n_vars, max_size=n_vars, unique=True))
     cells = draw(st.lists(st.integers(0, 1), min_size=n_rows * n_vars, max_size=n_rows * n_vars))
     table = draw(
         st.lists(st.one_of(st.just("natural"), csv_text, csv_label), min_size=1, max_size=4, unique=True)
@@ -492,6 +499,7 @@ class TestCsvCodecProperties:
             "regime\nnatural\n\r\n\"\"\n",
             "a,regime\n0,natural\n1,nat\rural\n",
             "a\rb,regime\n0,natural\n",
+            "a,b,a,regime\n0,1,1,natural\n",
         ],
     )
     def test_examples_read_like_reference(self, text):
@@ -513,7 +521,7 @@ class TestCsvCodecProperties:
         read = Dataset.from_csv(data.to_csv())
         assert read == data and read.regime_table == tuple(labels[::-1])
         assert read.regime_codes.dtype == np.uint16
-        assert read.regime_labels == data.regime_labels
+        assert row_labels(read) == row_labels(data)
 
 
 class TestDatasetOps:
@@ -521,14 +529,14 @@ class TestDatasetOps:
         data = make_dataset(["a"], [(0,), (1,), (1,)], ["natural", "x=1", "natural"])
         kept = data.filter_regimes(["x=1"])
         assert kept.n_rows == 1
-        assert kept.regime_labels == ("x=1",)
+        assert row_labels(kept) == ("x=1",)
 
     def test_concat(self):
         a = make_dataset(["a"], [(0,)], ["natural"])
         b = make_dataset(["a"], [(1,)], ["x=1"])
         joined = Dataset.concat([a, b])
         assert joined.n_rows == 2
-        assert joined.regime_labels == ("natural", "x=1")
+        assert row_labels(joined) == ("natural", "x=1")
 
     def test_concat_mismatched_columns(self):
         a = make_dataset(["a"], [(0,)])
@@ -545,7 +553,7 @@ class TestDatasetOps:
             regime_table=("natural", "x=1", "unused"),
         )
         assert same == data and data == same
-        assert same.regime_labels == data.regime_labels
+        assert row_labels(same) == row_labels(data)
         assert tuple(same._present().values()) == ("natural", "x=1")
         assert make_dataset(["a"], [(0,)], ["x=1"]) != make_dataset(["a"], [(0,)], ["natural"])
 
@@ -658,7 +666,7 @@ def _cell_counts(dataset) -> dict:
 def _row_count(dataset, label, event) -> int:
     """Reference for Dataset.count: rows labeled ``label`` matching ``event``."""
     count = 0
-    for values, row_label in zip(dataset.values.tolist(), dataset.regime_labels):
+    for values, row_label in zip(dataset.values.tolist(), row_labels(dataset)):
         row = dict(zip(dataset.variables, values))
         count += row_label == label and all(row[k] == v for k, v in event.items())
     return count
@@ -668,7 +676,7 @@ def _impossible_rows(dataset, graph, exempt) -> int:
     """Reference for require_possible: rows whose probability, the product
     of the CPT rows of their regime's mutilated graph, is 0."""
     count = 0
-    for values, label in zip(dataset.values.tolist(), dataset.regime_labels):
+    for values, label in zip(dataset.values.tolist(), row_labels(dataset)):
         row = dict(zip(dataset.variables, values))
         p = 1.0
         for var in mutilate(graph, Regime.from_label(label)).variables:
@@ -782,7 +790,7 @@ class TestObservationalSampling:
         probs = {0: {"natural": 0.9, "education=1": 0.1}, 1: {"natural": 0.1, "education=1": 0.9}}
         data = sample_observational(graphs, "family_status", probs, 20000, 12)
         status = data.column("family_status")
-        labels = np.asarray([lab == "education=1" for lab in data.regime_labels])
+        labels = np.asarray([lab == "education=1" for lab in row_labels(data)])
         rate_high = labels[status == 1].mean()
         rate_low = labels[status == 0].mean()
         assert abs(rate_high - 0.9) < 0.02
@@ -818,3 +826,10 @@ class TestObservationalSampling:
         probs = {0: {"natural": natural, "water=0": lever}, 1: {"natural": 0.5, "water=0": 0.5}}
         with pytest.raises(ValueError, match="must be finite and >= 0"):
             sample_observational(graphs, "stove", probs, 10, 1)
+
+    @pytest.mark.parametrize("keys", [(0,), (0, 1, 2)], ids=["missing", "extra"])
+    def test_selection_probabilities_must_be_keyed_by_0_and_1(self, keys):
+        g = stove_water()
+        probs = {value: {"natural": 1.0} for value in keys}
+        with pytest.raises(ValueError, match="must be keyed by stove=0 and 1"):
+            sample_observational({"natural": g}, "stove", probs, 10, 1)

@@ -70,7 +70,8 @@ class TestGraphStructure:
         g = sport_doc.graph
         assert g.descendants("practice") == {"lose_weight", "be_fit", "live_longer", "win_medals"}
         assert g.ancestors("live_longer") == {"be_fit", "lose_weight", "practice", "protein_diet", "smoke"}
-        assert "practice" in g.descendants("practice", strict=False)
+        assert "practice" not in g.descendants("practice") | g.ancestors("practice")
+        assert set(g.ancestral_subgraph("live_longer").names) == g.ancestors("live_longer") | {"live_longer"}
 
     def test_directed_paths(self, sport_doc):
         g = sport_doc.graph

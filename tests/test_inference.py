@@ -67,8 +67,7 @@ def battery_results(sport_doc):
     model = sport_doc.bind()
     cls = classify_effects(sport_doc.graph, "practice", "be_fit")
     battery = plan(sport_doc.graph, cls, SPORT_LEVERS)
-    runs = run_battery(model, battery, 2000, 314)
-    return [run.result for run in runs]
+    return run_battery(model, battery, 2000, 314)
 
 
 class TestEnumerate:
@@ -378,8 +377,7 @@ def slow_agent_results(sport_doc):
     model = bind_agent(sport_doc.graph, "practice", lazy)
     cls = classify_effects(sport_doc.graph, "practice", "be_fit")
     battery = plan(sport_doc.graph, cls, SPORT_LEVERS)
-    runs = run_battery(model, battery, 2000, 98)
-    return [run.result for run in runs]
+    return run_battery(model, battery, 2000, 98)
 
 
 class TestMisfit:
@@ -458,6 +456,8 @@ class TestArms:
             p_value=1.0,
             verdict="no-change",
             seed=1,
+            pattern_count=0,
+            pattern_passed=True,
         )
         with pytest.raises(RegimeError):
             arms_from_results([orphan])

@@ -163,19 +163,19 @@ class TestRunRandomized:
     def test_change_detected_when_rate_collapses(self, battery, sport_doc):
         model = sport_doc.bind()
         diet = battery.experiments[2]
-        result = run_randomized(model, diet, 1000, 5).result
+        result = run_randomized(model, diet, 1000, 5)
         assert result.verdict == "change"
         assert result.treated_acts < result.control_acts / 4
 
     def test_no_change_on_parallel_lever(self, battery, sport_doc):
         model = sport_doc.bind()
-        result = run_randomized(model, battery.experiments[0], 1000, 5).result
+        result = run_randomized(model, battery.experiments[0], 1000, 5)
         assert result.verdict == "no-change"
 
     def test_underpowered_when_both_arms_tiny(self, battery):
         doc = sport_lab()
         model = replace(doc, policy=replace(doc.policy, p_act=0.02, p_base=0.0)).bind()
-        result = run_randomized(model, battery.experiments[0], 40, 2).result
+        result = run_randomized(model, battery.experiments[0], 40, 2)
         assert result.verdict == "underpowered"
 
     def test_lever_clamping_action_rejected(self, sport_doc):
@@ -245,7 +245,7 @@ class TestRunBattery:
     def test_results_align_with_plan(self, battery, sport_doc):
         model = sport_doc.bind()
         runs = run_battery(model, battery, 400, 9)
-        assert [r.result.experiment.target for r in runs] == [
+        assert [r.experiment.target for r in runs] == [
             "win_medals",
             "live_longer",
             "be_fit",
@@ -254,7 +254,7 @@ class TestRunBattery:
     def test_per_experiment_seeds_differ(self, battery, sport_doc):
         model = sport_doc.bind()
         runs = run_battery(model, battery, 400, 9)
-        seeds = {r.result.seed for r in runs}
+        seeds = {r.seed for r in runs}
         assert len(seeds) == len(runs)
 
     def test_patterns_pass_under_truth(self, battery, sport_doc):

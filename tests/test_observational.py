@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from teleo import (
     Battery,
@@ -20,9 +21,10 @@ from teleo.observational import (
     FLAG_CONFOUNDED,
     FLAG_EMPTY_CELLS,
     FLAG_SMALL_STRATA,
+    MIN_CELL,
 )
 
-from .helpers import labeled_dataset, make_dataset
+from .helpers import labeled_dataset, make_dataset, row_labels
 
 
 def two_strata_dataset():
@@ -91,7 +93,7 @@ class TestStratifiedComparison:
         shuffled = labeled_dataset(
             data.variables,
             data.values[perm],
-            tuple(data.regime_labels[i] for i in perm),
+            tuple(row_labels(data)[i] for i in perm),
         )
         a = stratified_action_comparison(data, "act", adjustment=("age",))
         b = stratified_action_comparison(shuffled, "act", adjustment=("age",))
@@ -199,6 +201,48 @@ class TestStratifiedComparison:
         assert keys == sorted(tuple(p) for p in patterns[:8].tolist())
         assert cmp.flags == (FLAG_EMPTY_CELLS,)
         assert all(s.difference == 0.0 and s.included for s in cmp.strata)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_strata_match_per_stratum_counts(self, data):
+        # A few adjustment patterns, each repeated over blocks of rows, so
+        # that strata with an empty arm, strata below MIN_CELL and usable
+        # strata all occur; "other" is not adjusted for.
+        k = data.draw(st.integers(0, 6))
+        adjustment = tuple(f"z{i}" for i in range(k))
+        bits = st.lists(st.integers(0, 1), min_size=k, max_size=k)
+        pool = data.draw(st.lists(bits.map(tuple), min_size=1, max_size=4, unique=True))
+        block = st.tuples(st.sampled_from(pool), st.integers(0, 1), st.integers(0, 1), st.integers(1, 10))
+        rows, labels = [], []
+        for label in ("natural", "ban"):
+            for pattern, other, act, repeat in data.draw(st.lists(block, min_size=1, max_size=15)):
+                rows += [(*pattern, other, act)] * repeat
+                labels += [label] * repeat
+        dataset = make_dataset([*adjustment, "other", "act"], rows, labels)
+
+        expected, flags = [], set()
+        for combo in sorted({row[:k] for row in rows}):
+            stratum = dict(zip(adjustment, combo))
+            acted = {**stratum, "act": 1}
+            n_c, n_t = dataset.count("natural", stratum), dataset.count("ban", stratum)
+            if n_c == 0 or n_t == 0:
+                flags.add(FLAG_EMPTY_CELLS)
+                continue
+            if min(n_c, n_t) < MIN_CELL:
+                flags.add(FLAG_SMALL_STRATA)
+            counts = (n_c, dataset.count("natural", acted), n_t, dataset.count("ban", acted))
+            expected.append((tuple(stratum.items()), *counts))
+        if not any(min(n_c, n_t) >= MIN_CELL for _, n_c, _, n_t, _ in expected):
+            with pytest.raises(TeleoError, match="minimum cell"):
+                stratified_action_comparison(dataset, "act", adjustment)
+            return
+        cmp = stratified_action_comparison(dataset, "act", adjustment)
+        got = [(s.key, s.control_n, s.control_acts, s.treated_n, s.treated_acts) for s in cmp.strata]
+        assert got == expected
+        assert cmp.flags == tuple(sorted(flags))
+        for s in cmp.strata:
+            assert s.difference == s.treated_acts / s.treated_n - s.control_acts / s.control_n
+            assert s.included == (min(s.control_n, s.treated_n) >= MIN_CELL)
 
     def test_min_cell_is_five_rows_per_arm(self):
         rows = [(1,)] * 5 + [(0,)] * 5

@@ -33,8 +33,8 @@ def full_report(sport_doc):
     model = sport_doc.bind()
     cls = classify_effects(g, "practice", "be_fit")
     battery = plan(g, cls, SPORT_LEVERS)
-    runs = run_battery(model, battery, 500, 77)
-    arms = arms_from_results([r.result for r in runs])
+    results = run_battery(model, battery, 500, 77)
+    arms = arms_from_results(results)
     scores = score_arms(arms, g, "practice", sport_doc.policy)
     return Report(
         provenance={"command": "experiment", "seed": 77, "n_per_arm": 500},
@@ -42,7 +42,7 @@ def full_report(sport_doc):
             "validation": validation_section(g, []),
             "classification": classification_section(cls, g),
             "plan": plan_section(battery),
-            "experiments": experiments_section(runs),
+            "experiments": experiments_section(results),
             "scores": scores_section(scores),
             "identification": identification_section(identify(scores)),
         },
