@@ -14,7 +14,7 @@ Four capabilities live here:
   parents) at once, along a leading regime axis;
 * seeded ancestral sampling (:func:`sample`), the Monte Carlo counterpart
   used by simulated experiments.  Identical (graph, n, seed) gives a
-  bit-identical dataset.
+  bit-identical dataset, each column the same whichever others are drawn.
 """
 
 from __future__ import annotations
@@ -770,25 +770,40 @@ def _sample_columns(
     n: int,
     rng: np.random.Generator,
     preset: Mapping[str, np.ndarray] | None = None,
+    names: tuple[str, ...] | None = None,
 ) -> np.ndarray:
-    """Ancestral sampling, one vectorized draw block per variable in
-    topological order.  Preset columns are copied through and consume no
-    draws, which keeps the stream alignment independent of preset values."""
-    columns: dict[str, np.ndarray] = {}
-    for name in graph.topological_order:
-        var = graph.variable(name)
+    """Ancestral sampling of ``names`` (default every variable), one draw
+    block per variable in topological order into one reused buffer.  Only
+    ``names`` and their ancestors are computed, but every variable up to the
+    last of them draws, so a column is the same whichever others are sampled
+    with it.  Preset columns are copied through and consume no draws, which
+    keeps the stream alignment independent of preset values."""
+    names = graph.names if names is None else names
+    if names not in graph._sample_plans:  # each step's (name, CPT, parent steps, needed), then names' steps
+        needed = set(names).union(*map(graph.ancestors, names))
+        order = graph.topological_order
+        step = {name: k for k, name in enumerate(order)}
+        stop = max((step[name] + 1 for name in needed), default=0)
+        graph._sample_plans[names] = tuple(
+            (name, graph.variable(name).cpt_array, [step[p] for p in graph.parents(name)], name in needed)
+            for name in order[:stop]
+        ), [step[name] for name in names]
+    steps, out = graph._sample_plans[names]
+    columns: list = []
+    uniforms = np.empty(n)
+    for name, cpt, parents, needed in steps:
         if preset is not None and name in preset:
-            columns[name] = np.asarray(preset[name], dtype=np.int8)
+            columns.append(np.asarray(preset[name], dtype=np.int8))
             continue
-        if var.parents:
-            pidx = np.zeros(n, dtype=np.int64)
-            for pname in var.parents:
-                pidx = (pidx << 1) | columns[pname]
-            p_one = var.cpt_array[pidx]
-        else:
-            p_one = var.cpt_array[0]
-        columns[name] = (rng.random(n) < p_one).astype(np.int8)
-    return np.column_stack([columns[name] for name in graph.names]) if graph.names else np.zeros((n, 0), dtype=np.int8)
+        rng.random(out=uniforms)
+        if not needed:
+            columns.append(None)
+            continue
+        index = np.intp(0)
+        for k in parents:
+            index = (index << 1) | columns[k]
+        columns.append((uniforms < cpt[index]).view(np.int8))
+    return np.column_stack([columns[k] for k in out]) if out else np.zeros((n, 0), dtype=np.int8)
 
 
 def sample(
@@ -796,17 +811,20 @@ def sample(
     n: int,
     seed: int | np.random.SeedSequence,
     regime_label: str = NATURAL_LABEL,
+    names: Sequence[str] | None = None,
 ) -> Dataset:
-    """Draw ``n`` ancestral samples.  Bit-identical for identical
-    (graph, n, seed); empirical frequencies converge to the enumeration."""
+    """Draw ``n`` ancestral samples of ``names`` (default every variable):
+    bit-identical for identical (graph, n, seed), each column the same
+    whichever others are drawn with it, frequencies converging to the
+    enumeration.  Unknown names raise ``UnknownVariableError``, repeats ``DataError``."""
     if n < 0:
         raise ValueError("n must be >= 0")
     graph.require_valid()
+    names = graph.names if names is None else tuple(names)
     seed_seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    values = _sample_columns(graph, n, _rng(seed_seq), preset=None)
     return Dataset(
-        variables=graph.names,
-        values=values,
+        variables=names,
+        values=_sample_columns(graph, n, _rng(seed_seq), names=names),
         regime_codes=np.zeros(n, dtype=np.uint8),
         regime_table=(regime_label,),
     )

@@ -182,6 +182,11 @@ class CausalGraph:
         """Bound graphs per (action, regime, policy CPT rows); a derived graph starts empty."""
         return {}
 
+    @cached_property
+    def _sample_plans(self) -> dict:
+        """Sampling plans per requested names; a derived graph starts empty."""
+        return {}
+
     # --- validation ------------------------------------------------------
 
     def validate(self) -> list[str]:

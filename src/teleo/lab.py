@@ -207,9 +207,10 @@ def run_randomized(
     if n_per_arm < 1:
         raise ValueError("n_per_arm must be >= 1")
     control_seq, treated_seq = np.random.SeedSequence(seed).spawn(2)
-    control = sample(model.bound_graph(Regime()), n_per_arm, control_seq)
+    control = sample(model.bound_graph(Regime()), n_per_arm, control_seq, names=(model.action,))
+    columns = tuple(dict.fromkeys([model.action, *experiment.expected_pattern]))
     treated = sample(
-        model.bound_graph(experiment.regime()), n_per_arm, treated_seq, regime_label=experiment.label
+        model.bound_graph(experiment.regime()), n_per_arm, treated_seq, experiment.label, columns
     )
     k1 = int(control.column(model.action).sum())
     k2 = int(treated.column(model.action).sum())

@@ -294,6 +294,14 @@ class TestExperiment:
         digest = "a49b565cd20dabfa12ad70f5f5b1efc72d9424852f76da8a2aaff93e301f0854"
         assert sections_digest(capsys, argv) == digest
 
+    def test_confounded_sections_are_pinned(self, confounded_doc, tmp_path, capsys):
+        # practice has a parent (age) here, so the control arm is not one root.
+        spec = tmp_path / "confounded.spec"
+        spec.write_text(serialize_graph_spec(confounded_doc), encoding="utf-8")
+        argv = ["experiment", "--graph", str(spec), "--seed", "42", "--n", "2000"]
+        digest = "c02bb953a27f380a23817389c78f7e12e17a5967c358a02a0b4004f23b8cd92b"
+        assert sections_digest(capsys, argv) == digest
+
 
 @pytest.fixture(scope="module")
 def data_csv(sport_spec_path, tmp_path_factory):

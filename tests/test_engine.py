@@ -4,6 +4,7 @@ import io
 import itertools
 import pickle
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from teleo import (
     Dataset,
     EnumerationLimitError,
     InvalidGraphError,
+    NATURAL_LABEL,
     Regime,
     RegimeError,
     SpecError,
@@ -31,6 +33,7 @@ from teleo import (
     sample_observational,
     stratified_action_comparison,
 )
+from teleo import engine
 from teleo.graph import CausalGraph
 from teleo.models import ball_pins, education_salary, sport_chain, stove_water
 
@@ -304,6 +307,67 @@ class TestSampling:
         data = sample(sport_chain(), 300, 8)
         assert np.array_equal(data.column("practice"), data.column("win_medals"))
         assert np.array_equal(data.column("practice"), data.column("lose_weight"))
+
+    def test_unknown_name_is_an_unknown_variable_error(self):
+        with pytest.raises(UnknownVariableError, match="kettle"):
+            sample(stove_water(), 10, 1, names=("water", "kettle"))
+
+    def test_repeated_name_is_a_data_error(self):
+        with pytest.raises(DataError, match="more than once"):
+            sample(stove_water(), 10, 1, names=("water", "stove", "water"))
+
+
+def reference_sample_columns(graph, n, rng, preset=None):
+    """The sampler as it was before it took ``names``: every variable, one
+    vectorized draw block per variable in topological order; preset columns
+    are copied through and consume no draws."""
+    columns: dict[str, np.ndarray] = {}
+    for name in graph.topological_order:
+        var = graph.variable(name)
+        if preset is not None and name in preset:
+            columns[name] = np.asarray(preset[name], dtype=np.int8)
+            continue
+        if var.parents:
+            pidx = np.zeros(n, dtype=np.int64)
+            for pname in var.parents:
+                pidx = (pidx << 1) | columns[pname]
+            p_one = var.cpt_array[pidx]
+        else:
+            p_one = var.cpt_array[0]
+        columns[name] = (rng.random(n) < p_one).astype(np.int8)
+    return np.column_stack([columns[name] for name in graph.names]) if graph.names else np.zeros((n, 0), dtype=np.int8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph_seed=st.integers(0, 10_000), n=st.integers(0, 300), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_sampled_columns_match_a_full_sample(graph_seed, n, seed, data):
+    """A sample of some names holds exactly those columns of the full
+    sample, and the full sample is the per-variable reference's."""
+    graph = dag_from_seed(graph_seed, max_nodes=10)
+    names = data.draw(st.lists(st.sampled_from(graph.names), unique=True), label="names")
+    full = sample(graph, n, seed)
+    assert np.array_equal(full.values, reference_sample_columns(graph, n, engine._rng(np.random.SeedSequence(seed))))
+    part = sample(graph, n, seed, names=names)
+    assert part.variables == tuple(names)
+    assert part.n_rows == n
+    assert np.array_equal(part.values, full.values[:, [graph.index(name) for name in names]])
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph_seed=st.integers(0, 10_000), n=st.integers(0, 300), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_observational_sample_matches_the_reference(graph_seed, n, seed, data):
+    """The preset selector column consumes no draws, as in the reference."""
+    graph = dag_from_seed(graph_seed, max_nodes=10)
+    selector = graph.names[0]  # the first variable of a random DAG is a root
+    clamped = data.draw(st.sampled_from(graph.names[1:]), label="clamped")
+    regime = Regime({clamped: data.draw(st.integers(0, 1), label="value")})
+    graphs = {NATURAL_LABEL: graph, regime.label(): mutilate(graph, regime)}
+    share = data.draw(st.tuples(st.floats(0, 1), st.floats(0, 1)), label="share")
+    probs = {v: {NATURAL_LABEL: share[v], regime.label(): 1.0 - share[v]} for v in (0, 1)}
+    got = sample_observational(graphs, selector, probs, n, seed)
+    with mock.patch.object(engine, "_sample_columns", reference_sample_columns):
+        expected = sample_observational(graphs, selector, probs, n, seed)
+    assert got == expected
 
 
 class TestDatasetCsv:

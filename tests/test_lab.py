@@ -1,21 +1,25 @@
 import math
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from teleo import (
     NATURAL_LABEL,
+    AgentPolicy,
     InterferenceExperiment,
     RegimeError,
     UnknownVariableError,
     base_rate_violation_budget,
+    bind_agent,
     classify_effects,
     plan,
     run_battery,
     run_randomized,
     two_proportion_test,
 )
+from teleo import engine, lab
 from teleo.lab import MIN_SUPPORT, expected_pattern_check
 from teleo.models import SPORT_LEVERS, sport_lab, sport_lab_graph
 
@@ -267,3 +271,19 @@ class TestRunBattery:
         a = run_battery(model, battery, 300, 21)
         b = run_battery(model, battery, 300, 21)
         assert a == b
+
+    @pytest.mark.parametrize("seed", [3, 17, 2024])
+    @pytest.mark.parametrize("truth", ["lose_weight", "be_fit", "live_longer", "win_medals"])
+    def test_results_match_full_column_arms(self, truth, seed):
+        """Arms that sample only the columns they read give the results of
+        arms that sample every column."""
+        doc = sport_lab()
+        model = bind_agent(doc.graph, "practice", AgentPolicy.make(((truth, 1),)))
+        battery = plan(doc.graph, classify_effects(doc.graph, "practice", truth), doc.levers)
+
+        def full_sample(graph, n, seed, regime_label=NATURAL_LABEL, names=None):
+            return engine.sample(graph, n, seed, regime_label)
+
+        with mock.patch.object(lab, "sample", full_sample):
+            reference = run_battery(model, battery, 2000, seed)
+        assert run_battery(model, battery, 2000, seed) == reference
