@@ -46,11 +46,13 @@ class _UsageError(Exception):
 
 
 def _read(path: str) -> bytes:
-    """The bytes of ``path``, checked as UTF-8, with each "\\r\\n" and then
-    each lone "\\r" turned into "\\n", as ``Path.read_text`` reads them."""
+    """The bytes of ``path``, checked as UTF-8 (ASCII bytes are, so only a
+    file holding other bytes is decoded, and the text is dropped), with each
+    "\\r\\n" and then each lone "\\r" turned into "\\n", as ``Path.read_text`` does."""
     data = Path(path).read_bytes()
     try:
-        data.decode("utf-8")
+        if not data.isascii():
+            data.decode("utf-8")
     except UnicodeDecodeError as exc:
         bad = data[exc.start]
         raise TeleoError(f"{path} is not UTF-8 text: byte {bad:#04x} at offset {exc.start}") from None

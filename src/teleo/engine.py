@@ -331,12 +331,16 @@ class CellTable:
 
 def _cell_table(codes: np.ndarray, values: np.ndarray, n_labels: int) -> CellTable:
     """Count the cells with one integer key per row: the code's bits, then
-    one bit per variable.  A row wider than 64 bits renumbers the key by
+    one bit per variable.  With no more keys than rows, ``np.bincount``
+    counts every key in one pass, and each cell's code and row are its
+    key's bits; with fewer rows the bins cost more than sorting the keys
+    with ``np.unique``.  A row wider than 64 bits then renumbers the key by
     its rank among the keys so far whenever the next bit would not fit;
-    ranks keep the order, so the cells come out sorted either way.  Each
-    cell takes its first row."""
+    ranks keep the order, so the cells come out sorted on every path."""
     width = max(n_labels - 1, 0).bit_length()
-    key = codes.astype(np.min_scalar_type((1 << min(width + values.shape[1], 64)) - 1))
+    n_vars = values.shape[1]
+    bits = width + n_vars
+    key = codes.astype(np.min_scalar_type((1 << min(bits, 64)) - 1))
     for column in values.view(np.uint8).T:
         if width == 64:
             present, key = np.unique(key, return_inverse=True)
@@ -345,6 +349,11 @@ def _cell_table(codes: np.ndarray, values: np.ndarray, n_labels: int) -> CellTab
         key <<= 1
         key |= column
         width += 1
+    if 1 << bits <= len(key):
+        counts = np.bincount(key)
+        cells = np.flatnonzero(counts)
+        rows = (cells[:, None] >> np.arange(n_vars - 1, -1, -1)) & 1
+        return CellTable((cells >> n_vars).astype(codes.dtype), rows.astype(np.int8), counts[cells])
     _, first, counts = np.unique(key, return_index=True, return_counts=True)
     return CellTable(codes[first], values[first], counts)
 
@@ -512,8 +521,8 @@ class Dataset:
             raise SpecError(f"unreadable CSV record: {exc}", line=1) from None
         if not header or header[-1] != "regime":
             raise SpecError('CSV header must end with a "regime" column')
-        body = np.frombuffer(data, dtype=np.uint8)[pos:]
-        return Dataset(tuple(header[:-1]), *_decode_rows(body, len(header) - 1))
+        rows = _decode_rows(np.frombuffer(data, dtype=np.uint8), pos, len(header) - 1)
+        return Dataset(tuple(header[:-1]), *rows)
 
 
 def _csv_record(row: list[str]) -> str:
@@ -586,18 +595,33 @@ def _windows(buf: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
     return rows.view(np.uint8).reshape(len(starts), width)
 
 
-def _distinct_rows(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For the rows of a C-contiguous 2-D uint8 array: one row index per
-    distinct row, and the distinct row each row equals.  Runs of equal rows
-    are collapsed before sorting."""
-    if block.shape[1] == 0:
-        return np.zeros(1, dtype=np.int64), np.zeros(len(block), dtype=np.int64)
-    keys = block.view(np.dtype((np.void, block.shape[1])))[:, 0]
-    head = np.ones(len(keys), dtype=bool)
-    head[1:] = keys[1:] != keys[:-1]
-    heads = np.flatnonzero(head)
-    _, first, inverse = np.unique(keys[heads], return_index=True, return_inverse=True)
-    return heads[first], inverse.reshape(-1)[np.cumsum(head) - 1]
+def _distinct_tails(buf: np.ndarray, ends: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """One index per distinct ``length``-byte run of ``buf`` that ends at
+    ``ends`` (each 8 * w or more bytes in), and the distinct run each
+    equals.  A run is read as the ``w`` 64-bit words that end it, with the
+    bytes before it masked off.  Each pass matches the first pending run;
+    after log2(runs) passes, about what a sort costs, the rest are sorted."""
+    w = max(-(-length // 8), 1)
+    keep = np.zeros(8 * w, dtype=np.uint8)
+    keep[8 * w - length :] = 0xFF
+    words = _items(buf, 8 * w)[ends - 8 * w].view(np.uint64).reshape(-1, w) & keep.view(np.uint64)
+    pending = np.ones(len(ends), dtype=bool)
+    inverse = np.empty(len(ends), dtype=np.intp)
+    first = []
+    for _ in range(len(ends).bit_length()):
+        k = int(np.argmax(pending))
+        if not pending[k]:
+            break
+        same = pending & (words[:, 0] == words[k, 0])
+        for j in range(1, w):
+            same &= words[:, j] == words[k, j]
+        inverse[same] = len(first)
+        pending &= ~same
+        first.append(k)
+    rest = np.flatnonzero(pending)
+    _, head, back = np.unique(words[rest], axis=0, return_index=True, return_inverse=True)
+    inverse[rest] = len(first) + back.reshape(-1)
+    return np.array(first + rest[head].tolist(), dtype=np.intp), inverse
 
 
 def _tail_code(tail: bytes, n_cells: int, table: dict[str, int]) -> int:
@@ -620,16 +644,17 @@ def _tail_code(tail: bytes, n_cells: int, table: dict[str, int]) -> int:
     return table.setdefault(row[-1], len(table)) if row else _SKIP
 
 
-def _decode_rows(body: np.ndarray, n_cells: int) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
-    """Decode the CSV records after the header: (values, codes, table).
-
-    A line whose first ``2 * n_cells`` bytes are unquoted 0/1 cells and
-    commas is decoded in bulk; its tail, the label, is read with ``csv``
-    once per distinct tail.  Every other non-blank line starts a record
-    that ``csv`` reads on its own, joining the lines a quoted field spans;
-    only these records can be malformed, and they are checked in order.
-    The table lists the labels in the order of the first row of each.
-    """
+def _decode_rows(data: np.ndarray, pos: int, n_cells: int) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+    """Decode the CSV records after the header, which ends at byte ``pos``
+    of ``data``: (values, codes, table).  A line whose first ``2 * n_cells``
+    bytes are unquoted 0/1 cells and commas is decoded in bulk; its tail,
+    the label, is read with ``csv`` once per distinct tail, which
+    :func:`_distinct_tails` finds among the tails of its length.  Every
+    other non-blank line starts a record that ``csv`` reads on its own,
+    joining the lines a quoted field spans; only these can be malformed,
+    and they are checked in order.  The table lists the labels in the order
+    of the first row of each."""
+    body = data[pos:]
     width = 2 * n_cells
     ends = np.flatnonzero(body == ord("\n"))
     if len(body) and body[-1] != ord("\n"):
@@ -657,9 +682,10 @@ def _decode_rows(body: np.ndarray, n_cells: int) -> tuple[np.ndarray, np.ndarray
         length = int(tail_lengths[group[0]]) if len(group) else -1
         if length < 0:
             continue  # no line, or lines that are not fast
-        tails = _windows(body, starts[group] + width, length)
-        first, inverse = _distinct_rows(tails)
-        outcome = np.array([_tail_code(tails[i].tobytes(), n_cells, table) for i in first])
+        # Each end is 8 * w or more bytes in: a fast line holds 8 * w - 7 or more, and "regime\n" 7 precede it.
+        first, inverse = _distinct_tails(data, ends[group] + pos, length)
+        tails = [body[e - length : e].tobytes() for e in ends[group[first]].tolist()]
+        outcome = np.array([_tail_code(tail, n_cells, table) for tail in tails])
         line_code[group] = outcome[inverse]
         seen += zip(group[first].tolist(), outcome.tolist())
 
@@ -774,10 +800,11 @@ def _sample_columns(
 ) -> np.ndarray:
     """Ancestral sampling of ``names`` (default every variable), one draw
     block per variable in topological order into one reused buffer.  Only
-    ``names`` and their ancestors are computed, but every variable up to the
-    last of them draws, so a column is the same whichever others are sampled
-    with it.  Preset columns are copied through and consume no draws, which
-    keeps the stream alignment independent of preset values."""
+    ``names`` and their ancestors are computed; any other variable up to the
+    last of them skips its block with ``advance(n)``, as PCG64 makes one
+    64-bit output per double, so a column is the same whichever others are
+    sampled with it.  Preset columns are copied through and consume no
+    draws, which keeps the stream alignment independent of preset values."""
     names = graph.names if names is None else names
     if names not in graph._sample_plans:  # each step's (name, CPT, parent steps, needed), then names' steps
         needed = set(names).union(*map(graph.ancestors, names))
@@ -795,10 +822,11 @@ def _sample_columns(
         if preset is not None and name in preset:
             columns.append(np.asarray(preset[name], dtype=np.int8))
             continue
-        rng.random(out=uniforms)
         if not needed:
+            rng.bit_generator.advance(n)
             columns.append(None)
             continue
+        rng.random(out=uniforms)
         index = np.intp(0)
         for k in parents:
             index = (index << 1) | columns[k]

@@ -546,6 +546,28 @@ class TestAnalyzeAndInfer:
         assert run_command(["infer", "--graph", str(sport_spec_path), "--data", str(bad)]) == 1
         assert capsys.readouterr().err == f"error: {bad} is not UTF-8 text: byte 0xff at offset 21\n"
 
+    def test_bad_byte_after_a_two_byte_character(self, sport_spec_path, tmp_path, capsys):
+        # "é" is the two bytes c3 a9 at offsets 11 and 12; 0xff follows.
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes("age,regime\né".encode("utf-8") + b"\xff\n")
+        assert run_command(["infer", "--graph", str(sport_spec_path), "--data", str(bad)]) == 1
+        assert capsys.readouterr().err == f"error: {bad} is not UTF-8 text: byte 0xff at offset 13\n"
+
+    def test_spec_with_a_non_ascii_comment_validates(self, tmp_path, capsys):
+        spec = tmp_path / "commented.spec"
+        spec.write_text("# café ✓\n" + UNTAGGED, encoding="utf-8")
+        code, report = machine(capsys, ["validate", "--graph", str(spec)])
+        assert code == 0
+        assert report.sections["validation"]["valid"] is True
+
+    def test_non_ascii_quoted_label_round_trips(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes('a,regime\n0,"é, ✓"\n1,natural\n1,"é, ✓"\n'.encode("utf-8"))
+        data = Dataset.from_csv(cli._read(str(path)))
+        assert data.regime_table == ("é, ✓", "natural")
+        assert data.regime_codes.tolist() == [0, 1, 0]
+        assert data.to_csv().encode("utf-8") == path.read_bytes()
+
     def test_infer_requires_policy(self, tmp_path, data_csv):
         spec = tmp_path / "action_only.spec"
         spec.write_text(ACTION_ONLY)

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from teleo import (
     DataError,
@@ -564,10 +564,26 @@ class TestCsvCodecProperties:
             "a,regime\n0,natural\n1,nat\rural\n",
             "a\rb,regime\n0,natural\n",
             "a,b,a,regime\n0,1,1,natural\n",
+            # Two labels of one tail length, interleaved: y=1 is seen first.
+            "a,regime\n0,y=1\n1,x=1\n1,y=1\n0,x=1\n0,x=1\n1,y=1\n",
+            # x=1 is first seen on a quoted record that csv reads alone.
+            'a,regime\n0,"x=1"\n1,y=1\n0,x=1\n1,x=1\n',
+            'a,regime\n0,"y\n1,x=1"\n1,x=1\n0,y=1\n',
+            # Tails of 14 and 20 bytes that differ in one byte, in the first
+            # or the last of their 64-bit words.
+            "a,regime\n0,protein_diet=0\n1,proteIn_diet=0\n0,protein_diet=0\n1,protein_diet=1\n",
+            "a,b,regime\n0,1,a_twenty_byte_label\n1,0,a_twenty_byte_labeL\n0,0,A_twenty_byte_label\n",
+            # Tails that differ only in the byte next to the masked ones.
+            "a,regime\n0,abcdef\n1,abcdef\n0,xbcdef\n1,abcdefgh\n0,xbcdefgh\n",
+            # More distinct tails of one length than log2 of their lines.
+            "a,regime\n" + "".join(f"{k % 2},x{k % 11:02}\n" for k in range(40)),
         ],
     )
     def test_examples_read_like_reference(self, text):
-        assert parse_outcome(Dataset.from_csv, text) == parse_outcome(reference_from_csv, text)
+        outcome = parse_outcome(Dataset.from_csv, text)
+        assert outcome == parse_outcome(reference_from_csv, text)
+        if isinstance(outcome, Dataset):
+            assert outcome.regime_table == reference_from_csv(text).regime_table
 
     def test_label_order_skips_a_line_inside_a_quoted_label(self):
         # "1,y\"" reads like a row with label 'y"', but it ends the quoted
@@ -845,6 +861,41 @@ def test_wide_rows_reduce_to_cells():
     with pytest.raises(DataError, match=f"^1 of {data.n_rows} rows "):
         require_possible(data, graph)
     require_possible(data.filter_regimes(["natural", "l0=0"]), graph)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n_vars=st.integers(0, 4),
+    n_labels=st.sampled_from([1, 2, 3, 5, 257, 300]),
+    counted=st.booleans(),
+    extra=st.integers(0, 300),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n_vars=0, n_labels=1, counted=False, extra=0, seed=0)
+def test_cells_match_reference_on_both_sides_of_the_bin_rule(n_vars, n_labels, counted, extra, seed):
+    """``Dataset.cells`` counts keys in bins when the key space is no larger
+    than the row count (``counted``) and sorts them otherwise; either way
+    its codes, rows and counts, in order, are the reference's, and the
+    cells ``filter_regimes`` carries are the cells counted afresh."""
+    space = 1 << ((n_labels - 1).bit_length() + n_vars)
+    n_rows = space + extra if counted else extra % space
+    rng = np.random.default_rng(seed)
+    # Codes below a random cap, so that some labels and cells stay empty.
+    codes = rng.integers(0, rng.integers(1, n_labels, endpoint=True), n_rows)
+    dataset = Dataset(
+        tuple(f"v{k}" for k in range(n_vars)),
+        rng.integers(0, 2, (n_rows, n_vars), dtype=np.int8),
+        codes.astype(engine._code_dtype(n_labels)),
+        tuple(f"x{k}" for k in range(n_labels)),
+    )
+    assert _cell_counts(dataset) == _cell_reference(dataset)
+    assert dataset.cells.codes.dtype == dataset.regime_codes.dtype
+    assert dataset.cells.rows.dtype == np.int8
+    kept = dataset.filter_regimes(label for label in dataset.regime_table if rng.random() < 0.5)
+    fresh = Dataset(kept.variables, kept.values, kept.regime_codes, kept.regime_table)
+    for name in ("codes", "rows", "counts"):
+        carried, recounted = getattr(kept.cells, name), getattr(fresh.cells, name)
+        assert carried.dtype == recounted.dtype and np.array_equal(carried, recounted)
 
 
 class TestObservationalSampling:
