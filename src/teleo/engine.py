@@ -229,9 +229,11 @@ def _sweep(
     one elimination order, and a leading regime axis r carries the factors
     that differ.  With ``action``, a batch axis b joins the action as
     ``eye(2)``, so each result holds [P(name = 1 | do(action = b)) for
-    b = 0, 1]; without it, P(name = 1).  The cap counts neither axis; a
-    batch whose factor would hold more cells than one at the cap is split
-    in halves, each swept alone."""
+    b = 0, 1]; without it, P(name = 1).  A name that the cuts leave out of
+    the action's reach gets one value for both b, so its do-margin is
+    exactly 0 whatever other names share the sweep.  The cap counts neither
+    axis; a batch whose factor would hold more cells than one at the cap is
+    split in halves, each swept alone."""
     cut = {name for clamps in regimes for name in clamps if graph.parents(name)}
     clamped = set().union(*regimes)
     assert all(cut <= clamps.keys() for clamps in regimes), "regimes must share their cut set"
@@ -268,9 +270,12 @@ def _sweep(
     frontier: list[str] = []
     factor = np.ones((len(regimes),) + (2,) * (len(batch) - 1))
     out = {}
+    moved = {action}
     for node in order:
         for p in parents(node):
             children_left[p] -= 1
+            if p in moved:
+                moved.add(node)
         joined = [a for a in frontier if children_left[a]] + [node]
         if len(joined) > ENUMERATION_CAP:
             raise EnumerationLimitError(
@@ -290,6 +295,8 @@ def _sweep(
         )
         if node in wanted:
             out[node] = factor[..., 1].reshape(factor.shape[: len(batch)] + (-1,)).sum(axis=-1)
+            if action is not None and node not in moved:
+                out[node][:, 1] = out[node][:, 0]
         frontier = joined
         if not children_left[node]:
             factor = factor.sum(axis=-1)

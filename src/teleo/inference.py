@@ -3,11 +3,13 @@
 Each candidate intention set predicts an action rate under every regime the
 experiments visited: the rate an agent with those intentions would show,
 given the behavioral parameters (act when the intended effects are still
-attainable, fall back to the base rate when they are not).  Summing binomial
-log-probabilities of the observed per-arm act counts under those predicted
-rates gives each hypothesis a score; hypotheses more than a separation
-threshold below the best are refuted, and several hypotheses within the
-threshold of each other are indistinguishable.
+attainable, fall back to the base rate when they are not).  That rate
+depends on a hypothesis only through one servable bit per regime, so each
+arm's binomial log-probability of its observed act count is computed once
+per servable bit, and each hypothesis's score sums its arms' terms.
+Hypotheses more than a separation threshold below the best are refuted,
+and several hypotheses within the threshold of each other are
+indistinguishable.
 
 With natural-regime data alone every servable hypothesis predicts the same
 rate, so all score identically and the data cannot decide between them.
@@ -153,40 +155,45 @@ def _scoring_model(
     return bind_agent(graph, action, policy.with_intentions(frozenset().union(*hypotheses)))
 
 
-def _servable_bits(
+def _servable_masks(
     model: TeleologicalModel, hypotheses: Sequence[Hypothesis], regimes: Sequence[Regime]
-) -> list[list[bool]]:
-    """Whether each regime (columns) leaves every intended effect of each
-    hypothesis (rows) servable.  One servability check per regime, judged
-    per hypothesis by :func:`meets_theta` on its margins; the do-margins of
-    all regimes come from one batched sweep per cut set."""
+) -> tuple[list[int], list[int]]:
+    """Each hypothesis as a bitmask over the intended effects, and per
+    regime the mask of intended effects whose margin fails :func:`meets_theta`
+    there.  A hypothesis is servable under a regime when the two masks share
+    no bit.  One servability check per regime; the do-margins of all regimes
+    come from one batched sweep per cut set."""
     theta = model.policy.theta
-    columns = [
-        {(name, target): margin for name, target, margin in report.margins}
+    bits = {intent: 1 << i for i, intent in enumerate(sorted(model.policy.intention_set))}
+    fails = [
+        sum(bits[name, target] for name, target, margin in report.margins
+            if not meets_theta((margin,), theta))
         for report in model.servabilities(regimes)
     ]
-    return [
-        [meets_theta((column[intent] for intent in hypothesis), theta) for column in columns]
-        for hypothesis in hypotheses
-    ]
+    return [sum(bits[intent] for intent in hypothesis) for hypothesis in hypotheses], fails
 
 
 def _rate_table(
-    model: TeleologicalModel, bits: list[list[bool]], regimes: Sequence[Regime]
-) -> list[list[float]]:
-    """Predicted action rates for a servability table.  The rate depends on
-    a hypothesis only through its servable bit, and on a regime only through
-    its clamps on the action's ancestors: every other clamp is barren for
-    the action (Shachter 1998).  So each (ancestor clamps, bit) is
-    evaluated once, on the same ancestral subgraph as the full regime."""
+    model: TeleologicalModel, regimes: Sequence[Regime], masks: Sequence[int], fails: Sequence[int]
+) -> list[dict[bool, float]]:
+    """Per regime, the predicted action rate for each servable bit that some
+    hypothesis has there.  The rate depends on a hypothesis only through
+    that bit, and on a regime only through its clamps on the action's
+    ancestors: every other clamp is barren for the action (Shachter 1998).
+    So each (ancestor clamps, bit) is evaluated once, on the same ancestral
+    subgraph as the full regime."""
     ancestors = model.base_graph.ancestors(model.action)
-    keys = [Regime({n: v for n, v in r.clamps.items() if n in ancestors}) for r in regimes]
-    rates = {}
-    for row in bits:
-        for key in zip(keys, row):
-            if key not in rates:
-                rates[key] = model.action_rate(*key)
-    return [[rates[key] for key in zip(keys, row)] for row in bits]
+    rates: dict[tuple[Regime, bool], float] = {}
+    table = []
+    for regime, fail in zip(regimes, fails):
+        key = Regime({n: v for n, v in regime.clamps.items() if n in ancestors})
+        row = {}
+        for bit in {not mask & fail for mask in masks}:
+            if (key, bit) not in rates:
+                rates[key, bit] = model.action_rate(key, bit)
+            row[bit] = rates[key, bit]
+        table.append(row)
+    return table
 
 
 def predicted_rates(
@@ -200,47 +207,9 @@ def predicted_rates(
     regime."""
     regimes = list(regimes)
     model = _scoring_model(graph, action, policy, [hypothesis])
-    return _rate_table(model, _servable_bits(model, [hypothesis], regimes), regimes)[0]
-
-
-def _verdicts(
-    arms: Sequence[ArmCounts],
-    hypotheses: Sequence[Hypothesis],
-    rates: list[list[float]],
-) -> list[HypothesisScore]:
-    """Log-likelihoods of each hypothesis's predicted rates and the
-    verdicts they imply (see :func:`score_arms`).  Without arms every
-    hypothesis scores 0 and none is refuted."""
-    lls = []
-    for row in rates:
-        ll = 0.0
-        for arm, rate in zip(arms, row):
-            ll += binomial_logpmf(arm.acts, arm.n, rate)
-        lls.append(ll)
-
-    saturated = 0.0
-    for arm in arms:
-        saturated += binomial_logpmf(arm.acts, arm.n, arm.acts / arm.n)
-    budget = MISFIT_NATS_PER_ARM * len(arms)
-
-    best = max(lls)
-    if best < saturated - budget:
-        verdicts = [VERDICT_REFUTED] * len(hypotheses)
-    else:
-        within = [ll >= best - SEPARATION_NATS for ll in lls]
-        n_within = sum(within)
-        verdicts = []
-        for ok in within:
-            if not ok:
-                verdicts.append(VERDICT_REFUTED)
-            elif n_within == 1:
-                verdicts.append(VERDICT_CONSISTENT)
-            else:
-                verdicts.append(VERDICT_INDISTINGUISHABLE)
-    return [
-        HypothesisScore(h, ll, verdict)
-        for h, ll, verdict in zip(hypotheses, lls, verdicts)
-    ]
+    (mask,), fails = _servable_masks(model, [hypothesis], regimes)
+    rows = _rate_table(model, regimes, [mask], fails)
+    return [row[not mask & fail] for row, fail in zip(rows, fails)]
 
 
 def score_arms(
@@ -260,16 +229,40 @@ def score_arms(
     the window is consistent; two or more within it are indistinguishable.
     If even the best hypothesis falls more than ``MISFIT_NATS_PER_ARM`` per
     arm short of the saturated fit (each arm at its own empirical rate), no
-    hypothesis explains the data and all are refuted.  Randomized battery
-    counts enter through :func:`arms_from_results`, datasets through
+    hypothesis explains the data and all are refuted.  Without arms every
+    hypothesis scores 0 and none is refuted.  A term depends on the
+    hypothesis only through its servable bit, so each arm has at most two,
+    and each hypothesis sums its arms' terms in arm order.  Randomized
+    battery counts enter through :func:`arms_from_results`, datasets through
     :func:`arms_from_dataset`.
     """
     hypotheses = _hypothesis_list(graph, action, hypotheses)
     arms = [arm for arm in arms if arm.n > 0]
-    regimes = [arm.regime for arm in arms]
     model = _scoring_model(graph, action, policy, hypotheses)
-    rates = _rate_table(model, _servable_bits(model, hypotheses, regimes), regimes)
-    return _verdicts(arms, hypotheses, rates)
+    regimes = [arm.regime for arm in arms]
+    masks, fails = _servable_masks(model, hypotheses, regimes)
+    terms = [
+        {bit: binomial_logpmf(arm.acts, arm.n, rate) for bit, rate in row.items()}
+        for arm, row in zip(arms, _rate_table(model, regimes, masks, fails))
+    ]
+    lls = []
+    for mask in masks:
+        ll = 0.0
+        for fail, term in zip(fails, terms):
+            ll += term[not mask & fail]
+        lls.append(ll)
+
+    saturated = 0.0
+    for arm in arms:
+        saturated += binomial_logpmf(arm.acts, arm.n, arm.acts / arm.n)
+    best = max(lls)
+    fits = best >= saturated - MISFIT_NATS_PER_ARM * len(arms)
+    within = [fits and ll >= best - SEPARATION_NATS for ll in lls]
+    alone = VERDICT_CONSISTENT if sum(within) == 1 else VERDICT_INDISTINGUISHABLE
+    return [
+        HypothesisScore(h, ll, alone if ok else VERDICT_REFUTED)
+        for h, ll, ok in zip(hypotheses, lls, within)
+    ]
 
 
 @dataclass(frozen=True)

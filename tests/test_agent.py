@@ -540,6 +540,29 @@ class TestTies:
                 g, "act", [("eff", target)], theta=5e-324, regime=Regime({"mid": 1})
             ).servable
 
+    def test_cut_off_margin_is_exactly_zero_in_any_company(self):
+        # Swept with v4, whose ancestors stay on the frontier when v5 joins,
+        # the clamped v5's two do-values differed in the last bit: its margin
+        # read -2^-52, below theta = 0, only in that company.
+        g = CausalGraph.make(
+            [
+                Variable.make("v0", (), 0.0),
+                Variable.make("v1", ("v0",), {0: 0.0, 1: 0.0}),
+                Variable.make("v2", ("v0",), {0: 0.0, 1: 0.1}),
+                Variable.make("v3", ("v2",), {0: 0.0, 1: 0.5}),
+                Variable.make(
+                    "v4", ("v1", "v3"), {(0, 0): 0.1, (0, 1): 0.0, (1, 0): 0.0, (1, 1): 0.0}
+                ),
+                Variable.make("v5", ("v0",), {0: 0.0, 1: 0.0}),
+            ]
+        )
+        regime = Regime({"v5": 1})
+        alone = servable(g, "v0", [("v5", 0)], theta=0.0, regime=regime)
+        both = servable(g, "v0", [("v4", 0), ("v5", 0)], theta=0.0, regime=regime)
+        assert alone.margins == (("v5", 0, 0.0),)
+        assert both.margins[1] == ("v5", 0, 0.0)
+        assert alone.servable and both.servable
+
     def test_exact_rates_of_zero_and_one(self):
         g = lever_pair(1.0, 0.0)
         policy = AgentPolicy.make([("eff", 1)], p_act=1.0, p_base=0.0, theta=1.0)

@@ -43,7 +43,11 @@ def sections_digest(capsys, argv) -> str:
     report writes it; the provenance, which names file paths, is left out."""
     code, report = machine(capsys, argv)
     assert code == 0
-    text = json.dumps(report.sections, sort_keys=True, indent=2)
+    return hash_sections(report.sections)
+
+
+def hash_sections(sections) -> str:
+    text = json.dumps(sections, sort_keys=True, indent=2)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
@@ -644,6 +648,8 @@ class TestGraphsOverTwentyVariables:
         assert code == 0
         assert len(report.sections["scores"]) == 20 + 190
         assert report.sections["identification"]["top"] == ["e10=1"]
+        digest = "1a997f2801f9f5b9ebcd054763984c42c1295e1d9e86a6300654de8c09212ef0"
+        assert hash_sections(report.sections) == digest
 
     def test_chain_of_71_variables(self, tmp_path, capsys):
         # 36 regimes and 71 variables: each row's cell key needs 77 bits.
@@ -655,6 +661,13 @@ class TestGraphsOverTwentyVariables:
         code, report = machine(capsys, ["infer", "--graph", str(spec), "--data", str(data)])
         assert code == 0
         assert report.sections["identification"]["top"] == ["e17=1"]
+        argv = ["infer", "--graph", str(spec), "--data", str(data), "--max-size", "3"]
+        code, report = machine(capsys, argv)
+        assert code == 0
+        assert len(report.sections["scores"]) == 35 + 595 + 6545
+        assert report.sections["identification"]["top"] == ["e17=1"]
+        digest = "43c8c4b31c98b9e170fa9aeda0c9191903a7202f161e3b10c6fb999b84d33f06"
+        assert hash_sections(report.sections) == digest
 
     def test_frontier_over_the_cap_is_an_error(self, tmp_path):
         graph = twin_chains(20)

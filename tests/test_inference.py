@@ -29,7 +29,7 @@ from teleo import (
     sensitivity,
 )
 from teleo import inference
-from teleo.agent import TeleologicalModel
+from teleo.agent import TeleologicalModel, meets_theta
 from teleo.graph import CausalGraph, Variable
 from teleo.inference import (
     HYPOTHESIS_CAP,
@@ -45,7 +45,7 @@ from teleo.inference import (
 )
 from teleo.models import SPORT_LEVERS, sport_lab_confounded
 
-from .helpers import make_dataset
+from .helpers import lever_chain, make_dataset
 
 SINGLETONS = [
     frozenset({("lose_weight", 1)}),
@@ -144,8 +144,9 @@ def test_rates_key_on_clamps_of_the_action_ancestors(monkeypatch):
     ]
     hypotheses = enumerate_hypotheses(graph, "practice", max_size=2)
     model = inference._scoring_model(graph, "practice", doc.policy, hypotheses)
-    bits = inference._servable_bits(model, hypotheses, regimes)
-    table = bits + [[bit] * len(regimes) for bit in (True, False)]
+    # One hypothesis servable under every regime and one under none, so
+    # that every regime needs both bits.
+    masks, fails = [0, 1], [1] * len(regimes)
     evaluated = []
     action_rate = TeleologicalModel.action_rate
 
@@ -154,15 +155,53 @@ def test_rates_key_on_clamps_of_the_action_ancestors(monkeypatch):
         return action_rate(self, regime, is_servable)
 
     monkeypatch.setattr(TeleologicalModel, "action_rate", counting)
-    rates = inference._rate_table(model, table, regimes)
+    rates = inference._rate_table(model, regimes, masks, fails)
     monkeypatch.undo()
     assert len(evaluated) == len(set(evaluated)) == 6  # natural, age=1, age=0; two bits each
     fresh = bind_agent(CausalGraph(graph.variables), "practice", doc.policy)
-    for row, rate_row in zip(table, rates):
-        for regime, bit, rate in zip(regimes, row, rate_row):
+    for regime, row in zip(regimes, rates):
+        assert sorted(row) == [False, True]
+        for bit, rate in row.items():
             assert rate == fresh.action_rate(regime, bit)
     # Clamping age moves the rate; clamping smoke does not.
-    assert rates[-2][1] != rates[-2][0] == rates[-2][2]
+    assert rates[1][True] != rates[0][True] == rates[2][True]
+
+
+def test_scoring_takes_two_terms_per_arm(monkeypatch):
+    """210 hypotheses over 21 arms: at most two binomial terms per arm and
+    one more for the saturated fit, and one action rate per (clamps on the
+    action's ancestors, servable bit) that some hypothesis has."""
+    graph = lever_chain(20)
+    hypotheses = enumerate_hypotheses(graph, "a", max_size=2)
+    assert len(hypotheses) == 210
+    policy = AgentPolicy.make([("e10", 1)])
+    arms = [ArmCounts(Regime(), 400, 320)]
+    arms += [ArmCounts(Regime({f"l{i}": 0}), 400, 20 if i <= 10 else 320) for i in range(20)]
+    terms, evaluated = [], []
+    logpmf, action_rate = inference.binomial_logpmf, TeleologicalModel.action_rate
+
+    def counting_logpmf(k, n, p):
+        terms.append((k, n, p))
+        return logpmf(k, n, p)
+
+    def counting_rate(self, regime=Regime(), is_servable=None):
+        evaluated.append((regime, is_servable))
+        return action_rate(self, regime, is_servable)
+
+    monkeypatch.setattr(inference, "binomial_logpmf", counting_logpmf)
+    monkeypatch.setattr(TeleologicalModel, "action_rate", counting_rate)
+    scores = score_arms(arms, graph, "a", policy, hypotheses=hypotheses)
+    assert len(terms) <= 2 * len(arms) + len(arms)
+    # The action is a root, so every regime keys on no clamps.
+    assert sorted(evaluated, key=lambda e: e[1]) == [(Regime(), False), (Regime(), True)]
+    assert identify(scores).top == frozenset({("e10", 1)})
+    # Every hypothesis is servable under the natural regime: one rate, one term.
+    terms.clear()
+    evaluated.clear()
+    score_arms(arms[:1], graph, "a", policy, hypotheses=hypotheses)
+    monkeypatch.undo()
+    assert evaluated == [(Regime(), True)]
+    assert len(terms) == 1 + 1
 
 
 class TestScoring:
@@ -281,11 +320,13 @@ PROBS = (0.0, 0.1, 0.25, 0.5, 0.9, 1.0)
 
 
 @st.composite
-def scoring_problems(draw):
+def scoring_problems(draw, rate_one=False):
     """A random DAG of up to 8 variables with 0/1 CPT rows, an action with
     at least one effect, a policy with modifiers on the action's parents,
     hypotheses with target-0 and target-1 intentions, and arms under clamp
-    regimes that include clamps on the action's parents."""
+    regimes that include clamps on the action's parents.  ``p_base = 0``
+    makes some predicted rates exactly 0; ``rate_one`` also draws
+    ``p_act = 1`` without modifiers, which makes some exactly 1."""
     n = draw(st.integers(2, 8))
     names = [f"v{i}" for i in range(n)]
     at = draw(st.integers(0, n - 2))
@@ -316,16 +357,19 @@ def scoring_problems(draw):
         if action_parents
         else st.just({})
     )
-    # p_act times the factors stays below 1: at a predicted rate of exactly 1
-    # any two summation orders may round differently and fall on either side
-    # of the point mass, which no scorer can agree on.
-    p_base, p_act = draw(st.sampled_from(((0.0, 0.6), (0.05, 0.8), (0.3, 0.9))))
+    # Without ``rate_one``, p_act times the factors stays below 1: at a
+    # predicted rate of exactly 1 any two summation orders may round
+    # differently and fall on either side of the point mass, which a scorer
+    # and a whole-graph enumeration cannot agree on.  A reference that reads
+    # the same rates as the scorer can.
+    pairs = ((0.0, 0.6), (0.05, 0.8), (0.3, 0.9)) + (((0.0, 1.0),) if rate_one else ())
+    p_base, p_act = draw(st.sampled_from(pairs))
     policy = AgentPolicy.make(
         hypotheses[0],
         p_act=p_act,
         p_base=p_base,
         theta=draw(st.sampled_from((0.0, 0.1, 0.3))),
-        cause_modifiers=modifiers,
+        cause_modifiers=modifiers if p_act < 1.0 else {},
     )
     others = [name for name in names if name != action]
     clamp_sets = draw(
@@ -369,6 +413,82 @@ def test_scores_match_per_hypothesis_enumeration(problem):
     for score, want in zip(scores, want_lls):
         assert score.log_likelihood == want or abs(score.log_likelihood - want) <= 1e-9
     assert [s.verdict for s in scores] == want_verdicts
+
+
+def pairwise_servable_bits(model, hypotheses, regimes):
+    theta = model.policy.theta
+    columns = [
+        {(name, target): margin for name, target, margin in report.margins}
+        for report in model.servabilities(regimes)
+    ]
+    return [
+        [meets_theta((column[intent] for intent in hypothesis), theta) for column in columns]
+        for hypothesis in hypotheses
+    ]
+
+
+def pairwise_rate_table(model, bits, regimes):
+    ancestors = model.base_graph.ancestors(model.action)
+    keys = [Regime({n: v for n, v in r.clamps.items() if n in ancestors}) for r in regimes]
+    rates = {}
+    for row in bits:
+        for key in zip(keys, row):
+            if key not in rates:
+                rates[key] = model.action_rate(*key)
+    return [[rates[key] for key in zip(keys, row)] for row in bits]
+
+
+def pairwise_verdicts(arms, hypotheses, rates):
+    lls = []
+    for row in rates:
+        ll = 0.0
+        for arm, rate in zip(arms, row):
+            ll += binomial_logpmf(arm.acts, arm.n, rate)
+        lls.append(ll)
+
+    saturated = 0.0
+    for arm in arms:
+        saturated += binomial_logpmf(arm.acts, arm.n, arm.acts / arm.n)
+    budget = MISFIT_NATS_PER_ARM * len(arms)
+
+    best = max(lls)
+    if best < saturated - budget:
+        verdicts = [VERDICT_REFUTED] * len(hypotheses)
+    else:
+        within = [ll >= best - SEPARATION_NATS for ll in lls]
+        n_within = sum(within)
+        verdicts = []
+        for ok in within:
+            if not ok:
+                verdicts.append(VERDICT_REFUTED)
+            elif n_within == 1:
+                verdicts.append(VERDICT_CONSISTENT)
+            else:
+                verdicts.append(VERDICT_INDISTINGUISHABLE)
+    return [
+        HypothesisScore(h, ll, verdict)
+        for h, ll, verdict in zip(hypotheses, lls, verdicts)
+    ]
+
+
+def pairwise_scores(arms, graph, action, policy, hypotheses):
+    """Scoring with a servable bit, a rate lookup and a binomial term per
+    (hypothesis, arm), summed over arms in arm order."""
+    arms = [arm for arm in arms if arm.n > 0]
+    regimes = [arm.regime for arm in arms]
+    model = inference._scoring_model(graph, action, policy, hypotheses)
+    rates = pairwise_rate_table(model, pairwise_servable_bits(model, hypotheses, regimes), regimes)
+    return pairwise_verdicts(arms, hypotheses, rates)
+
+
+@settings(max_examples=150, deadline=None)
+@given(scoring_problems(rate_one=True))
+def test_scores_equal_per_pair_scoring(problem):
+    graph, action, policy, hypotheses, arms = problem
+    scores = score_arms(arms, graph, action, policy, hypotheses=hypotheses)
+    want = pairwise_scores(arms, graph, action, policy, hypotheses)
+    assert [s.log_likelihood for s in scores] == [w.log_likelihood for w in want]
+    assert [s.verdict for s in scores] == [w.verdict for w in want]
 
 
 @pytest.fixture(scope="module")
