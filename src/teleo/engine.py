@@ -504,32 +504,23 @@ class Dataset:
 
     @staticmethod
     def from_csv(data: bytes | str) -> "Dataset":
-        """Read UTF-8 bytes or text: a header ending in a "regime" column,
-        then one record of 0/1 cells and a label per row, under the ``csv``
-        module's rules: quoted cells and labels, CRLF line ends and a
-        missing final newline are accepted, blank lines are skipped.  Errors
-        carry the record number, counting the header as 1 and blank lines as
-        records."""
+        """Read UTF-8 bytes or text under the ``csv`` module's rules: a
+        header ending in a "regime" column (read by :func:`_read_record`),
+        then a record of 0/1 cells and a label per row (:func:`_decode_rows`).
+        Quoted cells and labels, CRLF line ends and a missing final newline
+        are accepted, blank lines skipped.  Errors carry the record number,
+        counting the header as 1 and blank lines as records."""
         if isinstance(data, str):
             data = data.encode("utf-8", "surrogatepass")
-        pos = 0
-
-        def lines():
-            nonlocal pos
-            while pos < len(data):
-                start, pos = pos, data.find(b"\n", pos) + 1 or len(data)
-                yield data[start:pos].decode("utf-8", "surrogatepass")
-
         try:
-            header = next(csv.reader(lines()))
-        except StopIteration:
-            raise SpecError("empty CSV document") from None
+            header, _, pos = _read_record(data, 0, len(data))
         except csv.Error as exc:
             raise SpecError(f"unreadable CSV record: {exc}", line=1) from None
+        if header is None:
+            raise SpecError("empty CSV document")
         if not header or header[-1] != "regime":
             raise SpecError('CSV header must end with a "regime" column')
-        rows = _decode_rows(np.frombuffer(data, dtype=np.uint8), pos, len(header) - 1)
-        return Dataset(tuple(header[:-1]), *rows)
+        return Dataset(tuple(header[:-1]), *_decode_rows(data, pos, len(header) - 1))
 
 
 def _csv_record(row: list[str]) -> str:
@@ -631,36 +622,37 @@ def _distinct_tails(buf: np.ndarray, ends: np.ndarray, length: int) -> tuple[np.
     return np.array(first + rest[head].tolist(), dtype=np.intp), inverse
 
 
-def _tail_code(tail: bytes, n_cells: int, table: dict[str, int]) -> int:
-    """Read a line's tail (what follows its 0/1 cells) with the ``csv``
-    module: the code of the label it holds, adding the label to ``table``;
-    _SKIP for a blank record; _SLOW unless it is exactly one field that
-    ends on this line."""
-    continued = []
+def _read_record(text: bytes, start: int, stop: int) -> tuple[list[str] | None, int, int]:
+    """Read with ``csv`` the record that starts at byte ``start`` of ``text``,
+    handing it only lines that begin before byte ``stop``: the row (None if
+    none does), how many lines ``csv`` asked for, and the byte after the
+    last line read.  A ``csv.Error`` passes through."""
+    asked, end = 0, start
 
-    def line():
-        yield "0," * n_cells + tail.decode("utf-8", "surrogatepass") + "\n"
-        continued.append(True)
+    def lines():
+        nonlocal asked, end
+        while True:
+            asked += 1
+            if end >= stop:
+                return
+            begin, end = end, text.find(b"\n", end) + 1 or len(text)
+            yield text[begin:end].decode("utf-8", "surrogatepass")
 
-    try:
-        row = next(csv.reader(line()))
-    except csv.Error:
-        return _SLOW
-    if continued or len(row) not in (0, n_cells + 1):
-        return _SLOW
-    return table.setdefault(row[-1], len(table)) if row else _SKIP
+    row = next(csv.reader(lines()), None)
+    return row, asked, end
 
 
-def _decode_rows(data: np.ndarray, pos: int, n_cells: int) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+def _decode_rows(text: bytes, pos: int, n_cells: int) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
     """Decode the CSV records after the header, which ends at byte ``pos``
-    of ``data``: (values, codes, table).  A line whose first ``2 * n_cells``
-    bytes are unquoted 0/1 cells and commas is decoded in bulk; its tail,
-    the label, is read with ``csv`` once per distinct tail, which
-    :func:`_distinct_tails` finds among the tails of its length.  Every
-    other non-blank line starts a record that ``csv`` reads on its own,
-    joining the lines a quoted field spans; only these can be malformed,
-    and they are checked in order.  The table lists the labels in the order
-    of the first row of each."""
+    of ``text``: (values, codes, table).  A line whose first ``2 * n_cells``
+    bytes are unquoted 0/1 cells and commas is decoded in bulk, and
+    :func:`_read_record` reads its label on the first line of each distinct
+    tail (:func:`_distinct_tails` finds them among the tails of one length).
+    Every other non-blank line, and each whose tail spans lines or is not
+    one field, starts a record that :func:`_read_record` reads alone; only
+    these can be malformed, and they are checked in order.  The table lists
+    the labels in the order of the first row of each."""
+    data = np.frombuffer(text, dtype=np.uint8)
     body = data[pos:]
     width = 2 * n_cells
     ends = np.flatnonzero(body == ord("\n"))
@@ -691,25 +683,31 @@ def _decode_rows(data: np.ndarray, pos: int, n_cells: int) -> tuple[np.ndarray, 
             continue  # no line, or lines that are not fast
         # Each end is 8 * w or more bytes in: a fast line holds 8 * w - 7 or more, and "regime\n" 7 precede it.
         first, inverse = _distinct_tails(data, ends[group] + pos, length)
-        tails = [body[e - length : e].tobytes() for e in ends[group[first]].tolist()]
-        outcome = np.array([_tail_code(tail, n_cells, table) for tail in tails])
-        line_code[group] = outcome[inverse]
-        seen += zip(group[first].tolist(), outcome.tolist())
+        heads = group[first].tolist()
+        outcome = []
+        for j in heads:  # plain 0/1 cells, then the tail: csv reads the tail's label
+            try:
+                row, asked, _ = _read_record(text, pos + starts[j], pos + ends[j])
+            except csv.Error:
+                asked = 0
+            one_field = asked == 1 and len(row) == n_cells + 1
+            outcome.append(table.setdefault(row[-1], len(table)) if one_field else _SLOW)
+        line_code[group] = np.array(outcome)[inverse]
+        seen += zip(heads, outcome)
 
     joined = 0  # continuation lines before the current one
     free = 0  # first line not inside a record already read
     for k in np.flatnonzero(line_code == _SLOW).tolist():
         if k < free:
             continue
-        used = []
         record = 2 + k - joined
         try:
-            row = next(csv.reader(_lines_from(body, starts, ends, k, used)))
+            row, asked, _ = _read_record(text, pos + starts[k], len(text))
         except csv.Error as exc:
             raise SpecError(f"unreadable CSV record: {exc}", line=record) from None
-        line_code[k + 1 : k + len(used)] = _SKIP
-        joined += len(used) - 1
-        free = k + len(used)
+        line_code[k + 1 : k + asked] = _SKIP
+        joined += asked - 1
+        free = k + asked
         if not row:
             line_code[k] = _SKIP
             continue
@@ -736,14 +734,6 @@ def _decode_rows(data: np.ndarray, pos: int, n_cells: int) -> tuple[np.ndarray, 
     if keep.all():
         keep = slice(None)
     return values[keep], renumber[line_code[keep]], tuple(labels[k] for k in order)
-
-
-def _lines_from(body: np.ndarray, starts: np.ndarray, ends: np.ndarray, k: int, used: list):
-    """Yield lines ``k, k + 1, ...`` as text, newline included, appending
-    each line number to ``used``."""
-    for j in range(k, len(starts)):
-        used.append(j)
-        yield body[starts[j] : ends[j] + 1].tobytes().decode("utf-8", "surrogatepass")
 
 
 def require_possible(dataset: Dataset, graph: CausalGraph, exempt: Iterable[str] = ()) -> None:

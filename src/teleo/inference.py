@@ -120,12 +120,13 @@ def enumerate_hypotheses(
 
 def binomial_logpmf(k: int, n: int, p: float) -> float:
     """log P(K = k) for K ~ Binomial(n, p).  At p = 0 and p = 1 the
-    distribution is a point mass, so the result is exactly 0 or -inf."""
+    distribution is a point mass, so the result is exactly 0 or -inf.  A
+    rate whose enumeration sums to just above 1 counts as 1."""
     if not 0 <= k <= n:
         return -math.inf
     if p == 0.0:
         return 0.0 if k == 0 else -math.inf
-    if p == 1.0:
+    if p >= 1.0:
         return 0.0 if k == n else -math.inf
     return (
         math.lgamma(n + 1)

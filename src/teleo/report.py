@@ -10,6 +10,7 @@ indented rendering of the same data.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -151,7 +152,7 @@ def scores_section(scores: Sequence[HypothesisScore]) -> list[dict]:
     return [
         {
             "hypothesis": _pairs(score.hypothesis),
-            "log_likelihood": score.log_likelihood,
+            "log_likelihood": score.log_likelihood if math.isfinite(score.log_likelihood) else None,
             "verdict": score.verdict,
         }
         for score in scores
@@ -225,10 +226,15 @@ def _scalar(value) -> str:
     return str(value)
 
 
+def _reject_constant(name: str):
+    raise SpecError(f"not a machine report: {name} is not JSON")
+
+
 def parse_machine_report(text: str) -> Report:
-    """Inverse of machine-format emission; emit → parse → emit is identity."""
+    """Inverse of machine-format emission (NaN and Infinity are not JSON, so
+    they are rejected); emit → parse → emit is identity."""
     try:
-        payload = json.loads(text)
+        payload = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise SpecError(f"not a machine report: {exc}") from None
     if not isinstance(payload, dict) or "format_version" not in payload:

@@ -13,6 +13,7 @@ from teleo import (
     Dataset,
     GraphSpecDocument,
     Tagging,
+    emit_report,
     parse_machine_report,
     serialize_graph_spec,
 )
@@ -499,6 +500,42 @@ class TestAnalyzeAndInfer:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("message, line", [("", "error: out of memory\n"), ("no room", "error: no room\n")])
+    def test_memory_error_exits_1_with_an_error_line(
+        self, sport_spec_path, monkeypatch, capsys, message, line
+    ):
+        def no_room(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "sample", no_room)
+        argv = ["simulate", "--graph", str(sport_spec_path), "--seed", "1", "--n", "10"]
+        assert run_command(argv) == 1
+        assert capsys.readouterr() == ("", line)
+
+    def test_hypotheses_the_data_rule_out_score_null(self, tmp_path, capsys):
+        # With p_base 0 the action fires only where an intended effect is
+        # served, so a hypothesis that leaves an arm with acts unserved gives
+        # those acts probability 0.
+        spec = tmp_path / "pb0.spec"
+        text = DEMO_SPORT_SPEC.read_text()
+        spec.write_text(text.replace("policy p_base 0.05\n", "policy p_base 0.0\n"))
+        data = tmp_path / "s.csv"
+        argv = ["--graph", str(DEMO_SPORT_SPEC), "--seed", "1", "--n", "500", "--out", str(data)]
+        assert run_command(["simulate", *argv]) == 0
+        argv = ["infer", "--graph", str(spec), "--data", str(data)]
+        assert run_command([*argv, "--format", "machine"]) == 0
+        report = capsys.readouterr().out
+
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        scores = json.loads(report, parse_constant=reject)["sections"]["scores"]
+        lls = [row["log_likelihood"] for row in scores]
+        assert len(lls) == 4 and lls.count(None) == 3
+        assert emit_report(parse_machine_report(report), "machine") == report
+        assert run_command(argv) == 0
+        assert capsys.readouterr().out.count("    log_likelihood: none\n") == 3
 
     def test_repeated_adjustment_variable_is_rejected(self, sport_spec_path, data_csv, capsys):
         argv = ["analyze", "--graph", str(sport_spec_path), "--data", str(data_csv)]

@@ -151,6 +151,10 @@ class TestEnumeration:
         assert table.prob_of({"pins": 1}) == pytest.approx(0.5)
         assert table.prob_of({}) == pytest.approx(1.0)
 
+    def test_prob_of_unknown_name(self):
+        with pytest.raises(UnknownVariableError, match=r"^unknown variable 'ghost'$"):
+            joint_enumerate(ball_pins()).prob_of({"ghost": 1})
+
     def test_enumeration_cap(self):
         g = CausalGraph.make([Variable.make(f"v{i}", (), 0.5) for i in range(21)])
         with pytest.raises(EnumerationLimitError):
@@ -604,7 +608,102 @@ class TestCsvCodecProperties:
         assert row_labels(read) == row_labels(data)
 
 
+class TestRecordReader:
+    """``from_csv`` hands ``csv`` the header, the first line of each distinct
+    label tail, and each record the bulk path does not decode: one
+    ``csv.reader`` each, all through ``engine._read_record``."""
+
+    def read(self, text, monkeypatch):
+        """The outcome of ``from_csv`` and how many ``csv.reader`` calls it
+        made, after checking that the outcome is the reference's."""
+        expected = parse_outcome(reference_from_csv, text)
+        calls = []
+        reader = csv.reader
+
+        def counting(lines):
+            calls.append(lines)
+            return reader(lines)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(engine.csv, "reader", counting)
+            outcome = parse_outcome(Dataset.from_csv, text)
+        assert outcome == expected
+        if isinstance(outcome, Dataset):
+            assert outcome.regime_table == reference_from_csv(text).regime_table
+        return outcome, len(calls)
+
+    def test_one_reader_per_header_distinct_tail_and_slow_record(self, monkeypatch):
+        text = (
+            "a,b,regime\n"
+            "0,1,natural\n1,1,natural\n0,0,x=1\n1,0,natural\n"
+            '"0",1,natural\n'  # a quoted cell: a slow record
+            '1,1,"y\nz"\n'  # the tail '"y' is read, then its record
+            "\n0,1,x=1\n"
+        )
+        data, calls = self.read(text, monkeypatch)
+        assert data.regime_table == ("natural", "x=1", "y\nz")
+        assert calls == 1 + 3 + 2
+
+    def test_tail_that_opens_a_quoted_label_closed_on_the_next_line(self, monkeypatch):
+        # The tail '"x' opens a record on lines 2 and 4; 'y"' ends one.
+        data, calls = self.read('a,regime\n0,"x\n1,y"\n1,"x\nz"\n1,y"\n', monkeypatch)
+        assert data.regime_table == ("x\n1,y", "x\nz", 'y"')
+        assert data.values.tolist() == [[0], [1], [1]]
+        assert calls == 1 + 2 + 2
+
+    @pytest.mark.parametrize(
+        "last, label, calls",
+        [("1,y", "y", 1 + 2), ('1,"y', "y", 1 + 2 + 1), ("1,x\r", "x", 1 + 2)],
+        ids=["plain", "open-quote", "cr"],
+    )
+    def test_last_line_without_a_newline(self, last, label, calls, monkeypatch):
+        data, made = self.read("a,regime\n0,x\n" + last, monkeypatch)
+        assert data.regime_table[data.regime_codes[-1]] == label
+        assert made == calls
+
+    def test_quoted_header_name_over_two_lines_is_record_1(self, monkeypatch):
+        data, calls = self.read('"a\nb",regime\n0,x\n1,x\n', monkeypatch)
+        assert data.variables == ("a\nb",) and calls == 1 + 1
+        outcome, _ = self.read('"a\nb",regime\n0,x\n\n2,x\n', monkeypatch)
+        assert outcome == (SpecError, "line 4: value '2' is not 0 or 1")
+        outcome, _ = self.read('"a\nb",regime\n0,x\n1,x,y\n', monkeypatch)
+        assert outcome == (SpecError, "line 3: wrong number of fields")
+
+    def test_read_record_reports_lines_asked_and_end(self):
+        text = b'h\n0,"x\ny"\n1,z'
+        assert engine._read_record(text, 0, len(text)) == (["h"], 1, 2)
+        assert engine._read_record(text, 2, len(text)) == (["0", "x\ny"], 2, 10)
+        # Stopped at its first line's end, the record asks for a line it is not given.
+        assert engine._read_record(text, 2, 6) == (["0", "x\n"], 2, 7)
+        assert engine._read_record(text, 10, len(text)) == (["1", "z"], 1, 13)
+        assert engine._read_record(text, 13, len(text)) == (None, 1, 13)
+
+
 class TestDatasetOps:
+    @pytest.mark.parametrize(
+        "rows, codes, table, message",
+        [
+            (2, [0, 0, 0], ("natural",), r"^shape \(2, 1\) inconsistent with \(3,\) codes x 1 variables$"),
+            (1, [0], ("natural", "natural"), "^regime table labels must be distinct$"),
+            (1, [1], ("natural",), "^regime codes outside a table of 1 labels$"),
+        ],
+        ids=["shape", "repeated-label", "code-range"],
+    )
+    def test_constructor_checks(self, rows, codes, table, message):
+        with pytest.raises(ValueError, match=message):
+            Dataset(("a",), np.zeros((rows, 1)), np.array(codes, dtype=np.uint8), table)
+
+    def test_lookups_outside_the_data(self):
+        data = make_dataset(["a"], [(0,), (1,)])
+        assert data.__eq__(3) is NotImplemented and (data == 3) is False
+        with pytest.raises(UnknownVariableError, match=r"^unknown column 'ghost'$"):
+            data.column("ghost")
+        assert data.count("x=1", {"a": 1}) == 0
+        with pytest.raises(ValueError, match="^nothing to concatenate$"):
+            Dataset.concat([])
+        with pytest.raises(ValueError, match="^n must be >= 0$"):
+            sample(stove_water(), -1, 0)
+
     def test_filter_regimes(self):
         data = make_dataset(["a"], [(0,), (1,), (1,)], ["natural", "x=1", "natural"])
         kept = data.filter_regimes(["x=1"])
@@ -940,6 +1039,29 @@ class TestObservationalSampling:
         graphs = {"natural": g, "water=0": mutilate(g, Regime({"water": 0}))}
         probs = {0: {"natural": natural, "water=0": lever}, 1: {"natural": 0.5, "water=0": 0.5}}
         with pytest.raises(ValueError, match="must be finite and >= 0"):
+            sample_observational(graphs, "stove", probs, 10, 1)
+
+    def test_regime_graphs_must_share_variables(self):
+        probs = {0: {"natural": 1.0}, 1: {"natural": 1.0}}
+        with pytest.raises(ValueError, match="^no regimes supplied$"):
+            sample_observational({}, "stove", probs, 10, 1)
+        graphs = {"natural": stove_water(), "other": education_salary()}
+        with pytest.raises(ValueError, match="^all regime graphs must share the same variables$"):
+            sample_observational(graphs, "stove", probs, 10, 1)
+
+    @pytest.mark.parametrize(
+        "stove_off, message",
+        [
+            ({"natural": 1.0}, "^selection probabilities must cover exactly the supplied regimes$"),
+            ({"natural": 0.5, "water=0": 0.25}, "^selection probabilities for stove=0 sum to 0.75$"),
+        ],
+        ids=["missing-regime", "sum"],
+    )
+    def test_selection_probabilities_must_cover_the_regimes_and_sum_to_1(self, stove_off, message):
+        g = stove_water()
+        graphs = {"natural": g, "water=0": mutilate(g, Regime({"water": 0}))}
+        probs = {0: stove_off, 1: {"natural": 0.5, "water=0": 0.5}}
+        with pytest.raises(ValueError, match=message):
             sample_observational(graphs, "stove", probs, 10, 1)
 
     @pytest.mark.parametrize("keys", [(0,), (0, 1, 2)], ids=["missing", "extra"])

@@ -46,6 +46,11 @@ class TestVariable:
         v = Variable.make("coin", (), 1.5)
         assert v.local_violations()
 
+    def test_empty_name(self):
+        v = Variable.make("", (), 0.5)
+        assert v.local_violations() == ["variable with empty name"]
+        assert CausalGraph.make([v]).validate() == ["variable with empty name"]
+
     def test_duplicate_parent(self):
         v = Variable.make("b", ("a", "a"), {(0, 0): 0.1, (0, 1): 0.1, (1, 0): 0.1, (1, 1): 0.1})
         assert any("duplicate" in p for p in v.local_violations())
@@ -173,6 +178,10 @@ class TestTagging:
         assert any("smoke" in p for p in t.validate(sport_doc.graph))
         t = Tagging.make("practice", [("practice", 1)])
         assert t.validate(sport_doc.graph)
+
+    def test_intent_must_be_declared(self, sport_doc):
+        t = Tagging.make("practice", [("ghost", 1)])
+        assert t.validate(sport_doc.graph) == ["intended effect 'ghost' is not a declared variable"]
 
     def test_target_must_be_binary(self, sport_doc):
         t = Tagging.make("practice", [("be_fit", 2)])

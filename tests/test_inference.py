@@ -11,6 +11,7 @@ from teleo import (
     ExperimentResult,
     HypothesisError,
     HypothesisScore,
+    PolicyError,
     Regime,
     RegimeError,
     arms_from_dataset,
@@ -103,6 +104,7 @@ class TestEnumerate:
     def test_label_is_sorted_and_braced(self):
         h = frozenset({("win_medals", 1), ("be_fit", 1)})
         assert hypothesis_label(h) == "{be_fit=1, win_medals=1}"
+        assert HypothesisScore(h, -1.0, VERDICT_CONSISTENT).label == "{be_fit=1, win_medals=1}"
 
 
 class TestPredictedRates:
@@ -217,6 +219,11 @@ class TestScoring:
         gap = by_name["be_fit"].log_likelihood - by_name["win_medals"].log_likelihood
         assert gap > 1000
 
+    def test_empty_hypothesis_is_rejected(self, sport_doc, battery_results):
+        arms = arms_from_results(battery_results)
+        with pytest.raises(PolicyError, match="^intention set is empty$"):
+            score_arms(arms, sport_doc.graph, "practice", sport_doc.policy, [frozenset()])
+
     def test_identify_unique_truth(self, sport_doc, battery_results):
         scores = score_arms(
             arms_from_results(battery_results), sport_doc.graph, "practice", sport_doc.policy
@@ -309,11 +316,34 @@ class TestBinomialLogpmf:
     @pytest.mark.parametrize(
         "k, n, p, want",
         [(0, 10, 0.0, 0.0), (10, 10, 1.0, 0.0), (3, 10, 0.0, -math.inf),
-         (10, 10, 0.0, -math.inf), (0, 10, 1.0, -math.inf), (7, 10, 1.0, -math.inf)],
+         (10, 10, 0.0, -math.inf), (0, 10, 1.0, -math.inf), (7, 10, 1.0, -math.inf),
+         (11, 10, 0.5, -math.inf), (11, 10, 1.0, -math.inf), (-1, 10, 0.5, -math.inf)],
     )
     def test_point_masses_are_exact(self, k, n, p, want):
         assert binomial_logpmf(k, n, p) == want
         assert float(stats.binom.logpmf(k, n, p)) == want
+
+    def test_rate_summed_just_above_one_is_a_point_mass(self):
+        # v5 acts at p_act = 1 whenever v6 = 0 is servable; the enumeration's
+        # terms sum to 1.0000000000000002 under the natural regime.
+        zeros = {bits: 0.0 for bits in itertools.product((0, 1), repeat=3)}
+        g = CausalGraph.make(
+            [
+                Variable.make("v0", (), 0.0),
+                Variable.make("v1", (), 0.0),
+                Variable.make("v2", (), 0.1),
+                Variable.make("v3", ("v0", "v1", "v2"), {**zeros, (0, 0, 0): 0.1}),
+                Variable.make("v4", ("v0", "v1"), {(0, 0): 0.1, (0, 1): 0.0, (1, 0): 0.0, (1, 1): 0.0}),
+                Variable.make("v5", ("v3", "v4"), {(0, 0): 0.0, (0, 1): 0.0, (1, 0): 0.0, (1, 1): 0.0}),
+                Variable.make("v6", ("v5",), {0: 0.0, 1: 0.0}),
+            ]
+        )
+        policy = AgentPolicy.make([("v6", 0)], p_act=1.0, p_base=0.0, theta=0.0)
+        assert bind_agent(g, "v5", policy).action_rate() > 1.0
+        arms = [ArmCounts(Regime(), 1, 0), ArmCounts(Regime({"v3": 0, "v4": 0}), 1, 0)]
+        (score,) = score_arms(arms, g, "v5", policy, [frozenset({("v6", 0)})])
+        assert score.log_likelihood == -math.inf
+        assert binomial_logpmf(1, 1, math.nextafter(1.0, 2.0)) == 0.0
 
 
 PROBS = (0.0, 0.1, 0.25, 0.5, 0.9, 1.0)

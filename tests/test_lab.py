@@ -109,6 +109,12 @@ class TestPlan:
         with pytest.raises(UnknownVariableError):
             plan(g, cls, {"ghost": ("enroll", 0)})
 
+    def test_unknown_lever_variable(self):
+        g = sport_lab_graph()
+        cls = classify_effects(g, "practice", "be_fit")
+        with pytest.raises(UnknownVariableError, match="^lever variable 'ghost' is not a declared variable$"):
+            plan(g, cls, {"win_medals": ("ghost", 0)})
+
     def test_bad_lever_value(self):
         g = sport_lab_graph()
         cls = classify_effects(g, "practice", "be_fit")
@@ -181,6 +187,10 @@ class TestRunRandomized:
         model = replace(doc, policy=replace(doc.policy, p_act=0.02, p_base=0.0)).bind()
         result = run_randomized(model, battery.experiments[0], 40, 2)
         assert result.verdict == "underpowered"
+
+    def test_arms_must_hold_a_row(self, battery, sport_doc):
+        with pytest.raises(ValueError, match="^n_per_arm must be >= 1$"):
+            run_randomized(sport_doc.bind(), battery.experiments[0], 0, 1)
 
     def test_lever_clamping_action_rejected(self, sport_doc):
         from teleo import InterferenceExperiment

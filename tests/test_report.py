@@ -1,8 +1,10 @@
 import json
+import math
 
 import pytest
 
 from teleo import (
+    HypothesisScore,
     Report,
     arms_from_results,
     SpecError,
@@ -14,6 +16,7 @@ from teleo import (
     run_battery,
     score_arms,
 )
+from teleo.inference import VERDICT_CONSISTENT, VERDICT_REFUTED
 from teleo.models import SPORT_LEVERS
 from teleo.report import (
     FORMAT_MACHINE,
@@ -49,6 +52,10 @@ def full_report(sport_doc):
     )
 
 
+def reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
 class TestMachineFormat:
     def test_round_trip_is_byte_identical(self, full_report):
         text = emit_report(full_report, FORMAT_MACHINE)
@@ -78,6 +85,23 @@ class TestMachineFormat:
         with pytest.raises(SpecError, match="not a machine report"):
             parse_machine_report("# teleo report (format 1)\n")
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_parse_rejects_constants_that_are_not_json(self, token):
+        with pytest.raises(SpecError, match=f"^not a machine report: {token} is not JSON$"):
+            parse_machine_report('{"format_version": 1, "sections": {"x": %s}}' % token)
+
+    def test_minus_infinite_log_likelihood_is_null(self):
+        scores = [
+            HypothesisScore(frozenset({("be_fit", 1)}), -2.5, VERDICT_CONSISTENT),
+            HypothesisScore(frozenset({("win_medals", 1)}), -math.inf, VERDICT_REFUTED),
+        ]
+        report = Report(provenance={}, sections={"scores": scores_section(scores)})
+        text = emit_report(report, FORMAT_MACHINE)
+        payload = json.loads(text, parse_constant=reject_constant)
+        assert [row["log_likelihood"] for row in payload["sections"]["scores"]] == [-2.5, None]
+        assert emit_report(parse_machine_report(text), FORMAT_MACHINE) == text
+        assert "    log_likelihood: none\n" in emit_report(report)
+
     def test_parse_rejects_missing_version(self):
         with pytest.raises(SpecError, match="format_version"):
             parse_machine_report('{"sections": {}}')
@@ -104,6 +128,10 @@ class TestHumanFormat:
         assert "bad: no" in text
         assert "missing: none" in text
         assert "(none)" in text
+
+    def test_empty_list_and_scalar_sections(self):
+        report = Report(provenance={}, sections={"a": [], "b": 3})
+        assert emit_report(report) == "# teleo report (format 1)\na:\n  (none)\nb:\n  3\n"
 
     def test_floats_keep_full_precision(self):
         report = Report(provenance={}, sections={"s": {"p": 0.1 + 0.2}})

@@ -9,6 +9,7 @@ from teleo import (
     parse_graph_spec,
     serialize_graph_spec,
 )
+from teleo.cli import run_command
 from teleo.models import sport_lab, sport_lab_confounded
 
 SMALL_DOC = """\
@@ -182,6 +183,28 @@ class TestSpecErrors:
         text = SMALL_DOC + "lever water stove 0\nlever water stove 1\n"
         assert "twice" in str(self.err(text))
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ("var a b\n", "line 12: var takes exactly one name"),
+            ("action stove water\n", "line 12: action takes exactly one name"),
+            ("intend water 1 1\n", "line 12: intend takes a name and an optional target"),
+            ("lever water stove\n", "line 12: lever takes target, lever variable, value"),
+            ("policy p_act 0.6\npolicy p_act 0.7\n", "line 13: policy p_act declared twice"),
+            (
+                "modifier stove 1 0.5\nmodifier stove 1 0.6\n",
+                "line 13: modifier for stove=1 declared twice",
+            ),
+        ],
+    )
+    def test_malformed_tagging_lines(self, extra, message, tmp_path, capsys):
+        e = self.err(SMALL_DOC + extra)
+        assert type(e) is SpecError and str(e) == message
+        spec = tmp_path / "bad.spec"
+        spec.write_text(SMALL_DOC + extra)
+        assert run_command(["validate", "--graph", str(spec)]) == 1
+        assert f"    - {message}\n" in capsys.readouterr().out
+
 
 class TestCollectedViolations:
     def collect(self, text):
@@ -219,6 +242,24 @@ class TestCollectedViolations:
         with pytest.raises(InvalidGraphError) as info:
             parse_graph_spec(text)
         assert any("neither" in v for v in info.value.violations)
+
+    @pytest.mark.parametrize(
+        "text, violation",
+        [
+            (SMALL_DOC + "lever water ghost 0\n", "lever variable 'ghost' is not a declared variable"),
+            (
+                SMALL_DOC.replace("intend water", "intend ghost"),
+                "intended effect 'ghost' is not a declared variable",
+            ),
+        ],
+        ids=["lever", "intend"],
+    )
+    def test_undeclared_names_fail_validation(self, text, violation, tmp_path, capsys):
+        assert self.collect(text) == [violation]
+        spec = tmp_path / "bad.spec"
+        spec.write_text(text)
+        assert run_command(["validate", "--graph", str(spec)]) == 1
+        assert f"    - {violation}\n" in capsys.readouterr().out
 
     def test_intention_must_be_strict_descendant(self):
         text = SMALL_DOC + "intend stove\n"
