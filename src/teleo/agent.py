@@ -238,10 +238,10 @@ class TeleologicalModel:
 
     def action_rate(self, regime: Regime = Regime(), is_servable: bool | None = None) -> float:
         """Exact P(action = 1) under the policy and regime, marginalizing
-        over the action's parents.  Only the action's ancestors bear on its
-        marginal, so only they are enumerated."""
+        over the action's parents, clamped to [0, 1] against rounding.  Only
+        the action's ancestors bear on its marginal, so only they are enumerated."""
         graph = self.bound_graph(regime, is_servable).ancestral_subgraph(self.action)
-        return joint_enumerate(graph).marginal(self.action)
+        return min(max(joint_enumerate(graph).marginal(self.action), 0.0), 1.0)
 
 
 def bind_agent(graph: CausalGraph, action: str, policy: AgentPolicy) -> TeleologicalModel:

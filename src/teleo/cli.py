@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -45,20 +45,41 @@ class _UsageError(Exception):
     pass
 
 
+# Bytes read from a file at a time; a block then ends at its last line end.
+_BLOCK = 1 << 20
+
+
+def _blocks(path: str) -> Iterator[bytes]:
+    """The bytes of ``path`` in blocks of about ``_BLOCK`` bytes, each cut
+    after its last line end, checked as UTF-8 (only a block that is not
+    ASCII is decoded, and the text dropped) and with each "\\r\\n" and then
+    each lone "\\r" turned into "\\n", as ``Path.read_text`` does.  A "\\r"
+    that ends a block waits for the next, whose "\\n" may pair with it."""
+    with open(path, "rb") as file:
+        offset, carry = 0, b""
+        while True:
+            raw = file.read(_BLOCK) + file.readline(_BLOCK)
+            block = carry + raw
+            cut = max(block.rfind(b"\n"), block.rfind(b"\r", 0, -1)) + 1 if raw else len(block)
+            block, carry = block[:cut], block[cut:]
+            try:
+                if not block.isascii():
+                    block.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                at = f"byte {block[exc.start]:#04x} at offset {offset + exc.start}"
+                raise TeleoError(f"{path} is not UTF-8 text: {at}") from None
+            offset += len(block)
+            if b"\r" in block:
+                block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+            if block:
+                yield block
+            if not raw:
+                return
+
+
 def _read(path: str) -> bytes:
-    """The bytes of ``path``, checked as UTF-8 (ASCII bytes are, so only a
-    file holding other bytes is decoded, and the text is dropped), with each
-    "\\r\\n" and then each lone "\\r" turned into "\\n", as ``Path.read_text`` does."""
-    data = Path(path).read_bytes()
-    try:
-        if not data.isascii():
-            data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        bad = data[exc.start]
-        raise TeleoError(f"{path} is not UTF-8 text: byte {bad:#04x} at offset {exc.start}") from None
-    if b"\r" in data:
-        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    return data
+    """The bytes of ``path`` as :func:`_blocks` reads them, joined."""
+    return b"".join(_blocks(path))
 
 
 def _write(text: str, out: str | None) -> None:
@@ -73,7 +94,12 @@ def _load_doc(path: str) -> GraphSpecDocument:
 
 
 def _load_data(path: str, doc: GraphSpecDocument, action: str) -> Dataset:
-    dataset = Dataset.from_csv(_read(path))
+    blocks = _blocks(path)
+    try:
+        dataset = Dataset.from_csv(blocks)
+    finally:  # a byte that is not UTF-8 is reported before any other error
+        for _ in blocks:
+            pass
     require_possible(dataset, doc.graph, exempt=(action,))
     return dataset
 

@@ -503,24 +503,48 @@ class Dataset:
         return str(_encode_rows(self).data, "utf-8", "surrogatepass")
 
     @staticmethod
-    def from_csv(data: bytes | str) -> "Dataset":
-        """Read UTF-8 bytes or text under the ``csv`` module's rules: a
-        header ending in a "regime" column (read by :func:`_read_record`),
-        then a record of 0/1 cells and a label per row (:func:`_decode_rows`).
+    def from_csv(data: bytes | str | Iterable[bytes]) -> "Dataset":
+        """Read UTF-8 text, or bytes in one block or in blocks cut anywhere,
+        under the ``csv`` module's rules: a header ending in a "regime" column
+        (read by :func:`_read_record`), then a record of 0/1 cells and a label
+        per row (:func:`_decode_rows`, per block; only the rows outgrow one).
         Quoted cells and labels, CRLF line ends and a missing final newline
         are accepted, blank lines skipped.  Errors carry the record number,
         counting the header as 1 and blank lines as records."""
         if isinstance(data, str):
             data = data.encode("utf-8", "surrogatepass")
-        try:
-            header, _, pos = _read_record(data, 0, len(data))
-        except csv.Error as exc:
-            raise SpecError(f"unreadable CSV record: {exc}", line=1) from None
-        if header is None:
-            raise SpecError("empty CSV document")
-        if not header or header[-1] != "regime":
-            raise SpecError('CSV header must end with a "regime" column')
-        return Dataset(tuple(header[:-1]), *_decode_rows(data, pos, len(header) - 1))
+        header, record, carry, table, values, codes = None, 2, b"", {}, None, None
+        blocks = iter([data] if isinstance(data, (bytes, bytearray)) else data)
+        following = next(blocks, b"")
+        while following is not None:
+            block, following = following, next(blocks, None)
+            text = carry + block
+            body = text if following is None else text[: text.rfind(b"\n") + 1]
+            pos = 0
+            if header is None:
+                try:
+                    header, _, pos = _read_record(body, 0, len(body))
+                except csv.Error as exc:
+                    raise SpecError(f"unreadable CSV record: {exc}", line=1) from None
+                if following is not None and pos == len(body):  # the header may go on
+                    header, carry = None, text
+                    continue
+                if header is None:
+                    raise SpecError("empty CSV document")
+                if not header or header[-1] != "regime":
+                    raise SpecError('CSV header must end with a "regime" column')
+            rows, local, labels, rest, record = _decode_rows(body, pos, len(header) - 1, record, following is None)
+            carry = text[rest:]
+            position = np.array([table.setdefault(label, len(table)) for label in labels], dtype=_code_dtype(len(table)))
+            if values is None:
+                values, codes = rows, local
+            else:
+                n = len(codes)
+                codes = codes.astype(position.dtype, copy=False)
+                values.resize((n + len(local), values.shape[1]), refcheck=False)
+                codes.resize(n + len(local), refcheck=False)
+                values[n:], codes[n:] = rows, position[local]
+        return Dataset(tuple(header[:-1]), values, codes, tuple(table))
 
 
 def _csv_record(row: list[str]) -> str:
@@ -617,16 +641,18 @@ def _distinct_tails(buf: np.ndarray, ends: np.ndarray, length: int) -> tuple[np.
         pending &= ~same
         first.append(k)
     rest = np.flatnonzero(pending)
-    _, head, back = np.unique(words[rest], axis=0, return_index=True, return_inverse=True)
-    inverse[rest] = len(first) + back.reshape(-1)
-    return np.array(first + rest[head].tolist(), dtype=np.intp), inverse
+    if len(rest):  # np.unique along an axis leaves cyclic garbage
+        _, head, back = np.unique(words[rest], axis=0, return_index=True, return_inverse=True)
+        inverse[rest] = len(first) + back.reshape(-1)
+        first += rest[head].tolist()
+    return np.array(first, dtype=np.intp), inverse
 
 
 def _read_record(text: bytes, start: int, stop: int) -> tuple[list[str] | None, int, int]:
     """Read with ``csv`` the record that starts at byte ``start`` of ``text``,
     handing it only lines that begin before byte ``stop``: the row (None if
     none does), how many lines ``csv`` asked for, and the byte after the
-    last line read.  A ``csv.Error`` passes through."""
+    last line read.  A ``csv.Error`` passes through; a bad byte raises one."""
     asked, end = 0, start
 
     def lines():
@@ -638,20 +664,27 @@ def _read_record(text: bytes, start: int, stop: int) -> tuple[list[str] | None, 
             begin, end = end, text.find(b"\n", end) + 1 or len(text)
             yield text[begin:end].decode("utf-8", "surrogatepass")
 
-    row = next(csv.reader(lines()), None)
+    try:
+        row = next(csv.reader(lines()), None)
+    except UnicodeDecodeError as exc:
+        raise csv.Error(f"byte {exc.object[exc.start]:#04x} is not UTF-8") from None
     return row, asked, end
 
 
-def _decode_rows(text: bytes, pos: int, n_cells: int) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
-    """Decode the CSV records after the header, which ends at byte ``pos``
-    of ``text``: (values, codes, table).  A line whose first ``2 * n_cells``
-    bytes are unquoted 0/1 cells and commas is decoded in bulk, and
-    :func:`_read_record` reads its label on the first line of each distinct
-    tail (:func:`_distinct_tails` finds them among the tails of one length).
-    Every other non-blank line, and each whose tail spans lines or is not
-    one field, starts a record that :func:`_read_record` reads alone; only
-    these can be malformed, and they are checked in order.  The table lists
-    the labels in the order of the first row of each."""
+def _decode_rows(
+    text: bytes, pos: int, n_cells: int, record: int = 2, final: bool = True
+) -> tuple[np.ndarray, np.ndarray, tuple[str, ...], int, int]:
+    """Decode the CSV records of ``text`` from byte ``pos``, the first
+    numbered ``record``: (values, codes, table, the byte and the number of
+    the first record left unread).  Unless ``final``, a record that runs to
+    the end of ``text`` may go on past it and is left unread.  A line whose
+    first ``2 * n_cells`` bytes are unquoted 0/1 cells and commas is decoded
+    in bulk, and :func:`_read_record` reads its label on the first line of
+    each distinct tail (:func:`_distinct_tails` finds them among the tails
+    of one length).  Every other non-blank line, and each whose tail spans
+    lines or is not one field, starts a record that :func:`_read_record`
+    reads alone; only these can be malformed, and they are checked in order.
+    The table lists the labels in the order of the first row of each."""
     data = np.frombuffer(text, dtype=np.uint8)
     body = data[pos:]
     width = 2 * n_cells
@@ -663,6 +696,7 @@ def _decode_rows(text: bytes, pos: int, n_cells: int) -> tuple[np.ndarray, np.nd
     cells = _windows(body, starts, width)
     pairs = cells.view(np.uint16)  # one (digit, comma) byte pair per cell
     fast = ends - starts >= max(width, 1)
+    fast[: np.searchsorted(starts, 8 - pos)] = False  # see _distinct_tails below
     for k in range(n_cells):
         fast &= (pairs[:, k] | _DIGIT_BIT) == _CELL
     # Only fast lines keep these values; the others are read again or dropped.
@@ -681,7 +715,7 @@ def _decode_rows(text: bytes, pos: int, n_cells: int) -> tuple[np.ndarray, np.nd
         length = int(tail_lengths[group[0]]) if len(group) else -1
         if length < 0:
             continue  # no line, or lines that are not fast
-        # Each end is 8 * w or more bytes in: a fast line holds 8 * w - 7 or more, and "regime\n" 7 precede it.
+        # Each end is 8 * w or more bytes in: a fast line holds 8 * w - 8 or more and starts 8 or more in.
         first, inverse = _distinct_tails(data, ends[group] + pos, length)
         heads = group[first].tolist()
         outcome = []
@@ -697,14 +731,19 @@ def _decode_rows(text: bytes, pos: int, n_cells: int) -> tuple[np.ndarray, np.nd
 
     joined = 0  # continuation lines before the current one
     free = 0  # first line not inside a record already read
+    rest, stop = len(text), len(ends)  # where decoding stops, in bytes and in lines
     for k in np.flatnonzero(line_code == _SLOW).tolist():
         if k < free:
             continue
-        record = 2 + k - joined
+        number = record + k - joined
         try:
-            row, asked, _ = _read_record(text, pos + starts[k], len(text))
+            row, asked, end = _read_record(text, pos + starts[k], len(text))
         except csv.Error as exc:
-            raise SpecError(f"unreadable CSV record: {exc}", line=record) from None
+            raise SpecError(f"unreadable CSV record: {exc}", line=number) from None
+        if end == len(text) and not final:
+            rest, stop = pos + starts[k], k
+            line_code[k:] = _SKIP
+            break
         line_code[k + 1 : k + asked] = _SKIP
         joined += asked - 1
         free = k + asked
@@ -712,10 +751,10 @@ def _decode_rows(text: bytes, pos: int, n_cells: int) -> tuple[np.ndarray, np.nd
             line_code[k] = _SKIP
             continue
         if len(row) != n_cells + 1:
-            raise SpecError("wrong number of fields", line=record)
+            raise SpecError("wrong number of fields", line=number)
         for cell in row[:-1]:
             if cell not in ("0", "1"):
-                raise SpecError(f"value {cell!r} is not 0 or 1", line=record)
+                raise SpecError(f"value {cell!r} is not 0 or 1", line=number)
         values[k] = [int(c) for c in row[:-1]]
         line_code[k] = code = table.setdefault(row[-1], len(table))
         seen.append((k, code))
@@ -731,9 +770,9 @@ def _decode_rows(text: bytes, pos: int, n_cells: int) -> tuple[np.ndarray, np.nd
     renumber[order] = np.arange(len(order))
     labels = tuple(table)
     keep = line_code >= 0
-    if keep.all():
-        keep = slice(None)
-    return values[keep], renumber[line_code[keep]], tuple(labels[k] for k in order)
+    if not keep.all():
+        values, line_code = values[keep], line_code[keep]
+    return values, renumber[line_code], tuple([labels[k] for k in order]), rest, record + stop - joined
 
 
 def require_possible(dataset: Dataset, graph: CausalGraph, exempt: Iterable[str] = ()) -> None:

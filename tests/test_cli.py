@@ -594,6 +594,24 @@ class TestAnalyzeAndInfer:
         assert run_command(["infer", "--graph", str(sport_spec_path), "--data", str(bad)]) == 1
         assert capsys.readouterr().err == f"error: {bad} is not UTF-8 text: byte 0xff at offset 13\n"
 
+    @pytest.mark.parametrize("block", [1, 7, 16, 4096])
+    def test_bad_byte_past_the_first_block(self, sport_spec_path, tmp_path, monkeypatch, block, capsys):
+        # 10 + 10 * 11 bytes of CRLF lines, then "1," and the two bytes of "é".
+        monkeypatch.setattr(cli, "_BLOCK", block)
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"a,regime\r\n" + b"0,natural\r\n" * 10 + "1,é".encode("utf-8") + b"\xff\r\n")
+        assert run_command(["infer", "--graph", str(sport_spec_path), "--data", str(bad)]) == 1
+        assert capsys.readouterr().err == f"error: {bad} is not UTF-8 text: byte 0xff at offset 124\n"
+
+    def test_bad_byte_is_reported_before_an_earlier_bad_record(
+        self, sport_spec_path, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(cli, "_BLOCK", 16)
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"a,regime\n0,natural,extra\n" + b"0,natural\n" * 10 + b"\xff\n")
+        assert run_command(["infer", "--graph", str(sport_spec_path), "--data", str(bad)]) == 1
+        assert capsys.readouterr().err == f"error: {bad} is not UTF-8 text: byte 0xff at offset 125\n"
+
     def test_spec_with_a_non_ascii_comment_validates(self, tmp_path, capsys):
         spec = tmp_path / "commented.spec"
         spec.write_text("# café ✓\n" + UNTAGGED, encoding="utf-8")

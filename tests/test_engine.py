@@ -3,6 +3,7 @@ import csv
 import io
 import itertools
 import pickle
+import tracemalloc
 from collections import Counter
 from unittest import mock
 
@@ -33,7 +34,7 @@ from teleo import (
     sample_observational,
     stratified_action_comparison,
 )
-from teleo import engine
+from teleo import cli, engine
 from teleo.graph import CausalGraph
 from teleo.models import ball_pins, education_salary, sport_chain, stove_water
 
@@ -379,6 +380,13 @@ class TestDatasetCsv:
         data = sample(education_salary(), 50, 3, regime_label="natural")
         assert Dataset.from_csv(data.to_csv()) == data
 
+    def test_bytes_text_and_blocks_read_alike(self):
+        text = 'a,regime\n0,"x\ny"\n1,natural\n'
+        raw = text.encode("utf-8")
+        read = Dataset.from_csv(text)
+        for data in (raw, bytearray(raw), [raw[:12], raw[12:]], iter([raw[:3], b"", raw[3:]])):
+            assert same_outcome(Dataset.from_csv(data), read)
+
     def test_header_has_trailing_regime(self):
         text = sample(stove_water(), 2, 1).to_csv()
         assert text.splitlines()[0] == "stove,water,regime"
@@ -413,6 +421,22 @@ class TestDatasetCsv:
     def test_empty_document(self):
         with pytest.raises(SpecError):
             Dataset.from_csv("")
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            (b"a,regime\n0,x\xff\n", "line 2: unreadable CSV record: byte 0xff is not UTF-8"),
+            (b"a\xe9,regime\n0,x\n", "line 1: unreadable CSV record: byte 0xe9 is not UTF-8"),
+            (b'a,regime\n0,x\n0,"x\ny\xc3"\n1,x\n', "line 3: unreadable CSV record: byte 0xc3 is not UTF-8"),
+            (b"a,regime\n0,x\n1,x,y\n0,\xffx\n", "line 3: wrong number of fields"),
+            (b'a,regime\n"0",x\n\n0,x\xff\n1,x,y\n', "line 4: unreadable CSV record: byte 0xff is not UTF-8"),
+        ],
+    )
+    def test_bytes_that_are_not_utf8_name_their_record(self, raw, message):
+        for data in (raw, [raw[k : k + 1] for k in range(len(raw))]):
+            with pytest.raises(SpecError) as err:
+                Dataset.from_csv(data)
+            assert str(err.value) == message
 
     def test_repeated_column_is_a_data_error(self):
         message = r"^data columns \['practice'\] appear more than once$"
@@ -477,6 +501,24 @@ def parse_outcome(parse, text):
         return parse(text)
     except (SpecError, DataError, csv.Error) as exc:
         return type(exc), str(exc)
+
+
+def same_outcome(a, b) -> bool:
+    """Equal outcomes; two datasets also alike in table order and code type."""
+    if isinstance(a, Dataset) and isinstance(b, Dataset):
+        return a == b and a.regime_table == b.regime_table and a.regime_codes.dtype == b.regime_codes.dtype
+    return a == b
+
+
+def split(raw: bytes, cuts) -> list[bytes]:
+    """``raw`` cut at each offset in ``cuts``, taken modulo its length + 1."""
+    at = sorted({c % (len(raw) + 1) for c in cuts})
+    return [raw[a:b] for a, b in zip([0, *at], [*at, len(raw)])]
+
+
+def in_blocks(raw: bytes, cuts):
+    """``from_csv`` outcomes of ``raw`` cut at ``cuts`` and cut into single bytes."""
+    return [parse_outcome(Dataset.from_csv, blocks) for blocks in (split(raw, cuts), split(raw, range(len(raw))))]
 
 
 # Names and labels with commas, quotes, newlines, spaces and non-ASCII text.
@@ -555,6 +597,32 @@ class TestCsvCodecProperties:
         assert parse_outcome(Dataset.from_csv, text.encode("utf-8")) == outcome
         if isinstance(outcome, Dataset):
             assert outcome.regime_table == reference_from_csv(text).regime_table
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=datasets(), cuts=st.lists(st.integers(0, 2000), max_size=8))
+    def test_blocks_at_any_offsets_round_trip(self, data, cuts):
+        raw = data.to_csv().encode("utf-8")
+        one = Dataset.from_csv(raw)
+        assert one == data
+        for outcome in in_blocks(raw, cuts):
+            assert same_outcome(outcome, one)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=datasets(),
+        edits=st.lists(
+            st.tuples(st.sampled_from(PERTURBATIONS), st.integers(0, 1000)), min_size=1, max_size=3
+        ),
+        cuts=st.lists(st.integers(0, 2000), max_size=8),
+    )
+    def test_perturbed_blocks_read_like_one_block(self, data, edits, cuts):
+        text = data.to_csv()
+        for kind, at in edits:
+            text = perturb(text, kind, at)
+        raw = text.encode("utf-8")
+        one = parse_outcome(Dataset.from_csv, raw)
+        for outcome in in_blocks(raw, cuts):
+            assert same_outcome(outcome, one)
 
     @pytest.mark.parametrize(
         "text",
@@ -677,6 +745,83 @@ class TestRecordReader:
         assert engine._read_record(text, 2, 6) == (["0", "x\n"], 2, 7)
         assert engine._read_record(text, 10, len(text)) == (["1", "z"], 1, 13)
         assert engine._read_record(text, 13, len(text)) == (None, 1, 13)
+
+
+class TestBlocks:
+    """The command line reads a data file in blocks of ``cli._BLOCK`` bytes,
+    here a few, each cut after a line end; every cut must read like the
+    whole file, as ``reference_from_csv`` reads its text."""
+
+    def read(self, raw, tmp_path, monkeypatch, sizes=range(1, 24)):
+        """The outcome at each block size, after checking it is the reference's."""
+        path = tmp_path / "data.csv"
+        path.write_bytes(raw)
+        expected = parse_outcome(reference_from_csv, path.read_text(encoding="utf-8"))
+        outcomes = []
+        for size in sizes:
+            monkeypatch.setattr(cli, "_BLOCK", size)
+            blocks = list(cli._blocks(str(path)))
+            assert all(block.endswith(b"\n") for block in blocks[:-1])
+            outcome = parse_outcome(Dataset.from_csv, cli._blocks(str(path)))
+            assert same_outcome(outcome, expected), size
+            outcomes.append(outcome)
+        return outcomes
+
+    def test_utf8_character_split_across_blocks(self, tmp_path, monkeypatch):
+        raw = "a,regime\n0,é✓\n1,natural\n0,é✓\n".encode("utf-8")
+        (data, *_) = self.read(raw, tmp_path, monkeypatch)
+        assert data.regime_table == ("é✓", "natural")
+
+    @pytest.mark.parametrize(
+        "raw, outcome",
+        [
+            (b'a,regime\r\n0,"x\r\ny"\r\n1,y\r\n\r\n0,x\r1,"y\r\nz"\r', ("x\ny", "y", "x", "y\nz")),
+            (b"a,regime\r\n0,x\r\n1,y\r\n2,x\r\n", (SpecError, "line 4: value '2' is not 0 or 1")),
+        ],
+    )
+    def test_cr_ending_a_block_pairs_with_the_next_lf(self, raw, outcome, tmp_path, monkeypatch):
+        # Read as two line ends, a split "\r\n" would add a line to a label or a record.
+        for read in self.read(raw, tmp_path, monkeypatch):
+            assert (row_labels(read) if isinstance(read, Dataset) else read) == outcome
+
+    def test_quoted_label_over_a_cut(self, tmp_path, monkeypatch):
+        raw = b'a,regime\n0,"x\n1,y\n\n0,"\n1,z\n1,"x\n1,y\n\n0,"\n'
+        (data, *_) = self.read(raw, tmp_path, monkeypatch)
+        assert data.regime_table == ("x\n1,y\n\n0,", "z")
+        assert data.regime_codes.tolist() == [0, 1, 0]
+
+    def test_labels_in_first_seen_order_across_blocks(self, tmp_path, monkeypatch):
+        raw = b"a,regime\n0,y=1\n1,y=1\n0,x=1\n1,y=1\n" + b"0,z\n" * 5 + b"1,x=1\n0,w\n"
+        for data in self.read(raw, tmp_path, monkeypatch):
+            assert data.regime_table == ("y=1", "x=1", "z", "w")
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            (b"a,regime\n0,x\n1,x\n\n0,x,y\n2,x\n", "line 5: wrong number of fields"),
+            (b'a,regime\n0,x\n"1",x\n0,"x\ny"\n\n2,x\n0,x,y\n', "line 6: value '2' is not 0 or 1"),
+            (b'"a\nb",regime\n0,"x\n\n"\n1,x\n0,x\n1\n', "line 5: wrong number of fields"),
+        ],
+    )
+    def test_first_bad_record_keeps_its_message_and_number(self, raw, message, tmp_path, monkeypatch):
+        for outcome in self.read(raw, tmp_path, monkeypatch):
+            assert outcome == (SpecError, message)
+
+    def test_reading_holds_no_temporary_the_size_of_the_file(self, tmp_path, monkeypatch):
+        # Past the arrays it returns, reading 4x the rows takes no more memory.
+        monkeypatch.setattr(cli, "_BLOCK", 1024)
+        extra = []
+        for n in (5000, 20000):
+            path = tmp_path / f"{n}.csv"
+            data = sample(education_salary(), n, 1, regime_label="natural")
+            path.write_text(data.to_csv().replace(",natural\n", ",natural\r\n"), encoding="utf-8")
+            tracemalloc.start()
+            read = Dataset.from_csv(cli._blocks(str(path)))
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert read == data and path.stat().st_size > 50 * cli._BLOCK
+            extra.append(peak - read.values.nbytes - read.regime_codes.nbytes)
+        assert extra[1] < extra[0] + 4096, extra
 
 
 class TestDatasetOps:

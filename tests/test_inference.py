@@ -323,9 +323,10 @@ class TestBinomialLogpmf:
         assert binomial_logpmf(k, n, p) == want
         assert float(stats.binom.logpmf(k, n, p)) == want
 
-    def test_rate_summed_just_above_one_is_a_point_mass(self):
-        # v5 acts at p_act = 1 whenever v6 = 0 is servable; the enumeration's
-        # terms sum to 1.0000000000000002 under the natural regime.
+    @staticmethod
+    def summed_above_one():
+        """v5 acts at p_act = 1 whenever v6 = 0 is servable; the enumeration's
+        terms sum to 1.0000000000000002 under the natural regime."""
         zeros = {bits: 0.0 for bits in itertools.product((0, 1), repeat=3)}
         g = CausalGraph.make(
             [
@@ -339,11 +340,21 @@ class TestBinomialLogpmf:
             ]
         )
         policy = AgentPolicy.make([("v6", 0)], p_act=1.0, p_base=0.0, theta=0.0)
-        assert bind_agent(g, "v5", policy).action_rate() > 1.0
+        model = bind_agent(g, "v5", policy)
+        assert joint_enumerate(model.bound_graph(Regime()).ancestral_subgraph("v5")).marginal("v5") > 1.0
+        return g, policy, model
+
+    def test_rate_summed_just_above_one_is_a_point_mass(self):
+        g, policy, _ = self.summed_above_one()
         arms = [ArmCounts(Regime(), 1, 0), ArmCounts(Regime({"v3": 0, "v4": 0}), 1, 0)]
         (score,) = score_arms(arms, g, "v5", policy, [frozenset({("v6", 0)})])
         assert score.log_likelihood == -math.inf
         assert binomial_logpmf(1, 1, math.nextafter(1.0, 2.0)) == 0.0
+
+    def test_action_rate_summed_just_above_one_is_clamped_to_one(self):
+        g, policy, model = self.summed_above_one()
+        assert model.action_rate() == 1.0
+        assert predicted_rates(g, "v5", policy, frozenset({("v6", 0)}), [Regime()]) == [1.0]
 
 
 PROBS = (0.0, 0.1, 0.25, 0.5, 0.9, 1.0)
