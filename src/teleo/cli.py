@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
-from typing import Iterator, Sequence
+from dataclasses import replace
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -54,14 +54,20 @@ def _blocks(path: str) -> Iterator[bytes]:
     after its last line end, checked as UTF-8 (only a block that is not
     ASCII is decoded, and the text dropped) and with each "\\r\\n" and then
     each lone "\\r" turned into "\\n", as ``Path.read_text`` does.  A "\\r"
-    that ends a block waits for the next, whose "\\n" may pair with it."""
+    that ends a block waits for the next, whose "\\n" may pair with it.
+    Reads without a line end are kept as pieces and joined once one comes,
+    so a line longer than a block is copied once, not once per read."""
     with open(path, "rb") as file:
-        offset, carry = 0, b""
+        offset, pending = 0, []  # the reads since the last line end
         while True:
             raw = file.read(_BLOCK) + file.readline(_BLOCK)
-            block = carry + raw
-            cut = max(block.rfind(b"\n"), block.rfind(b"\r", 0, -1)) + 1 if raw else len(block)
-            block, carry = block[:cut], block[cut:]
+            cut = max(raw.rfind(b"\n"), raw.rfind(b"\r", 0, -1)) + 1 if raw else len(raw)
+            # Unless the last read ended in a "\r", now a lone line end.
+            if raw and not cut and not (pending and pending[-1].endswith(b"\r")):
+                pending.append(raw)
+                continue
+            block = b"".join([*pending, raw[:cut]])  # a lone piece is not copied
+            pending = [raw[cut:]] if cut < len(raw) else []
             try:
                 if not block.isascii():
                     block.decode("utf-8")
@@ -82,11 +88,16 @@ def _read(path: str) -> bytes:
     return b"".join(_blocks(path))
 
 
-def _write(text: str, out: str | None) -> None:
+def _write(pieces: Iterable[str], out: str | None) -> None:
+    """Write the pieces in turn to ``out``, in text mode as
+    ``Path.write_text`` does, or to stdout."""
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as file:
+            for piece in pieces:
+                file.write(piece)
     else:
-        sys.stdout.write(text)
+        for piece in pieces:
+            sys.stdout.write(piece)
 
 
 def _load_doc(path: str) -> GraphSpecDocument:
@@ -119,7 +130,7 @@ def _default_hypothesis(doc: GraphSpecDocument) -> str:
 
 def _emit(args, sections: dict, **provenance) -> None:
     provenance = {"command": args.command, "graph": args.graph, **provenance}
-    _write(emit_report(Report(provenance=provenance, sections=sections), args.format), args.out)
+    _write([emit_report(Report(provenance=provenance, sections=sections), args.format)], args.out)
 
 
 def _cmd_validate(args) -> int:
@@ -177,16 +188,39 @@ def _simulation_regimes(doc: GraphSpecDocument, action: str) -> list[Regime]:
     return sorted(regimes, key=lambda r: (bool(r.clamps), r.label()))
 
 
+def _block_rows(part: Dataset) -> int:
+    """Rows of ``part`` in about ``_BLOCK`` characters of CSV: a cell and a
+    comma per variable, the longest label and a line end per row."""
+    width = 2 * len(part.variables) + max(map(len, part.regime_table)) + 1
+    return max(_BLOCK // width, 1)
+
+
+def _rows(part: Dataset, start: int, stop: int) -> Dataset:
+    return replace(part, values=part.values[start:stop], regime_codes=part.regime_codes[start:stop])
+
+
+def _csv_blocks(parts: list[Dataset]) -> Iterator[str]:
+    """The text of ``Dataset.concat(parts).to_csv()``: the header, then
+    each part in blocks of :func:`_block_rows` rows, each encoded by
+    ``to_csv`` and written without its header."""
+    header = _rows(parts[0], 0, 0).to_csv()
+    yield header
+    for part in parts:
+        step = _block_rows(part)
+        for start in range(0, part.n_rows, step):
+            yield _rows(part, start, start + step).to_csv()[len(header) :]
+
+
 def _cmd_simulate(args) -> int:
     doc = _load_doc(args.graph)
     model = doc.bind()
     regimes = _simulation_regimes(doc, model.action)
     children = np.random.SeedSequence(args.seed).spawn(len(regimes))
-    data = Dataset.concat(
+    parts = [
         sample(model.bound_graph(regime), args.n, child, regime_label=regime.label())
         for regime, child in zip(regimes, children)
-    )
-    _write(data.to_csv(), args.out)
+    ]
+    _write(_csv_blocks(parts), args.out)
     return 0
 
 

@@ -510,15 +510,20 @@ class Dataset:
         per row (:func:`_decode_rows`, per block; only the rows outgrow one).
         Quoted cells and labels, CRLF line ends and a missing final newline
         are accepted, blank lines skipped.  Errors carry the record number,
-        counting the header as 1 and blank lines as records."""
+        counting the header as 1 and blank lines as records.  Bytes left
+        unread wait as pieces until a block brings a line end, and are then
+        joined once."""
         if isinstance(data, str):
             data = data.encode("utf-8", "surrogatepass")
-        header, record, carry, table, values, codes = None, 2, b"", {}, None, None
+        header, record, pending, table, values, codes = None, 2, [], {}, None, None
         blocks = iter([data] if isinstance(data, (bytes, bytearray)) else data)
         following = next(blocks, b"")
         while following is not None:
             block, following = following, next(blocks, None)
-            text = carry + block
+            if following is not None and b"\n" not in block:
+                pending.append(block)  # nothing more can be read before a line end
+                continue
+            text = b"".join([*pending, block])  # a lone block is not copied
             body = text if following is None else text[: text.rfind(b"\n") + 1]
             pos = 0
             if header is None:
@@ -527,14 +532,14 @@ class Dataset:
                 except csv.Error as exc:
                     raise SpecError(f"unreadable CSV record: {exc}", line=1) from None
                 if following is not None and pos == len(body):  # the header may go on
-                    header, carry = None, text
+                    header, pending = None, [text]
                     continue
                 if header is None:
                     raise SpecError("empty CSV document")
                 if not header or header[-1] != "regime":
                     raise SpecError('CSV header must end with a "regime" column')
             rows, local, labels, rest, record = _decode_rows(body, pos, len(header) - 1, record, following is None)
-            carry = text[rest:]
+            pending = [text[rest:]] if rest < len(text) else []
             position = np.array([table.setdefault(label, len(table)) for label in labels], dtype=_code_dtype(len(table)))
             if values is None:
                 values, codes = rows, local

@@ -1,10 +1,15 @@
+import errno
 import hashlib
+import io
 import json
 import resource
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from teleo import (
@@ -12,9 +17,12 @@ from teleo import (
     CausalGraph,
     Dataset,
     GraphSpecDocument,
+    SpecError,
     Tagging,
     emit_report,
+    parse_graph_spec,
     parse_machine_report,
+    sample,
     serialize_graph_spec,
 )
 from teleo import cli
@@ -242,6 +250,72 @@ class TestSimulate:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
         assert b"practice=" not in outs[0]
+
+    @staticmethod
+    def _parts(spec: Path, seed: int, n: int) -> list[Dataset]:
+        """Each regime's rows as ``simulate`` samples them."""
+        doc = parse_graph_spec(spec.read_text(encoding="utf-8"))
+        model = doc.bind()
+        regimes = cli._simulation_regimes(doc, model.action)
+        children = np.random.SeedSequence(seed).spawn(len(regimes))
+        return [
+            sample(model.bound_graph(regime), n, child, regime_label=regime.label())
+            for regime, child in zip(regimes, children)
+        ]
+
+    @pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted-name"])
+    @pytest.mark.parametrize(
+        "blocks, extra",
+        [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 1)],
+        ids=["0", "1", "rows-1", "rows", "rows+1", "2rows+1"],
+    )
+    def test_blocks_join_to_the_whole_file(self, tmp_path, monkeypatch, capsys, quoted, blocks, extra):
+        # A name with a comma and a quote is quoted in the header and in
+        # the label of the regime that clamps it.
+        spec = tmp_path / "sport.spec"
+        text = DEMO_SPORT_SPEC.read_text()
+        spec.write_text(text.replace("smoke", 'sm,"oke') if quoted else text, encoding="utf-8")
+        monkeypatch.setattr(cli, "_BLOCK", 256)
+        # n is counted in the natural regime's rows per block.
+        n = blocks * cli._block_rows(self._parts(spec, 1, 0)[0]) + extra
+        want = Dataset.concat(self._parts(spec, 1, n)).to_csv()
+        assert ('"sm,""oke"' in want) == quoted
+        out = tmp_path / "data.csv"
+        argv = ["simulate", "--graph", str(spec), "--seed", "1", "--n", str(n)]
+        assert run_command([*argv, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == want.encode("utf-8")
+        assert run_command(argv) == 0
+        assert capsys.readouterr().out == want
+
+    def test_writing_memory_does_not_grow_with_the_rows(self, confounded_doc, tmp_path, monkeypatch):
+        # From the first to_csv call on, the peak beyond the sampled rows is
+        # one block's encoding, whatever the file's size.
+        spec = tmp_path / "confounded.spec"
+        spec.write_text(serialize_graph_spec(confounded_doc), encoding="utf-8")
+        monkeypatch.setattr(cli, "_BLOCK", 1 << 16)
+        to_csv, sampled = Dataset.to_csv, []
+
+        def reset_peak_first(data):
+            if not sampled:
+                tracemalloc.reset_peak()
+                sampled.append(tracemalloc.get_traced_memory()[0])
+            return to_csv(data)
+
+        monkeypatch.setattr(Dataset, "to_csv", reset_peak_first)
+        extra = []
+        for n in (20_000, 80_000):
+            out = tmp_path / f"{n}.csv"
+            argv = ["simulate", "--graph", str(spec), "--seed", "1", "--n", str(n), "--out", str(out)]
+            sampled.clear()
+            tracemalloc.start()
+            assert run_command(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert out.stat().st_size > 20 * cli._BLOCK
+            extra.append(peak - sampled[0])
+        # A few kB of allocator noise; 4x the rows adds megabytes of text.
+        assert extra[1] < extra[0] + (1 << 14) and max(extra) < 8 * cli._BLOCK, extra
 
 
 class TestExperiment:
@@ -503,7 +577,7 @@ class TestAnalyzeAndInfer:
 
     @pytest.mark.parametrize("message, line", [("", "error: out of memory\n"), ("no room", "error: no room\n")])
     def test_memory_error_exits_1_with_an_error_line(
-        self, sport_spec_path, monkeypatch, capsys, message, line
+        self, sport_spec_path, tmp_path, monkeypatch, capsys, message, line
     ):
         def no_room(*args, **kwargs):
             raise MemoryError(message)
@@ -512,6 +586,31 @@ class TestAnalyzeAndInfer:
         argv = ["simulate", "--graph", str(sport_spec_path), "--seed", "1", "--n", "10"]
         assert run_command(argv) == 1
         assert capsys.readouterr() == ("", line)
+        out = tmp_path / "data.csv"
+        assert run_command([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", line)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    def test_write_error_mid_stream_exits_1(self, sport_spec_path, tmp_path, monkeypatch, capsys, to_file):
+        class FullDisk(io.StringIO):
+            def write(self, text):
+                if self.tell():
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return super().write(text)
+
+        monkeypatch.setattr(cli, "_BLOCK", 256)
+        argv = ["simulate", "--graph", str(sport_spec_path), "--seed", "1", "--n", "50"]
+        if to_file:
+            def open_full(path, mode="r", **kwargs):
+                return FullDisk() if "w" in mode else open(path, mode, **kwargs)
+
+            monkeypatch.setattr(cli, "open", open_full, raising=False)
+            argv += ["--out", str(tmp_path / "data.csv")]
+        else:
+            monkeypatch.setattr(sys, "stdout", FullDisk())
+        assert run_command(argv) == 1
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
 
     def test_hypotheses_the_data_rule_out_score_null(self, tmp_path, capsys):
         # With p_base 0 the action fires only where an intended effect is
@@ -611,6 +710,23 @@ class TestAnalyzeAndInfer:
         bad.write_bytes(b"a,regime\n0,natural,extra\n" + b"0,natural\n" * 10 + b"\xff\n")
         assert run_command(["infer", "--graph", str(sport_spec_path), "--data", str(bad)]) == 1
         assert capsys.readouterr().err == f"error: {bad} is not UTF-8 text: byte 0xff at offset 125\n"
+
+    def test_line_longer_than_many_blocks_is_copied_once(self, sport_spec_path, tmp_path, monkeypatch, capsys):
+        # 2 MB in 64-byte blocks: copying what came before at each block
+        # takes seconds, joining the pieces once takes milliseconds.
+        monkeypatch.setattr(cli, "_BLOCK", 64)
+        path = tmp_path / "long.csv"
+        path.write_bytes(b"a,regime\n" + b"x" * (2 << 20) + b"\n")
+        data = path.read_bytes()
+        start = time.perf_counter()
+        assert b"".join(cli._blocks(str(path))) == data
+        with pytest.raises(SpecError, match=r"^line 2: unreadable CSV record: field larger than field limit"):
+            Dataset.from_csv(data[i : i + 64] for i in range(0, len(data), 64))
+        assert run_command(["infer", "--graph", str(sport_spec_path), "--data", str(path)]) == 1
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == (
+            "error: line 2: unreadable CSV record: field larger than field limit (131072)\n"
+        )
 
     def test_spec_with_a_non_ascii_comment_validates(self, tmp_path, capsys):
         spec = tmp_path / "commented.spec"
