@@ -336,14 +336,17 @@ class CellTable:
         return CellTable, (self.codes, self.rows, self.counts)
 
 
-def _cell_table(codes: np.ndarray, values: np.ndarray, n_labels: int) -> CellTable:
-    """Count the cells with one integer key per row: the code's bits, then
-    one bit per variable.  With no more keys than rows, ``np.bincount``
-    counts every key in one pass, and each cell's code and row are its
-    key's bits; with fewer rows the bins cost more than sorting the keys
-    with ``np.unique``.  A row wider than 64 bits then renumbers the key by
-    its rank among the keys so far whenever the next bit would not fit;
-    ranks keep the order, so the cells come out sorted on every path."""
+def _cell_table(
+    codes: np.ndarray, values: np.ndarray, n_labels: int, weights: np.ndarray | None = None
+) -> CellTable:
+    """Count the cells with one integer key per row, each row counting
+    once or ``weights`` times: the code's bits, then one bit per variable.
+    With no more keys than rows, ``np.bincount`` counts every key in one
+    pass, and each cell's code and row are its key's bits; with fewer rows
+    the bins cost more than sorting the keys with ``np.unique``.  A row
+    wider than 64 bits then renumbers the key by its rank among the keys so
+    far whenever the next bit would not fit; ranks keep the order, so the
+    cells come out sorted on every path."""
     width = max(n_labels - 1, 0).bit_length()
     n_vars = values.shape[1]
     bits = width + n_vars
@@ -357,11 +360,15 @@ def _cell_table(codes: np.ndarray, values: np.ndarray, n_labels: int) -> CellTab
         key |= column
         width += 1
     if 1 << bits <= len(key):
-        counts = np.bincount(key)
+        counts = np.bincount(key, weights).astype(np.int64, copy=False)
         cells = np.flatnonzero(counts)
         rows = (cells[:, None] >> np.arange(n_vars - 1, -1, -1)) & 1
         return CellTable((cells >> n_vars).astype(codes.dtype), rows.astype(np.int8), counts[cells])
-    _, first, counts = np.unique(key, return_index=True, return_counts=True)
+    if weights is None:
+        _, first, counts = np.unique(key, return_index=True, return_counts=True)
+    else:
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        counts = np.bincount(inverse, weights).astype(np.int64)
     return CellTable(codes[first], values[first], counts)
 
 
@@ -374,7 +381,8 @@ class Dataset:
     holds distinct labels (in first-seen order when read from CSV), the
     codes are an unsigned integer array.  Both arrays
     are kept as read-only views, so :attr:`cells`, built once on first use,
-    cannot go stale.  A variable named twice raises ``DataError``.
+    cannot go stale.  Every count an analysis takes is read from
+    :meth:`tally`.  A variable named twice raises ``DataError``.
     """
 
     variables: tuple[str, ...]
@@ -437,22 +445,14 @@ class Dataset:
         """The rows reduced to their distinct (regime code, row) cells."""
         return _cell_table(self.regime_codes, self.values, len(self.regime_table))
 
-    def count(self, label: str, event: Mapping[str, int]) -> int:
-        """How many rows carry ``label`` and match every entry of
-        ``event``, summed over :attr:`cells`."""
-        columns = [(self._index(name), value) for name, value in event.items()]
-        if label not in self.regime_table:
-            return 0
+    def tally(self, names: Iterable[str]) -> CellTable:
+        """The cells reduced to the columns ``names``, in that order: for
+        each regime code present, the distinct value rows of ``names``, in
+        ascending order, and how many rows carry each.  Grouped by the same
+        keys as :attr:`cells`, each cell weighted by its count."""
+        columns = [self._index(name) for name in names]
         cells = self.cells
-        match = cells.codes == self.regime_table.index(label)
-        for k, value in columns:
-            match &= cells.rows[:, k] == value
-        return int(cells.counts[match].sum())
-
-    def _present(self) -> dict[int, str]:
-        """The labels that occur, keyed by code in ascending order, read
-        from :attr:`cells`."""
-        return {code: self.regime_table[code] for code in self.cells.codes.tolist()}
+        return _cell_table(cells.codes, cells.rows[:, columns], len(self.regime_table), cells.counts)
 
     def filter_regimes(self, labels: Iterable[str]) -> "Dataset":
         """The rows labeled one of ``labels``, carrying their cells of this
@@ -687,8 +687,9 @@ def _decode_rows(
     in bulk, and :func:`_read_record` reads its label on the first line of
     each distinct tail (:func:`_distinct_tails` finds them among the tails
     of one length).  Every other non-blank line, and each whose tail spans
-    lines or is not one field, starts a record that :func:`_read_record`
-    reads alone; only these can be malformed, and they are checked in order.
+    lines, is not one field or has more bytes than ``csv.field_size_limit()``,
+    starts a record that :func:`_read_record` reads alone; only these can be
+    malformed, and they are checked in order.
     The table lists the labels in the order of the first row of each."""
     data = np.frombuffer(text, dtype=np.uint8)
     body = data[pos:]
@@ -718,8 +719,8 @@ def _decode_rows(
     sorted_lengths = tail_lengths[by_length]
     for group in np.split(by_length, np.flatnonzero(sorted_lengths[1:] != sorted_lengths[:-1]) + 1):
         length = int(tail_lengths[group[0]]) if len(group) else -1
-        if length < 0:
-            continue  # no line, or lines that are not fast
+        if not 0 <= length <= csv.field_size_limit():
+            continue  # no line, lines that are not fast, or tails too long to compare
         # Each end is 8 * w or more bytes in: a fast line holds 8 * w - 8 or more and starts 8 or more in.
         first, inverse = _distinct_tails(data, ends[group] + pos, length)
         heads = group[first].tolist()
@@ -786,8 +787,9 @@ def require_possible(dataset: Dataset, graph: CausalGraph, exempt: Iterable[str]
     The header must name exactly the graph's variables, and no row may
     have probability 0 under its regime's mutilated graph: a clamped
     variable off its clamp, or a value that contradicts a 0/1 CPT row.  Variables in ``exempt`` are not checked (an action whose CPT a
-    policy replaces).  Each cell of :attr:`Dataset.cells` is checked once,
-    and an impossible cell counts all its rows.
+    policy replaces).  The labels present are read from ``tally(())``.
+    Each cell of :attr:`Dataset.cells` is checked once, under every
+    variable, and an impossible cell counts all its rows once.
     """
     if set(dataset.variables) != set(graph.names):
         raise DataError(
@@ -797,8 +799,8 @@ def require_possible(dataset: Dataset, graph: CausalGraph, exempt: Iterable[str]
     exempt = set(exempt)
     cells = dataset.cells
     regimes = {}
-    for code, label in dataset._present().items():
-        regimes[code] = Regime.from_label(label)
+    for code in dataset.tally(()).codes.tolist():
+        regimes[code] = Regime.from_label(dataset.regime_table[code])
         for name in regimes[code].clamps:
             graph.variable(name)
     column = {name: k for k, name in enumerate(dataset.variables)}

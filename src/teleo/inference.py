@@ -84,14 +84,16 @@ def arms_from_results(results: Sequence[ExperimentResult]) -> list[ArmCounts]:
 
 
 def arms_from_dataset(dataset: Dataset, action: str) -> list[ArmCounts]:
-    """One arm per regime label present in the dataset, in sorted label
-    order, counted from the dataset's cells.  Labels are parsed back into
-    regimes; clamps are treated as interference."""
-    arms = []
-    for label in sorted(dataset._present().values()):
-        n, acts = dataset.count(label, {}), dataset.count(label, {action: 1})
-        arms.append(ArmCounts(Regime.from_label(label), n, acts))
-    return arms
+    """One arm per regime label present in the dataset, in the order of the
+    raw label strings, counted from ``dataset.tally([action])``.  Labels
+    are parsed back into regimes; clamps are treated as interference."""
+    n, acts = {}, {}
+    tally = dataset.tally([action])
+    for code, (act,), k in zip(tally.codes.tolist(), tally.rows.tolist(), tally.counts.tolist()):
+        label = dataset.regime_table[code]
+        n[label] = n.get(label, 0) + k
+        acts[label] = acts.get(label, 0) + act * k
+    return [ArmCounts(Regime.from_label(label), n[label], acts[label]) for label in sorted(n)]
 
 
 def enumerate_hypotheses(

@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass, replace
 from typing import Iterable
 
-import numpy as np
-
 from .effects import EffectClassification, confounding_causes
 from .engine import NATURAL_LABEL, Dataset
 from .errors import TeleoError
@@ -89,10 +87,10 @@ def stratified_action_comparison(
 
     The natural regime is the control group when present (otherwise the
     lexicographically first label).  The strata are the adjustment values
-    that occur in the dataset's cells, in ascending order.  Strata with an
-    empty arm are dropped with a flag; strata with an arm below
-    ``MIN_CELL`` are reported but excluded from pooling.  Every stratum's
-    counts come from one grouping of the dataset's cells, so output is
+    that occur in the dataset, in ascending order.  Strata with an empty
+    arm are dropped with a flag; strata with an arm below ``MIN_CELL`` are
+    reported but excluded from pooling.  Every stratum's four counts are
+    summed from one ``dataset.tally((action, *adjustment))``, so output is
     invariant to row order.
     """
     adjustment = tuple(adjustment)
@@ -100,7 +98,7 @@ def stratified_action_comparison(
         raise TeleoError("adjustment variables must not include the action")
     if len(set(adjustment)) != len(adjustment):
         raise TeleoError(f"adjustment variables must be distinct, got {list(adjustment)}")
-    labels = sorted(dataset._present().values())
+    labels = sorted(dataset.regime_table[code] for code in dataset.tally(()).codes.tolist())
     if len(labels) < 2:
         raise TeleoError(f"need 2 regimes to compare, found {labels}")
     if len(labels) > 2:
@@ -111,24 +109,17 @@ def stratified_action_comparison(
     else:
         control_label, treated_label = labels
 
-    cells = dataset.cells
-    acted = cells.rows[:, dataset._index(action)] == 1
-    combos, stratum = np.unique(
-        cells.rows[:, [dataset._index(name) for name in adjustment]], axis=0, return_inverse=True
-    )
-    stratum = stratum.reshape(-1)
-    treated = cells.codes == dataset.regime_table.index(treated_label)
-
-    def tally(mask: np.ndarray) -> list[int]:
-        """Rows per stratum among the cells in ``mask``."""
-        rows = np.bincount(stratum[mask], weights=cells.counts[mask], minlength=len(combos))
-        return rows.astype(np.int64).tolist()
+    tally = dataset.tally((action, *adjustment))
+    by_stratum: dict[tuple[int, ...], list[int]] = {}  # [n_t, k_t, n_c, k_c]
+    for code, row, k in zip(tally.codes.tolist(), tally.rows.tolist(), tally.counts.tolist()):
+        arm = 2 * (dataset.regime_table[code] == control_label)
+        counts = by_stratum.setdefault(tuple(row[1:]), [0, 0, 0, 0])
+        counts[arm] += k
+        counts[arm + 1] += row[0] * k
 
     strata = []
     flags: set[str] = set()
-    for combo, n_t, k_t, n_c, k_c in zip(
-        combos.tolist(), tally(treated), tally(treated & acted), tally(~treated), tally(~treated & acted)
-    ):
+    for combo, (n_t, k_t, n_c, k_c) in sorted(by_stratum.items()):
         if n_t == 0 or n_c == 0:
             flags.add(FLAG_EMPTY_CELLS)
             continue
@@ -208,7 +199,7 @@ def observational_battery(
     """
     adjustment = tuple(adjustment)
     action = classification.action
-    present = set(dataset._present().values())
+    present = {dataset.regime_table[code] for code in dataset.tally(()).codes.tolist()}
     results = []
     for experiment in plan.experiments:
         if experiment.label not in present or NATURAL_LABEL not in present:
@@ -227,11 +218,12 @@ def observational_battery(
         comparison = stratified_action_comparison(pair, action, adjustment=adjustment)
         if not confounding_causes(graph, action, experiment.target) <= set(adjustment):
             comparison = replace(comparison, flags=comparison.flags + (FLAG_CONFOUNDED,))
+        tally = pair.tally(experiment.expected_pattern)
+        cells = zip(tally.codes.tolist(), tally.rows.tolist(), tally.counts.tolist())
+        treated = [(row, k) for code, row, k in cells if pair.regime_table[code] == experiment.label]
+        pattern = list(experiment.expected_pattern.values())
         count, passed = expected_pattern_check(
-            pair.count(experiment.label, experiment.expected_pattern),
-            pair.count(experiment.label, {}),
-            experiment,
-            p_base,
+            sum(k for row, k in treated if row == pattern), sum(k for _, k in treated), experiment, p_base
         )
         verdict = "change" if comparison.pooled_p < alpha else "no-change"
         results.append(

@@ -86,3 +86,13 @@ def make_dataset(variables, rows, labels=None) -> Dataset:
 def row_labels(data: Dataset) -> tuple[str, ...]:
     """The regime label of every row, in row order."""
     return tuple(data.regime_table[code] for code in data.regime_codes.tolist())
+
+
+def row_count(data: Dataset, label: str, event) -> int:
+    """Rows labeled ``label`` that match every entry of ``event``, counted
+    row by row: the reference for every count read from a dataset's cells."""
+    count = 0
+    for values, row_label in zip(data.values.tolist(), row_labels(data)):
+        row = dict(zip(data.variables, values))
+        count += row_label == label and all(row[k] == v for k, v in event.items())
+    return count

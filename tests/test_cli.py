@@ -28,7 +28,7 @@ from teleo import (
 from teleo import cli
 from teleo.cli import run_command
 
-from .helpers import lever_chain, twin_chains
+from .helpers import lever_chain, row_count, row_labels, twin_chains
 
 DEMO_SPORT_SPEC = Path(__file__).resolve().parents[1] / "demos" / "sport.spec"
 
@@ -212,12 +212,9 @@ class TestSimulate:
         first = out.read_text()
         data = Dataset.from_csv(first)
         assert data.n_rows == 4 * 50
-        assert tuple(data._present().values()) == (
-            "natural",
-            "enroll=0",
-            "protein_diet=0",
-            "smoke=1",
-        )
+        labels = ("natural", "enroll=0", "protein_diet=0", "smoke=1")
+        assert tuple(dict.fromkeys(row_labels(data))) == labels
+        assert [row_count(data, label, {}) for label in labels] == [50] * 4
         assert run_command(argv) == 0
         assert out.read_text() == first
 
@@ -727,6 +724,22 @@ class TestAnalyzeAndInfer:
         assert capsys.readouterr().err == (
             "error: line 2: unreadable CSV record: field larger than field limit (131072)\n"
         )
+
+    def test_label_past_the_field_limit_fails_fast(self, sport_spec_path, tmp_path, capsys):
+        # Nine 0/1 cells, then a 2 MB label: comparing that tail with the
+        # others one 64-bit word at a time took most of a second; csv
+        # rejects it at once.
+        path = tmp_path / "long.csv"
+        header = ",".join(f"v{k}" for k in range(9)) + ",regime\n"
+        path.write_bytes(header.encode() + b"0," * 9 + b"x" * (2 << 20) + b"\n")
+        message = "line 2: unreadable CSV record: field larger than field limit (131072)"
+        start = time.perf_counter()
+        with pytest.raises(SpecError) as caught:
+            Dataset.from_csv(path.read_bytes())
+        assert run_command(["infer", "--graph", str(sport_spec_path), "--data", str(path)]) == 1
+        assert time.perf_counter() - start < 0.25
+        assert str(caught.value) == message and caught.value.line == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_spec_with_a_non_ascii_comment_validates(self, tmp_path, capsys):
         spec = tmp_path / "commented.spec"

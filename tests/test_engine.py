@@ -43,6 +43,7 @@ from .helpers import (
     labeled_dataset,
     lever_chain,
     make_dataset,
+    row_count,
     row_labels,
     twin_chains,
 )
@@ -737,6 +738,22 @@ class TestRecordReader:
         outcome, _ = self.read('"a\nb",regime\n0,x\n1,x,y\n', monkeypatch)
         assert outcome == (SpecError, "line 3: wrong number of fields")
 
+    def test_tails_longer_than_the_field_limit_are_read_alone(self, monkeypatch):
+        # Under a limit of 16, 16-byte tails are compared in bulk; each
+        # CRLF line's 17-byte tail and a quoted label's 18-byte tail are
+        # records of their own that csv reads, and a 17-byte label is rejected.
+        limit = csv.field_size_limit(16)
+        try:
+            x = "x" * 16
+            text = f'a,b,regime\n0,1,natural\n1,1,{x}\n0,0,{x}\r\n1,0,"{x}"\n1,1,{x}\n0,1,{x}\r\n'
+            data, calls = self.read(text, monkeypatch)
+            assert data.regime_table == ("natural", x) and data.n_rows == 6
+            assert calls == 1 + 2 + 3
+            outcome = parse_outcome(Dataset.from_csv, f"a,b,regime\n0,1,natural\n0,0,{x}y\n")
+            assert outcome == (SpecError, "line 3: unreadable CSV record: field larger than field limit (16)")
+        finally:
+            csv.field_size_limit(limit)
+
     def test_read_record_reports_lines_asked_and_end(self):
         text = b'h\n0,"x\ny"\n1,z'
         assert engine._read_record(text, 0, len(text)) == (["h"], 1, 2)
@@ -843,7 +860,11 @@ class TestDatasetOps:
         assert data.__eq__(3) is NotImplemented and (data == 3) is False
         with pytest.raises(UnknownVariableError, match=r"^unknown column 'ghost'$"):
             data.column("ghost")
-        assert data.count("x=1", {"a": 1}) == 0
+        with pytest.raises(UnknownVariableError, match=r"^unknown column 'ghost'$"):
+            data.tally(["a", "ghost"])
+        # A label outside the table gets no arm.
+        arms = [(arm.regime.label(), arm.n, arm.acts) for arm in arms_from_dataset(data, "a")]
+        assert arms == [("natural", row_count(data, "natural", {}), row_count(data, "natural", {"a": 1}))]
         with pytest.raises(ValueError, match="^nothing to concatenate$"):
             Dataset.concat([])
         with pytest.raises(ValueError, match="^n must be >= 0$"):
@@ -878,14 +899,21 @@ class TestDatasetOps:
         )
         assert same == data and data == same
         assert row_labels(same) == row_labels(data)
-        assert tuple(same._present().values()) == ("natural", "x=1")
+        # "unused" carries no row, so it gets no arm; the others count their rows.
+        arms = [(arm.regime.label(), arm.n, arm.acts) for arm in arms_from_dataset(same, "a")]
+        assert arms == [
+            (label, row_count(same, label, {}), row_count(same, label, {"a": 1})) for label in ("natural", "x=1")
+        ]
         assert make_dataset(["a"], [(0,)], ["x=1"]) != make_dataset(["a"], [(0,)], ["natural"])
 
     def test_regimes_present_preserves_first_seen_order(self):
         data = make_dataset(["a"], [(0,), (1,), (0,)], ["z=1", "natural", "z=1"])
         read = Dataset.from_csv(data.to_csv())
         assert read.regime_table == ("z=1", "natural")
-        assert tuple(read._present().values()) == ("z=1", "natural")
+        tally = read.tally(())
+        assert [(read.regime_table[code], n) for code, n in zip(tally.codes.tolist(), tally.counts.tolist())] == [
+            (label, row_count(read, label, {})) for label in ("z=1", "natural")
+        ]
 
     def test_arrays_are_read_only(self):
         values = np.array([[0, 1], [1, 1]], dtype=np.int8)
@@ -974,26 +1002,22 @@ class TestRequirePossible:
             require_possible(extra, ball_pins())
 
 
-def _cell_reference(dataset) -> dict:
-    """Reference for Dataset.cells: the rows tallied one at a time."""
-    return dict(Counter(zip(dataset.regime_codes.tolist(), map(tuple, dataset.values.tolist()))))
+def _cell_reference(dataset, names=None) -> dict:
+    """Reference for Dataset.cells, or for Dataset.tally(names): the rows
+    tallied one at a time."""
+    columns = [dataset.variables.index(name) for name in (dataset.variables if names is None else names)]
+    rows = (tuple(values[k] for k in columns) for values in dataset.values.tolist())
+    return dict(Counter(zip(dataset.regime_codes.tolist(), rows)))
 
 
-def _cell_counts(dataset) -> dict:
-    """Dataset.cells as a dict, after checking that it is sorted."""
-    cells = dataset.cells
+def _cell_counts(dataset, names=None) -> dict:
+    """Dataset.cells, or Dataset.tally(names), as a dict, after checking
+    that it is sorted."""
+    cells = dataset.cells if names is None else dataset.tally(names)
     keys = list(zip(cells.codes.tolist(), map(tuple, cells.rows.tolist())))
     assert keys == sorted(keys) and (cells.counts > 0).all()
+    assert cells.rows.shape == (len(keys), len(dataset.variables if names is None else names))
     return dict(zip(keys, cells.counts.tolist()))
-
-
-def _row_count(dataset, label, event) -> int:
-    """Reference for Dataset.count: rows labeled ``label`` matching ``event``."""
-    count = 0
-    for values, row_label in zip(dataset.values.tolist(), row_labels(dataset)):
-        row = dict(zip(dataset.variables, values))
-        count += row_label == label and all(row[k] == v for k, v in event.items())
-    return count
 
 
 def _impossible_rows(dataset, graph, exempt) -> int:
@@ -1060,15 +1084,21 @@ def test_require_possible_matches_per_row_reference(seed, data):
     present = sorted(set(row_labels))
     arms = [(arm.regime.label(), arm.n, arm.acts) for arm in arms_from_dataset(dataset, action)]
     assert arms == [
-        (label, _row_count(dataset, label, {}), _row_count(dataset, label, {action: 1}))
+        (label, row_count(dataset, label, {}), row_count(dataset, label, {action: 1}))
         for label in present
     ]
     others = [name for name in names if name != action]
     adjustment = data.draw(st.lists(st.sampled_from(others), unique=True, max_size=2))
-    for label in present:
-        for combo in itertools.product((0, 1), repeat=len(adjustment)):
-            stratum = dict(zip(adjustment, combo))
-            assert dataset.count(label, stratum) == _row_count(dataset, label, stratum)
+    tally = dataset.tally(adjustment)
+    got = zip(tally.codes.tolist(), map(tuple, tally.rows.tolist()), tally.counts.tolist())
+    expected = [
+        (label, combo, row_count(dataset, label, dict(zip(adjustment, combo))))
+        for label in present
+        for combo in itertools.product((0, 1), repeat=len(adjustment))
+    ]
+    assert sorted((dataset.regime_table[code], combo, n) for code, combo, n in got) == [
+        cell for cell in expected if cell[2]
+    ]
     if len(present) < 2:
         return
     pair = dataset.filter_regimes(present[:2])
@@ -1080,10 +1110,10 @@ def test_require_possible_matches_per_row_reference(seed, data):
     for s in comparison.strata:
         stratum, acted = dict(s.key), {**dict(s.key), action: 1}
         assert (s.control_n, s.control_acts, s.treated_n, s.treated_acts) == (
-            _row_count(pair, comparison.control_label, stratum),
-            _row_count(pair, comparison.control_label, acted),
-            _row_count(pair, comparison.treated_label, stratum),
-            _row_count(pair, comparison.treated_label, acted),
+            row_count(pair, comparison.control_label, stratum),
+            row_count(pair, comparison.control_label, acted),
+            row_count(pair, comparison.treated_label, stratum),
+            row_count(pair, comparison.treated_label, acted),
         )
 
 
@@ -1101,6 +1131,11 @@ def test_wide_rows_reduce_to_cells():
         ]
     )
     assert _cell_counts(data) == _cell_reference(data)
+    # Tallies of the 71 columns in reverse, and of every third, group wide rows too.
+    for names in (graph.names[::-1], graph.names[::3]):
+        assert _cell_counts(data, names) == _cell_reference(data, names)
+        kept = data.filter_regimes(["l0=0", "l3=0"])
+        assert _cell_counts(kept, names) == _cell_reference(kept, names)
     assert _impossible_rows(data, graph, ()) == 1
     with pytest.raises(DataError, match=f"^1 of {data.n_rows} rows "):
         require_possible(data, graph)
@@ -1140,6 +1175,43 @@ def test_cells_match_reference_on_both_sides_of_the_bin_rule(n_vars, n_labels, c
     for name in ("codes", "rows", "counts"):
         carried, recounted = getattr(kept.cells, name), getattr(fresh.cells, name)
         assert carried.dtype == recounted.dtype and np.array_equal(carried, recounted)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_tally_matches_per_row_reference(data):
+    """``Dataset.tally`` reduces the cells to any columns, in any order, or
+    to none: per regime code, each distinct value row of those columns,
+    ascending, and how many rows carry it.  A label with no rows, such as
+    the table's last one here, gets no cell, and a dataset that
+    ``filter_regimes`` returns tallies the cells it carries."""
+    variables = tuple(f"v{k}" for k in range(data.draw(st.integers(0, 5))))
+    table = (*data.draw(st.lists(st.sampled_from(["natural", "x=1", "y=0"]), min_size=1, unique=True)), "unused")
+    n = data.draw(st.integers(0, 60))
+    codes = data.draw(st.lists(st.integers(0, len(table) - 2), min_size=n, max_size=n))
+    values = data.draw(st.lists(st.integers(0, 1), min_size=n * len(variables), max_size=n * len(variables)))
+    dataset = Dataset(
+        variables,
+        np.array(values, dtype=np.int8).reshape(n, len(variables)),
+        np.array(codes, dtype=np.uint8),
+        table,
+    )
+    kept = dataset.filter_regimes(data.draw(st.sets(st.sampled_from(table))))
+    column_lists = st.lists(st.sampled_from(variables), unique=True) if variables else st.just([])
+    for d in (dataset, kept):
+        names = data.draw(column_lists)
+        assert _cell_counts(d, names) == _cell_reference(d, names)
+        assert d.regime_table.index("unused") not in d.tally(names).codes.tolist()
+    with pytest.raises(UnknownVariableError, match=r"^unknown column 'ghost'$"):
+        dataset.tally([*names, "ghost"])
+
+
+def test_tally_of_a_header_only_dataset():
+    data = Dataset.from_csv("a,b,regime\n")
+    for names in ((), ("b", "a")):
+        tally = data.tally(names)
+        assert tally.codes.tolist() == tally.counts.tolist() == []
+        assert tally.rows.shape == (0, len(names))
 
 
 class TestObservationalSampling:

@@ -46,7 +46,7 @@ from teleo.inference import (
 )
 from teleo.models import SPORT_LEVERS, sport_lab_confounded
 
-from .helpers import lever_chain, make_dataset
+from .helpers import lever_chain, make_dataset, row_count
 
 SINGLETONS = [
     frozenset({("lose_weight", 1)}),
@@ -633,6 +633,24 @@ class TestArms:
         assert [arm.regime.label() for arm in arms] == ["enroll=0", "natural"]
         assert arms[0] == ArmCounts(Regime({"enroll": 0}), 2, 2)
         assert arms[1].n == 2 and arms[1].acts == 1
+
+    def test_arms_follow_the_raw_label_order(self):
+        # "a=1" sorts before "b=1;a=0" as written, but after its canonical
+        # label "a=0;b=1".  Arms keep the raw order, and so every score
+        # keeps the order in which its arm terms are summed.
+        data = make_dataset(
+            ["a", "b", "act"],
+            [(0, 1, 1), (1, 0, 0), (0, 1, 0), (1, 1, 1)],
+            ["b=1;a=0", "a=1", "b=1;a=0", "a=1"],
+        )
+        arms = arms_from_dataset(data, "act")
+        assert arms == [
+            ArmCounts(Regime({"a": 1}), row_count(data, "a=1", {}), row_count(data, "a=1", {"act": 1})),
+            ArmCounts(
+                Regime({"a": 0, "b": 1}), row_count(data, "b=1;a=0", {}), row_count(data, "b=1;a=0", {"act": 1})
+            ),
+        ]
+        assert sorted(arm.regime.label() for arm in arms) != [arm.regime.label() for arm in arms]
 
 
 class TestOracle:

@@ -23,7 +23,7 @@ from teleo import engine, lab
 from teleo.lab import MIN_SUPPORT, expected_pattern_check
 from teleo.models import SPORT_LEVERS, sport_lab, sport_lab_graph
 
-from .helpers import make_dataset
+from .helpers import make_dataset, row_count
 
 
 @pytest.fixture(scope="module")
@@ -214,12 +214,11 @@ def _experiment(mode: str, pattern: dict) -> InterferenceExperiment:
 
 
 class TestPatternCheck:
-    """The pattern judge, fed the treated-arm counts that the observational
-    battery reads from a dataset's cells."""
+    """The pattern judge, fed treated-arm counts taken row by row."""
 
     @staticmethod
     def judge(data, pattern, mode, p_base=0.0):
-        count = data.count(NATURAL_LABEL, pattern)
+        count = row_count(data, NATURAL_LABEL, pattern)
         return expected_pattern_check(count, data.n_rows, _experiment(mode, pattern), p_base)
 
     def test_must_observe(self):

@@ -24,7 +24,7 @@ from teleo.observational import (
     MIN_CELL,
 )
 
-from .helpers import labeled_dataset, make_dataset, row_labels
+from .helpers import labeled_dataset, make_dataset, row_count, row_labels
 
 
 def two_strata_dataset():
@@ -185,20 +185,27 @@ class TestStratifiedComparison:
                     rows.append([*pattern, act])
                     labels.append(label)
         data = labeled_dataset([*adjustment, "act"], np.array(rows, dtype=np.int8), labels)
-        budget = 4 * len(patterns)
-        count = Dataset.count
+        tally = Dataset.tally
         calls = []
 
-        def counted(self, label, event):
-            calls.append(label)
-            if len(calls) > budget:
-                raise AssertionError(f"more than {budget} counts for {len(patterns)} strata")
-            return count(self, label, event)
+        def counted(self, names):
+            calls.append(tuple(names))
+            if len(calls) > 2:
+                raise AssertionError(f"more than 2 tallies for {len(patterns)} strata")
+            return tally(self, names)
 
-        monkeypatch.setattr(Dataset, "count", counted)
+        monkeypatch.setattr(Dataset, "tally", counted)
         cmp = stratified_action_comparison(data, "act", adjustment=adjustment)
         keys = [tuple(v for _, v in s.key) for s in cmp.strata]
         assert keys == sorted(tuple(p) for p in patterns[:8].tolist())
+        for s in cmp.strata:
+            stratum, acted = dict(s.key), {**dict(s.key), "act": 1}
+            assert (s.control_n, s.control_acts, s.treated_n, s.treated_acts) == (
+                row_count(data, "natural", stratum),
+                row_count(data, "natural", acted),
+                row_count(data, "ban", stratum),
+                row_count(data, "ban", acted),
+            )
         assert cmp.flags == (FLAG_EMPTY_CELLS,)
         assert all(s.difference == 0.0 and s.included for s in cmp.strata)
 
@@ -224,13 +231,13 @@ class TestStratifiedComparison:
         for combo in sorted({row[:k] for row in rows}):
             stratum = dict(zip(adjustment, combo))
             acted = {**stratum, "act": 1}
-            n_c, n_t = dataset.count("natural", stratum), dataset.count("ban", stratum)
+            n_c, n_t = row_count(dataset, "natural", stratum), row_count(dataset, "ban", stratum)
             if n_c == 0 or n_t == 0:
                 flags.add(FLAG_EMPTY_CELLS)
                 continue
             if min(n_c, n_t) < MIN_CELL:
                 flags.add(FLAG_SMALL_STRATA)
-            counts = (n_c, dataset.count("natural", acted), n_t, dataset.count("ban", acted))
+            counts = (n_c, row_count(dataset, "natural", acted), n_t, row_count(dataset, "ban", acted))
             expected.append((tuple(stratum.items()), *counts))
         if not any(min(n_c, n_t) >= MIN_CELL for _, n_c, _, n_t, _ in expected):
             with pytest.raises(TeleoError, match="minimum cell"):
