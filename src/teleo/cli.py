@@ -105,9 +105,11 @@ def _load_doc(path: str) -> GraphSpecDocument:
 
 
 def _load_data(path: str, doc: GraphSpecDocument, action: str) -> Dataset:
+    """The data file at ``path``, read block by block into its cells alone
+    (analyze and infer read nothing else), checked against the graph."""
     blocks = _blocks(path)
     try:
-        dataset = Dataset.from_csv(blocks)
+        dataset = Dataset.from_csv(blocks, rows=False)
     finally:  # a byte that is not UTF-8 is reported before any other error
         for _ in blocks:
             pass

@@ -383,42 +383,50 @@ class Dataset:
     are kept as read-only views, so :attr:`cells`, built once on first use,
     cannot go stale.  Every count an analysis takes is read from
     :meth:`tally`.  A variable named twice raises ``DataError``.
+    ``from_csv(..., rows=False)`` gives a dataset of its cells alone: both
+    arrays are None, and ``column``, ``to_csv``, ``concat`` and ``==`` raise.
     """
 
     variables: tuple[str, ...]
-    values: np.ndarray
-    regime_codes: np.ndarray
+    values: np.ndarray | None
+    regime_codes: np.ndarray | None
     regime_table: tuple[str, ...]
 
     def __post_init__(self):
-        repeated = sorted(name for name, k in Counter(self.variables).items() if k > 1)
-        if repeated:
+        if len(set(self.variables)) < len(self.variables):
+            repeated = sorted(name for name, k in Counter(self.variables).items() if k > 1)
             raise DataError(f"data columns {repeated} appear more than once")
-        object.__setattr__(self, "values", _read_only(np.asarray(self.values, dtype=np.int8)))
-        object.__setattr__(self, "regime_codes", _read_only(self.regime_codes))
-        if self.regime_codes.ndim != 1 or self.values.shape != (
-            len(self.regime_codes),
-            len(self.variables),
-        ):
-            raise ValueError(
-                f"shape {self.values.shape} inconsistent with "
-                f"{self.regime_codes.shape} codes x {len(self.variables)} variables"
-            )
         if len(set(self.regime_table)) != len(self.regime_table):
             raise ValueError("regime table labels must be distinct")
-        if len(self.regime_codes) and not (
-            0 <= self.regime_codes.min() and self.regime_codes.max() < len(self.regime_table)
-        ):
+        if self.values is None:
+            return  # its cells alone, which _cells_only sets
+        object.__setattr__(self, "values", _read_only(np.asarray(self.values, dtype=np.int8)))
+        codes = _read_only(self.regime_codes)
+        object.__setattr__(self, "regime_codes", codes)
+        if codes.ndim != 1 or self.values.shape != (len(codes), len(self.variables)):
+            raise ValueError(
+                f"shape {self.values.shape} inconsistent with "
+                f"{codes.shape} codes x {len(self.variables)} variables"
+            )
+        if len(codes) and not (codes.max() < len(self.regime_table) and (codes.dtype.kind == "u" or 0 <= codes.min())):
             raise ValueError(f"regime codes outside a table of {len(self.regime_table)} labels")
 
     def __reduce__(self):
         # Through the constructor, so a copy's arrays are read-only too and
-        # its cells are counted afresh.
+        # its cells are counted afresh, or carried when it has no rows.
+        if self.values is None:
+            return _cells_only, (self.variables, self.regime_table, self.cells)
         return Dataset, (self.variables, self.values, self.regime_codes, self.regime_table)
+
+    def _need_rows(self, call: str) -> None:
+        if self.values is None:
+            raise TypeError(f"{call} needs the rows of a dataset, and this one holds only its cells")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented
+        self._need_rows("Dataset ==")
+        other._need_rows("Dataset ==")
         position = {label: k for k, label in enumerate(self.regime_table)}
         translate = np.array([position.get(label, -1) for label in other.regime_table], dtype=np.int64)
         return (
@@ -429,7 +437,7 @@ class Dataset:
 
     @property
     def n_rows(self) -> int:
-        return self.values.shape[0]
+        return int(self.cells.counts.sum()) if self.values is None else self.values.shape[0]
 
     def _index(self, name: str) -> int:
         try:
@@ -438,11 +446,13 @@ class Dataset:
             raise UnknownVariableError(f"unknown column {name!r}") from None
 
     def column(self, name: str) -> np.ndarray:
+        self._need_rows("Dataset.column")
         return self.values[:, self._index(name)]
 
     @cached_property
     def cells(self) -> CellTable:
         """The rows reduced to their distinct (regime code, row) cells."""
+        self._need_rows("Dataset.cells")
         return _cell_table(self.regime_codes, self.values, len(self.regime_table))
 
     def tally(self, names: Iterable[str]) -> CellTable:
@@ -456,18 +466,19 @@ class Dataset:
 
     def filter_regimes(self, labels: Iterable[str]) -> "Dataset":
         """The rows labeled one of ``labels``, carrying their cells of this
-        dataset's table."""
+        dataset's table; of a dataset with no rows, only those cells."""
         wanted = set(labels)
         keep = np.array([label in wanted for label in self.regime_table], dtype=bool)
+        cells = self.cells
+        inside = keep[cells.codes]
+        kept_cells = CellTable(cells.codes[inside], cells.rows[inside], cells.counts[inside])
+        if self.values is None:
+            return _cells_only(self.variables, self.regime_table, kept_cells)
         mask = keep.take(self.regime_codes)
         # compress copies whole rows; a 2-D boolean index is 5x slower here.
         values = np.compress(mask, self.values, axis=0)
         kept = replace(self, values=values, regime_codes=self.regime_codes[mask])
-        cells = self.cells
-        inside = keep[cells.codes]
-        kept.__dict__["cells"] = CellTable(
-            cells.codes[inside], cells.rows[inside], cells.counts[inside]
-        )
+        kept.__dict__["cells"] = kept_cells
         return kept
 
     @staticmethod
@@ -476,7 +487,8 @@ class Dataset:
         if not parts:
             raise ValueError("nothing to concatenate")
         variables = parts[0].variables
-        for d in parts[1:]:
+        for d in parts:
+            d._need_rows("Dataset.concat")
             if d.variables != variables:
                 raise ValueError("datasets have different columns")
         table = tuple(dict.fromkeys(label for d in parts for label in d.regime_table))
@@ -500,10 +512,11 @@ class Dataset:
         are strictly "0"/"1".  Quoting is ``csv.writer``'s: the header and
         each distinct label pass through it once, and every row is its
         fixed-width 0/1 cells followed by its label's encoded tail."""
+        self._need_rows("Dataset.to_csv")
         return str(_encode_rows(self).data, "utf-8", "surrogatepass")
 
     @staticmethod
-    def from_csv(data: bytes | str | Iterable[bytes]) -> "Dataset":
+    def from_csv(data: bytes | str | Iterable[bytes], *, rows: bool = True) -> "Dataset":
         """Read UTF-8 text, or bytes in one block or in blocks cut anywhere,
         under the ``csv`` module's rules: a header ending in a "regime" column
         (read by :func:`_read_record`), then a record of 0/1 cells and a label
@@ -512,10 +525,12 @@ class Dataset:
         are accepted, blank lines skipped.  Errors carry the record number,
         counting the header as 1 and blank lines as records.  Bytes left
         unread wait as pieces until a block brings a line end, and are then
-        joined once."""
+        joined once.  Unless ``rows``, each block's rows are reduced to their
+        cells and merged into the cells so far, and the dataset holds those
+        alone: the :attr:`Dataset.cells` the rows would give."""
         if isinstance(data, str):
             data = data.encode("utf-8", "surrogatepass")
-        header, record, pending, table, values, codes = None, 2, [], {}, None, None
+        header, record, pending, table, values, codes, cells = None, 2, [], {}, None, None, None
         blocks = iter([data] if isinstance(data, (bytes, bytearray)) else data)
         following = next(blocks, b"")
         while following is not None:
@@ -538,18 +553,34 @@ class Dataset:
                     raise SpecError("empty CSV document")
                 if not header or header[-1] != "regime":
                     raise SpecError('CSV header must end with a "regime" column')
-            rows, local, labels, rest, record = _decode_rows(body, pos, len(header) - 1, record, following is None)
+            decoded, local, labels, rest, record = _decode_rows(body, pos, len(header) - 1, record, following is None)
             pending = [text[rest:]] if rest < len(text) else []
             position = np.array([table.setdefault(label, len(table)) for label in labels], dtype=_code_dtype(len(table)))
-            if values is None:
-                values, codes = rows, local
+            if not rows:  # the block's cells, then merged with their codes in the file's table
+                part = _cell_table(local, decoded, len(labels))
+                if cells is not None:
+                    pairs = zip((cells.codes, cells.rows, cells.counts), (position[part.codes], part.rows, part.counts))
+                    merged_codes, merged_rows, counts = map(np.concatenate, pairs)
+                    part = _cell_table(merged_codes, merged_rows, len(table), counts)
+                cells = part
+            elif values is None:
+                values, codes = decoded, local
             else:
                 n = len(codes)
                 codes = codes.astype(position.dtype, copy=False)
                 values.resize((n + len(local), values.shape[1]), refcheck=False)
                 codes.resize(n + len(local), refcheck=False)
-                values[n:], codes[n:] = rows, position[local]
+                values[n:], codes[n:] = decoded, position[local]
+        if not rows:
+            return _cells_only(tuple(header[:-1]), tuple(table), cells)
         return Dataset(tuple(header[:-1]), values, codes, tuple(table))
+
+
+def _cells_only(variables: tuple[str, ...], table: tuple[str, ...], cells: CellTable) -> Dataset:
+    """A dataset that holds only ``cells``, no rows."""
+    dataset = Dataset(variables, None, None, table)
+    dataset.__dict__["cells"] = cells
+    return dataset
 
 
 def _csv_record(row: list[str]) -> str:
@@ -563,6 +594,8 @@ def _csv_record(row: list[str]) -> str:
 # ``csv`` module must read record by record.
 _SKIP = -1
 _SLOW = -2
+# Tails this long or longer are read alone, so that lengths fit 16 bits.
+_LONG_TAIL = (1 << 15) - 1
 # The "0," and "1," cells as native-order uint16s, and the bit they differ in.
 _ZERO_CELL = np.frombuffer(b"0,", dtype=np.uint16)[0]
 _CELL = np.frombuffer(b"1,", dtype=np.uint16)[0]
@@ -626,12 +659,14 @@ def _distinct_tails(buf: np.ndarray, ends: np.ndarray, length: int) -> tuple[np.
     """One index per distinct ``length``-byte run of ``buf`` that ends at
     ``ends`` (each 8 * w or more bytes in), and the distinct run each
     equals.  A run is read as the ``w`` 64-bit words that end it, with the
-    bytes before it masked off.  Each pass matches the first pending run;
-    after log2(runs) passes, about what a sort costs, the rest are sorted."""
+    bytes before it, all in the first word, masked off.  Each pass matches
+    the first pending run; after log2(runs) passes, about what a sort costs,
+    the rest are sorted."""
     w = max(-(-length // 8), 1)
-    keep = np.zeros(8 * w, dtype=np.uint8)
+    keep = np.zeros(8, dtype=np.uint8)
     keep[8 * w - length :] = 0xFF
-    words = _items(buf, 8 * w)[ends - 8 * w].view(np.uint64).reshape(-1, w) & keep.view(np.uint64)
+    words = _items(buf, 8 * w)[ends - 8 * w].view(np.uint64).reshape(-1, w)
+    words[:, 0] &= keep.view(np.uint64)[0]
     pending = np.ones(len(ends), dtype=bool)
     inverse = np.empty(len(ends), dtype=np.intp)
     first = []
@@ -687,8 +722,8 @@ def _decode_rows(
     in bulk, and :func:`_read_record` reads its label on the first line of
     each distinct tail (:func:`_distinct_tails` finds them among the tails
     of one length).  Every other non-blank line, and each whose tail spans
-    lines, is not one field or has more bytes than ``csv.field_size_limit()``,
-    starts a record that :func:`_read_record` reads alone; only these can be
+    lines, is not one field or has more bytes than ``csv.field_size_limit()``
+    or 32,766, starts a record that :func:`_read_record` reads alone; only these can be
     malformed, and they are checked in order.
     The table lists the labels in the order of the first row of each."""
     data = np.frombuffer(text, dtype=np.uint8)
@@ -715,11 +750,12 @@ def _decode_rows(
 
     # A tail keeps the "\r" of a CRLF line end; csv reads it as the end.
     tail_lengths = np.where(fast, ends - starts - width, -1)
-    by_length = np.argsort(tail_lengths, kind="stable")
+    np.minimum(tail_lengths, _LONG_TAIL, out=tail_lengths)  # 16-bit keys sort in two radix passes
+    by_length = np.argsort(tail_lengths.astype(np.int16), kind="stable")
     sorted_lengths = tail_lengths[by_length]
     for group in np.split(by_length, np.flatnonzero(sorted_lengths[1:] != sorted_lengths[:-1]) + 1):
         length = int(tail_lengths[group[0]]) if len(group) else -1
-        if not 0 <= length <= csv.field_size_limit():
+        if not 0 <= length < min(csv.field_size_limit() + 1, _LONG_TAIL):
             continue  # no line, lines that are not fast, or tails too long to compare
         # Each end is 8 * w or more bytes in: a fast line holds 8 * w - 8 or more and starts 8 or more in.
         first, inverse = _distinct_tails(data, ends[group] + pos, length)

@@ -8,6 +8,7 @@ import sys
 import time
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from teleo import (
     SpecError,
     Tagging,
     emit_report,
+    observational_battery,
     parse_graph_spec,
     parse_machine_report,
     sample,
@@ -740,6 +742,32 @@ class TestAnalyzeAndInfer:
         assert time.perf_counter() - start < 0.25
         assert str(caught.value) == message and caught.value.line == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_reading_memory_does_not_grow_with_the_rows(self, confounded_doc, tmp_path, monkeypatch):
+        # analyze reads a data file into its cells alone, and the battery
+        # selects cells: 4x the rows take no more memory, where rows would
+        # take about 1 MB more.
+        spec = tmp_path / "confounded.spec"
+        spec.write_text(serialize_graph_spec(confounded_doc), encoding="utf-8")
+        doc = cli._load_doc(str(spec))
+        action, classification, battery, _ = cli._classified(SimpleNamespace(hypothesis=None), doc)
+        adjustment = cli._auto_adjustment(doc.graph, action, battery)
+        monkeypatch.setattr(cli, "_BLOCK", 1 << 14)
+        peaks = []
+        for n in (8_000, 32_000):
+            path = tmp_path / f"{n}.csv"
+            argv = ["simulate", "--graph", str(spec), "--seed", "1", "--n", str(n), "--out", str(path)]
+            assert run_command(argv) == 0
+            tracemalloc.start()
+            dataset = cli._load_data(str(path), doc, action)
+            results = observational_battery(
+                dataset, battery, classification, adjustment, graph=doc.graph, p_base=doc.policy.p_base
+            )
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+            assert dataset.n_rows == 4 * n and len(results) == len(battery.experiments)
+            assert path.stat().st_size > 50 * cli._BLOCK
+        assert peaks[1] < peaks[0] + (1 << 14), peaks
 
     def test_spec_with_a_non_ascii_comment_validates(self, tmp_path, capsys):
         spec = tmp_path / "commented.spec"

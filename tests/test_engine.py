@@ -522,6 +522,24 @@ def in_blocks(raw: bytes, cuts):
     return [parse_outcome(Dataset.from_csv, blocks) for blocks in (split(raw, cuts), split(raw, range(len(raw))))]
 
 
+def cell_summary(outcome):
+    """A ``from_csv`` outcome by what a dataset of cells alone keeps: its
+    variables, table, row count and cells (codes, rows and counts, each with
+    its type and in order); an error stays its type and text."""
+    if not isinstance(outcome, Dataset):
+        return outcome
+    arrays = [(a.dtype.str, a.shape, a.tolist()) for a in vars(outcome.cells).values()]
+    return outcome.variables, outcome.regime_table, outcome.n_rows, arrays
+
+
+def cells_outcome(data):
+    """``cell_summary`` of ``from_csv(data, rows=False)``, after checking
+    that the dataset it reads holds no rows."""
+    outcome = parse_outcome(lambda blocks: Dataset.from_csv(blocks, rows=False), data)
+    assert not isinstance(outcome, Dataset) or outcome.values is outcome.regime_codes is None
+    return cell_summary(outcome)
+
+
 # Names and labels with commas, quotes, newlines, spaces and non-ASCII text.
 # No "\r": csv.writer leaves it unquoted when the line terminator is "\n",
 # so a field holding one does not survive a csv round trip at all.
@@ -534,8 +552,10 @@ csv_label = st.lists(
 
 
 @st.composite
-def datasets(draw):
-    n_vars = draw(st.integers(0, 12))
+def datasets(draw, wide=False):
+    """Datasets with awkward names and labels; ``wide`` ones may also have
+    rows of 60 to 70 variables, wider than one 64-bit cell key."""
+    n_vars = draw(st.one_of(st.integers(0, 12), st.integers(60, 70)) if wide else st.integers(0, 12))
     n_rows = draw(st.integers(0, 25))
     variables = draw(st.lists(csv_text, min_size=n_vars, max_size=n_vars, unique=True))
     cells = draw(st.lists(st.integers(0, 1), min_size=n_rows * n_vars, max_size=n_rows * n_vars))
@@ -625,6 +645,31 @@ class TestCsvCodecProperties:
         for outcome in in_blocks(raw, cuts):
             assert same_outcome(outcome, one)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=datasets(wide=True),
+        edits=st.lists(st.tuples(st.sampled_from(PERTURBATIONS), st.integers(0, 1000)), max_size=3),
+        cuts=st.lists(st.integers(0, 5000), max_size=8),
+    )
+    @example(data=labeled_dataset([], np.zeros((0, 0), dtype=np.int8), []), edits=[], cuts=[])
+    def test_cells_alone_read_like_the_rows(self, data, edits, cuts):
+        """Read without rows, in one block, cut at drawn offsets or into
+        single bytes, any text gives the cells, table and row count that
+        the rows give, or the same error."""
+        text = data.to_csv()
+        for kind, at in edits:
+            text = perturb(text, kind, at)
+        raw = text.encode("utf-8")
+        expected = cell_summary(parse_outcome(Dataset.from_csv, raw))
+        for blocks in (text, raw, split(raw, cuts), split(raw, range(len(raw)))):
+            assert cells_outcome(blocks) == expected
+
+    @pytest.mark.parametrize("text", ["", "\n", "a,regime\n", "a,b,regime\r\n\r\n", "a,b\n0,1\n"])
+    def test_cells_alone_of_no_rows(self, text):
+        raw = text.encode("utf-8")
+        expected = cell_summary(parse_outcome(Dataset.from_csv, raw))
+        assert cells_outcome(raw) == cells_outcome(split(raw, range(len(raw)))) == expected
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -675,6 +720,10 @@ class TestCsvCodecProperties:
         assert read == data and read.regime_table == tuple(labels[::-1])
         assert read.regime_codes.dtype == np.uint16
         assert row_labels(read) == row_labels(data)
+        # Read without rows in blocks, the first codes fit 8 bits and the merged ones 16.
+        raw = data.to_csv().encode("utf-8")
+        for blocks in (raw, split(raw, range(0, len(raw), 97))):
+            assert cells_outcome(blocks) == cell_summary(read)
 
 
 class TestRecordReader:
@@ -754,6 +803,14 @@ class TestRecordReader:
         finally:
             csv.field_size_limit(limit)
 
+    def test_tails_past_16_bits_are_read_alone(self, monkeypatch):
+        # Lengths are sorted as 16-bit keys: 32,766-byte tails are compared
+        # in bulk, and each longer one is a record that csv reads alone.
+        x, y = "x" * 32_766, "y" * 32_767
+        data, calls = self.read(f"a,regime\n0,{x}\n1,{y}\n1,{x}\n0,{y}\n", monkeypatch)
+        assert data.regime_table == (x, y) and data.values.tolist() == [[0], [1], [1], [0]]
+        assert calls == 1 + 1 + 2
+
     def test_read_record_reports_lines_asked_and_end(self):
         text = b'h\n0,"x\ny"\n1,z'
         assert engine._read_record(text, 0, len(text)) == (["h"], 1, 2)
@@ -767,7 +824,8 @@ class TestRecordReader:
 class TestBlocks:
     """The command line reads a data file in blocks of ``cli._BLOCK`` bytes,
     here a few, each cut after a line end; every cut must read like the
-    whole file, as ``reference_from_csv`` reads its text."""
+    whole file, as ``reference_from_csv`` reads its text, with rows or
+    into its cells alone."""
 
     def read(self, raw, tmp_path, monkeypatch, sizes=range(1, 24)):
         """The outcome at each block size, after checking it is the reference's."""
@@ -781,6 +839,7 @@ class TestBlocks:
             assert all(block.endswith(b"\n") for block in blocks[:-1])
             outcome = parse_outcome(Dataset.from_csv, cli._blocks(str(path)))
             assert same_outcome(outcome, expected), size
+            assert cells_outcome(cli._blocks(str(path))) == cell_summary(outcome), size
             outcomes.append(outcome)
         return outcomes
 
@@ -854,6 +913,11 @@ class TestDatasetOps:
     def test_constructor_checks(self, rows, codes, table, message):
         with pytest.raises(ValueError, match=message):
             Dataset(("a",), np.zeros((rows, 1)), np.array(codes, dtype=np.uint8), table)
+
+    def test_code_range_check_of_signed_codes(self):
+        with pytest.raises(ValueError, match="^regime codes outside a table of 1 labels$"):
+            Dataset(("a",), np.zeros((1, 1)), np.array([-1]), ("natural",))
+        assert Dataset(("a",), np.zeros((1, 1)), np.array([0]), ("natural",)).n_rows == 1
 
     def test_lookups_outside_the_data(self):
         data = make_dataset(["a"], [(0,), (1,)])
@@ -938,6 +1002,37 @@ class TestDatasetOps:
                 with pytest.raises(ValueError, match="read-only"):
                     array[0] = 0
 
+    def test_a_dataset_of_cells_alone(self):
+        data = make_dataset(["a", "b"], [(0, 1), (1, 1), (0, 1), (1, 0)], ["natural", "x=1", "natural", "x=1"])
+        alone = Dataset.from_csv(data.to_csv(), rows=False)
+        assert alone.values is alone.regime_codes is None and alone.n_rows == 4
+        assert cell_summary(alone) == cell_summary(data)
+        assert _cell_counts(alone, ["b"]) == _cell_reference(data, ["b"])
+        # filter_regimes selects cells and copies no rows.
+        kept = alone.filter_regimes(["x=1"])
+        assert kept.values is None and kept.n_rows == 2 and kept.regime_table == alone.regime_table
+        assert cell_summary(kept) == cell_summary(data.filter_regimes(["x=1"]))
+        # Every call that needs rows names itself.
+        calls = [
+            ("Dataset.column", lambda: alone.column("a")),
+            ("Dataset.to_csv", alone.to_csv),
+            ("Dataset.concat", lambda: Dataset.concat([data, alone])),
+            ("Dataset ==", lambda: alone == alone),
+            ("Dataset ==", lambda: data == kept),
+            ("Dataset ==", lambda: alone != data),
+        ]
+        for name, call in calls:
+            with pytest.raises(TypeError, match=f"^{name} needs the rows of a dataset, and this one holds only its cells$"):
+                call()
+        with pytest.raises(TypeError, match="^Dataset.cells needs the rows"):
+            Dataset(("a",), None, None, ("natural",)).cells
+        # Copies keep the cells, read-only.
+        for original, twin in ((alone, copy.deepcopy(alone)), (kept, pickle.loads(pickle.dumps(kept)))):
+            assert twin.values is None and cell_summary(twin) == cell_summary(original)
+            for array in vars(twin.cells).values():
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0
+
     def test_cell_table_is_carried_by_filter_regimes(self):
         data = make_dataset(
             ["a", "b"], [(0, 1), (1, 1), (0, 1), (1, 0)], ["natural", "x=1", "natural", "x=1"]
@@ -967,8 +1062,9 @@ class TestRequirePossible:
 
     def test_contradicted_deterministic_row(self):
         data = make_dataset(["ball", "pins"], [(1, 1), (1, 0), (0, 1), (0, 0)])
-        with pytest.raises(DataError, match="2 of 4 rows"):
-            require_possible(data, ball_pins())
+        for read in (data, Dataset.from_csv(data.to_csv(), rows=False)):
+            with pytest.raises(DataError, match="^2 of 4 rows have probability 0"):
+                require_possible(read, ball_pins())
 
     def test_value_off_its_clamp(self):
         # Under the clamp, pins=0 with ball=1 is possible and pins=1 is not.
