@@ -530,7 +530,8 @@ class Dataset:
         alone: the :attr:`Dataset.cells` the rows would give."""
         if isinstance(data, str):
             data = data.encode("utf-8", "surrogatepass")
-        header, record, pending, table, values, codes, cells = None, 2, [], {}, None, None, None
+        header, record, pending, table, values, codes = None, 2, [], {}, None, None
+        cells, waiting, queued = None, [], 0  # the cells so far; blocks' cells not yet merged
         blocks = iter([data] if isinstance(data, (bytes, bytearray)) else data)
         following = next(blocks, b"")
         while following is not None:
@@ -556,13 +557,18 @@ class Dataset:
             decoded, local, labels, rest, record = _decode_rows(body, pos, len(header) - 1, record, following is None)
             pending = [text[rest:]] if rest < len(text) else []
             position = np.array([table.setdefault(label, len(table)) for label in labels], dtype=_code_dtype(len(table)))
-            if not rows:  # the block's cells, then merged with their codes in the file's table
+            if not rows:  # the block's cells, with their codes in the file's table
                 part = _cell_table(local, decoded, len(labels))
-                if cells is not None:
-                    pairs = zip((cells.codes, cells.rows, cells.counts), (position[part.codes], part.rows, part.counts))
-                    merged_codes, merged_rows, counts = map(np.concatenate, pairs)
-                    part = _cell_table(merged_codes, merged_rows, len(table), counts)
-                cells = part
+                if cells is None:
+                    cells = part
+                else:
+                    waiting.append((position[part.codes], part.rows, part.counts))
+                    queued += len(part.counts)
+                # Merged once they outnumber the cells so far, so that all the
+                # merges together sort at most twice the blocks' cells.
+                if waiting and (following is None or queued > len(cells.counts)):
+                    merged_codes, merged_rows, counts = map(np.concatenate, zip((cells.codes, cells.rows, cells.counts), *waiting))
+                    cells, waiting, queued = _cell_table(merged_codes, merged_rows, len(table), counts), [], 0
             elif values is None:
                 values, codes = decoded, local
             else:
@@ -594,8 +600,6 @@ def _csv_record(row: list[str]) -> str:
 # ``csv`` module must read record by record.
 _SKIP = -1
 _SLOW = -2
-# Tails this long or longer are read alone, so that lengths fit 16 bits.
-_LONG_TAIL = (1 << 15) - 1
 # The "0," and "1," cells as native-order uint16s, and the bit they differ in.
 _ZERO_CELL = np.frombuffer(b"0,", dtype=np.uint16)[0]
 _CELL = np.frombuffer(b"1,", dtype=np.uint16)[0]
@@ -659,14 +663,12 @@ def _distinct_tails(buf: np.ndarray, ends: np.ndarray, length: int) -> tuple[np.
     """One index per distinct ``length``-byte run of ``buf`` that ends at
     ``ends`` (each 8 * w or more bytes in), and the distinct run each
     equals.  A run is read as the ``w`` 64-bit words that end it, with the
-    bytes before it, all in the first word, masked off.  Each pass matches
-    the first pending run; after log2(runs) passes, about what a sort costs,
-    the rest are sorted."""
+    bytes before it masked off.  Each pass matches the first pending run;
+    after log2(runs) passes, about what a sort costs, the rest are sorted."""
     w = max(-(-length // 8), 1)
-    keep = np.zeros(8, dtype=np.uint8)
+    keep = np.zeros(8 * w, dtype=np.uint8)
     keep[8 * w - length :] = 0xFF
-    words = _items(buf, 8 * w)[ends - 8 * w].view(np.uint64).reshape(-1, w)
-    words[:, 0] &= keep.view(np.uint64)[0]
+    words = _items(buf, 8 * w)[ends - 8 * w].view(np.uint64).reshape(-1, w) & keep.view(np.uint64)
     pending = np.ones(len(ends), dtype=bool)
     inverse = np.empty(len(ends), dtype=np.intp)
     first = []
@@ -722,8 +724,8 @@ def _decode_rows(
     in bulk, and :func:`_read_record` reads its label on the first line of
     each distinct tail (:func:`_distinct_tails` finds them among the tails
     of one length).  Every other non-blank line, and each whose tail spans
-    lines, is not one field or has more bytes than ``csv.field_size_limit()``
-    or 32,766, starts a record that :func:`_read_record` reads alone; only these can be
+    lines, is not one field or has more bytes than ``csv.field_size_limit()``,
+    starts a record that :func:`_read_record` reads alone; only these can be
     malformed, and they are checked in order.
     The table lists the labels in the order of the first row of each."""
     data = np.frombuffer(text, dtype=np.uint8)
@@ -750,12 +752,11 @@ def _decode_rows(
 
     # A tail keeps the "\r" of a CRLF line end; csv reads it as the end.
     tail_lengths = np.where(fast, ends - starts - width, -1)
-    np.minimum(tail_lengths, _LONG_TAIL, out=tail_lengths)  # 16-bit keys sort in two radix passes
-    by_length = np.argsort(tail_lengths.astype(np.int16), kind="stable")
+    by_length = np.argsort(tail_lengths, kind="stable")
     sorted_lengths = tail_lengths[by_length]
     for group in np.split(by_length, np.flatnonzero(sorted_lengths[1:] != sorted_lengths[:-1]) + 1):
         length = int(tail_lengths[group[0]]) if len(group) else -1
-        if not 0 <= length < min(csv.field_size_limit() + 1, _LONG_TAIL):
+        if not 0 <= length <= csv.field_size_limit():
             continue  # no line, lines that are not fast, or tails too long to compare
         # Each end is 8 * w or more bytes in: a fast line holds 8 * w - 8 or more and starts 8 or more in.
         first, inverse = _distinct_tails(data, ends[group] + pos, length)

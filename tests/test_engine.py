@@ -725,6 +725,24 @@ class TestCsvCodecProperties:
         for blocks in (raw, split(raw, range(0, len(raw), 97))):
             assert cells_outcome(blocks) == cell_summary(read)
 
+    def test_cells_alone_are_merged_in_batches(self, monkeypatch):
+        # 2,000 distinct rows of 30 variables in about 650 blocks of three
+        # rows. Merging each block into all the cells so far would sort
+        # about 650,000 cells; merging once the waiting cells outnumber the
+        # merged ones sorts at most three times the rows.
+        rows = np.random.default_rng(5).integers(0, 2, size=(2000, 30), dtype=np.int8)
+        raw = labeled_dataset([f"v{k}" for k in range(30)], rows, ["x", "y"] * 1000).to_csv().encode("utf-8")
+        expected = cell_summary(Dataset.from_csv(raw))
+        merged, cell_table = [], engine._cell_table
+
+        def counted(codes, values, n_labels, weights=None):
+            merged.extend([len(codes)] if weights is not None else [])
+            return cell_table(codes, values, n_labels, weights)
+
+        monkeypatch.setattr(engine, "_cell_table", counted)
+        assert cells_outcome(split(raw, range(0, len(raw), 200))) == expected
+        assert 0 < sum(merged) <= 3 * len(rows)
+
 
 class TestRecordReader:
     """``from_csv`` hands ``csv`` the header, the first line of each distinct
@@ -802,14 +820,6 @@ class TestRecordReader:
             assert outcome == (SpecError, "line 3: unreadable CSV record: field larger than field limit (16)")
         finally:
             csv.field_size_limit(limit)
-
-    def test_tails_past_16_bits_are_read_alone(self, monkeypatch):
-        # Lengths are sorted as 16-bit keys: 32,766-byte tails are compared
-        # in bulk, and each longer one is a record that csv reads alone.
-        x, y = "x" * 32_766, "y" * 32_767
-        data, calls = self.read(f"a,regime\n0,{x}\n1,{y}\n1,{x}\n0,{y}\n", monkeypatch)
-        assert data.regime_table == (x, y) and data.values.tolist() == [[0], [1], [1], [0]]
-        assert calls == 1 + 1 + 2
 
     def test_read_record_reports_lines_asked_and_end(self):
         text = b'h\n0,"x\ny"\n1,z'
