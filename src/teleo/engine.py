@@ -526,8 +526,8 @@ class Dataset:
         counting the header as 1 and blank lines as records.  Bytes left
         unread wait as pieces until a block brings a line end, and are then
         joined once.  Unless ``rows``, each block's rows are reduced to their
-        cells and merged into the cells so far, and the dataset holds those
-        alone: the :attr:`Dataset.cells` the rows would give."""
+        cells, merged with the cells so far once they outnumber them, and the
+        dataset holds those alone: the :attr:`Dataset.cells` the rows give."""
         if isinstance(data, str):
             data = data.encode("utf-8", "surrogatepass")
         header, record, pending, table, values, codes = None, 2, [], {}, None, None
