@@ -109,7 +109,7 @@ def _load_data(path: str, doc: GraphSpecDocument, action: str) -> Dataset:
     (analyze and infer read nothing else), checked against the graph."""
     blocks = _blocks(path)
     try:
-        dataset = Dataset.from_csv(blocks, rows=False)
+        dataset = Dataset.from_csv(blocks)
     finally:  # a byte that is not UTF-8 is reported before any other error
         for _ in blocks:
             pass
@@ -202,9 +202,9 @@ def _rows(part: Dataset, start: int, stop: int) -> Dataset:
 
 
 def _csv_blocks(parts: list[Dataset]) -> Iterator[str]:
-    """The text of ``Dataset.concat(parts).to_csv()``: the header, then
-    each part in blocks of :func:`_block_rows` rows, each encoded by
-    ``to_csv`` and written without its header."""
+    """The CSV text of ``parts``, one after another: the header, then each
+    part in blocks of :func:`_block_rows` rows, each encoded by ``to_csv``
+    and written without its header."""
     header = _rows(parts[0], 0, 0).to_csv()
     yield header
     for part in parts:

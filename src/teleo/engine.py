@@ -23,7 +23,7 @@ import csv
 import io
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -374,7 +374,8 @@ def _cell_table(
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Rows of binary samples plus a per-row regime label.
+    """Binary samples, each with a regime label: rows where they are
+    sampled, their cells where they are read or filtered.
 
     ``values`` is an (n_rows, n_variables) int8 array in declared variable
     order.  Row ``i`` is labeled ``regime_table[regime_codes[i]]``: the table
@@ -383,8 +384,8 @@ class Dataset:
     are kept as read-only views, so :attr:`cells`, built once on first use,
     cannot go stale.  Every count an analysis takes is read from
     :meth:`tally`.  A variable named twice raises ``DataError``.
-    ``from_csv(..., rows=False)`` gives a dataset of its cells alone: both
-    arrays are None, and ``column``, ``to_csv``, ``concat`` and ``==`` raise.
+    :meth:`from_csv` and :meth:`filter_regimes` give a dataset of its cells
+    alone: both arrays are None, and ``column``, ``to_csv`` and ``==`` raise.
     """
 
     variables: tuple[str, ...]
@@ -398,6 +399,8 @@ class Dataset:
             raise DataError(f"data columns {repeated} appear more than once")
         if len(set(self.regime_table)) != len(self.regime_table):
             raise ValueError("regime table labels must be distinct")
+        if (self.values is None) != (self.regime_codes is None):
+            raise ValueError("values and regime codes must both be given or both be None")
         if self.values is None:
             return  # its cells alone, which _cells_only sets
         object.__setattr__(self, "values", _read_only(np.asarray(self.values, dtype=np.int8)))
@@ -465,45 +468,14 @@ class Dataset:
         return _cell_table(cells.codes, cells.rows[:, columns], len(self.regime_table), cells.counts)
 
     def filter_regimes(self, labels: Iterable[str]) -> "Dataset":
-        """The rows labeled one of ``labels``, carrying their cells of this
-        dataset's table; of a dataset with no rows, only those cells."""
+        """The cells of this dataset's table labeled one of ``labels``, in a
+        dataset of those cells alone."""
         wanted = set(labels)
         keep = np.array([label in wanted for label in self.regime_table], dtype=bool)
         cells = self.cells
         inside = keep[cells.codes]
-        kept_cells = CellTable(cells.codes[inside], cells.rows[inside], cells.counts[inside])
-        if self.values is None:
-            return _cells_only(self.variables, self.regime_table, kept_cells)
-        mask = keep.take(self.regime_codes)
-        # compress copies whole rows; a 2-D boolean index is 5x slower here.
-        values = np.compress(mask, self.values, axis=0)
-        kept = replace(self, values=values, regime_codes=self.regime_codes[mask])
-        kept.__dict__["cells"] = kept_cells
-        return kept
-
-    @staticmethod
-    def concat(parts: Iterable["Dataset"]) -> "Dataset":
-        parts = list(parts)
-        if not parts:
-            raise ValueError("nothing to concatenate")
-        variables = parts[0].variables
-        for d in parts:
-            d._need_rows("Dataset.concat")
-            if d.variables != variables:
-                raise ValueError("datasets have different columns")
-        table = tuple(dict.fromkeys(label for d in parts for label in d.regime_table))
-        position = {label: k for k, label in enumerate(table)}
-        dtype = _code_dtype(len(table))
-        codes = [
-            np.array([position[label] for label in d.regime_table], dtype=dtype)[d.regime_codes]
-            for d in parts
-        ]
-        return Dataset(
-            variables=variables,
-            values=np.concatenate([d.values for d in parts], axis=0),
-            regime_codes=np.concatenate(codes),
-            regime_table=table,
-        )
+        kept = CellTable(cells.codes[inside], cells.rows[inside], cells.counts[inside])
+        return _cells_only(self.variables, self.regime_table, kept)
 
     # --- CSV round trip --------------------------------------------------
 
@@ -516,21 +488,21 @@ class Dataset:
         return str(_encode_rows(self).data, "utf-8", "surrogatepass")
 
     @staticmethod
-    def from_csv(data: bytes | str | Iterable[bytes], *, rows: bool = True) -> "Dataset":
+    def from_csv(data: bytes | str | Iterable[bytes]) -> "Dataset":
         """Read UTF-8 text, or bytes in one block or in blocks cut anywhere,
-        under the ``csv`` module's rules: a header ending in a "regime" column
-        (read by :func:`_read_record`), then a record of 0/1 cells and a label
-        per row (:func:`_decode_rows`, per block; only the rows outgrow one).
-        Quoted cells and labels, CRLF line ends and a missing final newline
-        are accepted, blank lines skipped.  Errors carry the record number,
-        counting the header as 1 and blank lines as records.  Bytes left
-        unread wait as pieces until a block brings a line end, and are then
-        joined once.  Unless ``rows``, each block's rows are reduced to their
-        cells, merged with the cells so far once they outnumber them, and the
-        dataset holds those alone: the :attr:`Dataset.cells` the rows give."""
+        under the ``csv`` module's rules, into a dataset of its cells alone:
+        a header ending in a "regime" column (read by :func:`_read_record`),
+        then a record of 0/1 cells and a label per row (:func:`_decode_rows`,
+        per block).  Quoted cells and labels, CRLF line ends and a missing
+        final newline are accepted, blank lines skipped.  Errors carry the
+        record number, counting the header as 1 and blank lines as records.
+        Bytes left unread wait as pieces until a block brings a line end, and
+        are then joined once.  Each block's rows are reduced to their cells,
+        which are merged with the cells so far once they outnumber them: the
+        :attr:`Dataset.cells` the rows would give, whatever the cuts."""
         if isinstance(data, str):
             data = data.encode("utf-8", "surrogatepass")
-        header, record, pending, table, values, codes = None, 2, [], {}, None, None
+        header, record, pending, table = None, 2, [], {}
         cells, waiting, queued = None, [], 0  # the cells so far; blocks' cells not yet merged
         blocks = iter([data] if isinstance(data, (bytes, bytearray)) else data)
         following = next(blocks, b"")
@@ -557,29 +529,19 @@ class Dataset:
             decoded, local, labels, rest, record = _decode_rows(body, pos, len(header) - 1, record, following is None)
             pending = [text[rest:]] if rest < len(text) else []
             position = np.array([table.setdefault(label, len(table)) for label in labels], dtype=_code_dtype(len(table)))
-            if not rows:  # the block's cells, with their codes in the file's table
-                part = _cell_table(local, decoded, len(labels))
-                if cells is None:
-                    cells = part
-                else:
-                    waiting.append((position[part.codes], part.rows, part.counts))
-                    queued += len(part.counts)
-                # Merged once they outnumber the cells so far, so that all the
-                # merges together sort at most twice the blocks' cells.
-                if waiting and (following is None or queued > len(cells.counts)):
-                    merged_codes, merged_rows, counts = map(np.concatenate, zip((cells.codes, cells.rows, cells.counts), *waiting))
-                    cells, waiting, queued = _cell_table(merged_codes, merged_rows, len(table), counts), [], 0
-            elif values is None:
-                values, codes = decoded, local
+            # The block's cells, with their codes in the file's table.
+            part = _cell_table(local, decoded, len(labels))
+            if cells is None:
+                cells = part
             else:
-                n = len(codes)
-                codes = codes.astype(position.dtype, copy=False)
-                values.resize((n + len(local), values.shape[1]), refcheck=False)
-                codes.resize(n + len(local), refcheck=False)
-                values[n:], codes[n:] = decoded, position[local]
-        if not rows:
-            return _cells_only(tuple(header[:-1]), tuple(table), cells)
-        return Dataset(tuple(header[:-1]), values, codes, tuple(table))
+                waiting.append((position[part.codes], part.rows, part.counts))
+                queued += len(part.counts)
+            # Merged once they outnumber the cells so far, so that all the
+            # merges together sort at most twice the blocks' cells.
+            if waiting and (following is None or queued > len(cells.counts)):
+                merged_codes, merged_rows, counts = map(np.concatenate, zip((cells.codes, cells.rows, cells.counts), *waiting))
+                cells, waiting, queued = _cell_table(merged_codes, merged_rows, len(table), counts), [], 0
+        return _cells_only(tuple(header[:-1]), tuple(table), cells)
 
 
 def _cells_only(variables: tuple[str, ...], table: tuple[str, ...], cells: CellTable) -> Dataset:

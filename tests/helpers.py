@@ -83,6 +83,23 @@ def make_dataset(variables, rows, labels=None) -> Dataset:
     return labeled_dataset(variables, values, labels)
 
 
+def joined(parts) -> Dataset:
+    """The rows of the datasets ``parts``, one part after another."""
+    values = np.concatenate([part.values for part in parts])
+    return labeled_dataset(parts[0].variables, values, [label for part in parts for label in row_labels(part)])
+
+
+def cell_summary(outcome):
+    """A dataset by what a dataset of cells alone keeps: its variables,
+    table, row count and cells (codes, rows and counts, each with its type
+    and in order).  Anything else, such as an error's type and text, stays
+    as it is."""
+    if not isinstance(outcome, Dataset):
+        return outcome
+    arrays = [(a.dtype.str, a.shape, a.tolist()) for a in vars(outcome.cells).values()]
+    return outcome.variables, outcome.regime_table, outcome.n_rows, arrays
+
+
 def row_labels(data: Dataset) -> tuple[str, ...]:
     """The regime label of every row, in row order."""
     return tuple(data.regime_table[code] for code in data.regime_codes.tolist())

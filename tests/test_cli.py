@@ -30,7 +30,7 @@ from teleo import (
 from teleo import cli
 from teleo.cli import run_command
 
-from .helpers import lever_chain, row_count, row_labels, twin_chains
+from .helpers import cell_summary, joined, lever_chain, make_dataset, twin_chains
 
 DEMO_SPORT_SPEC = Path(__file__).resolve().parents[1] / "demos" / "sport.spec"
 
@@ -214,9 +214,9 @@ class TestSimulate:
         first = out.read_text()
         data = Dataset.from_csv(first)
         assert data.n_rows == 4 * 50
-        labels = ("natural", "enroll=0", "protein_diet=0", "smoke=1")
-        assert tuple(dict.fromkeys(row_labels(data))) == labels
-        assert [row_count(data, label, {}) for label in labels] == [50] * 4
+        assert data.regime_table == ("natural", "enroll=0", "protein_diet=0", "smoke=1")
+        tally = data.tally(())
+        assert tally.codes.tolist() == [0, 1, 2, 3] and tally.counts.tolist() == [50] * 4
         assert run_command(argv) == 0
         assert out.read_text() == first
 
@@ -277,7 +277,7 @@ class TestSimulate:
         monkeypatch.setattr(cli, "_BLOCK", 256)
         # n is counted in the natural regime's rows per block.
         n = blocks * cli._block_rows(self._parts(spec, 1, 0)[0]) + extra
-        want = Dataset.concat(self._parts(spec, 1, n)).to_csv()
+        want = joined(self._parts(spec, 1, n)).to_csv()
         assert ('"sm,""oke"' in want) == quoted
         out = tmp_path / "data.csv"
         argv = ["simulate", "--graph", str(spec), "--seed", "1", "--n", str(n)]
@@ -677,7 +677,7 @@ class TestAnalyzeAndInfer:
         path.write_bytes(b'a,regime\r\n0,"x\r\ny"\r\n1,"lone\rcr"\r\n0,"x\ny"\n')
         data = Dataset.from_csv(cli._read(str(path)))
         assert data.regime_table == ("x\ny", "lone\ncr")
-        assert data.regime_codes.tolist() == [0, 1, 0]
+        assert cell_summary(data) == cell_summary(make_dataset(["a"], [(0,), (1,), (0,)], ["x\ny", "lone\ncr", "x\ny"]))
 
     def test_bad_byte_offset_counts_crlf_line_ends(self, sport_spec_path, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -780,9 +780,27 @@ class TestAnalyzeAndInfer:
         path = tmp_path / "data.csv"
         path.write_bytes('a,regime\n0,"é, ✓"\n1,natural\n1,"é, ✓"\n'.encode("utf-8"))
         data = Dataset.from_csv(cli._read(str(path)))
+        rows = make_dataset(["a"], [(0,), (1,), (1,)], ["é, ✓", "natural", "é, ✓"])
         assert data.regime_table == ("é, ✓", "natural")
-        assert data.regime_codes.tolist() == [0, 1, 0]
-        assert data.to_csv().encode("utf-8") == path.read_bytes()
+        assert cell_summary(data) == cell_summary(rows)
+        assert rows.to_csv().encode("utf-8") == path.read_bytes()
+
+    def test_header_without_rows(self, sport_spec_path, tmp_path, capsys):
+        # An empty body reads as no cells: no experiment has data, and no
+        # hypothesis can be told from another.
+        data = tmp_path / "header.csv"
+        graph = ["--graph", str(sport_spec_path)]
+        assert run_command(["simulate", *graph, "--seed", "1", "--n", "0", "--out", str(data)]) == 0
+        assert data.read_text().count("\n") == 1
+        code, report = machine(capsys, ["analyze", *graph, "--data", str(data)])
+        assert code == 0
+        statuses = [r["status"] for r in report.sections["stratified"]]
+        assert statuses and set(statuses) == {"no-data"}
+        code, report = machine(capsys, ["infer", *graph, "--data", str(data)])
+        assert code == 0
+        scores = [(s["log_likelihood"], s["verdict"]) for s in report.sections["scores"]]
+        assert scores == [(0.0, "indistinguishable")] * 4
+        assert report.sections["identification"]["verdict"] == "candidates"
 
     def test_infer_requires_policy(self, tmp_path, data_csv):
         spec = tmp_path / "action_only.spec"

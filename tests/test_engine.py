@@ -39,7 +39,9 @@ from teleo.graph import CausalGraph
 from teleo.models import ball_pins, education_salary, sport_chain, stove_water
 
 from .helpers import (
+    cell_summary,
     dag_from_seed,
+    joined,
     labeled_dataset,
     lever_chain,
     make_dataset,
@@ -379,14 +381,17 @@ def test_observational_sample_matches_the_reference(graph_seed, n, seed, data):
 class TestDatasetCsv:
     def test_round_trip(self):
         data = sample(education_salary(), 50, 3, regime_label="natural")
-        assert Dataset.from_csv(data.to_csv()) == data
+        read = Dataset.from_csv(data.to_csv())
+        assert read.values is read.regime_codes is None
+        assert cell_summary(read) == cell_summary(data)
 
     def test_bytes_text_and_blocks_read_alike(self):
         text = 'a,regime\n0,"x\ny"\n1,natural\n'
         raw = text.encode("utf-8")
-        read = Dataset.from_csv(text)
+        read = cell_summary(Dataset.from_csv(text))
+        assert read == cell_summary(reference_from_csv(text))
         for data in (raw, bytearray(raw), [raw[:12], raw[12:]], iter([raw[:3], b"", raw[3:]])):
-            assert same_outcome(Dataset.from_csv(data), read)
+            assert cell_summary(Dataset.from_csv(data)) == read
 
     def test_header_has_trailing_regime(self):
         text = sample(stove_water(), 2, 1).to_csv()
@@ -504,40 +509,23 @@ def parse_outcome(parse, text):
         return type(exc), str(exc)
 
 
-def same_outcome(a, b) -> bool:
-    """Equal outcomes; two datasets also alike in table order and code type."""
-    if isinstance(a, Dataset) and isinstance(b, Dataset):
-        return a == b and a.regime_table == b.regime_table and a.regime_codes.dtype == b.regime_codes.dtype
-    return a == b
-
-
 def split(raw: bytes, cuts) -> list[bytes]:
     """``raw`` cut at each offset in ``cuts``, taken modulo its length + 1."""
     at = sorted({c % (len(raw) + 1) for c in cuts})
     return [raw[a:b] for a, b in zip([0, *at], [*at, len(raw)])]
 
 
-def in_blocks(raw: bytes, cuts):
-    """``from_csv`` outcomes of ``raw`` cut at ``cuts`` and cut into single bytes."""
-    return [parse_outcome(Dataset.from_csv, blocks) for blocks in (split(raw, cuts), split(raw, range(len(raw))))]
-
-
-def cell_summary(outcome):
-    """A ``from_csv`` outcome by what a dataset of cells alone keeps: its
-    variables, table, row count and cells (codes, rows and counts, each with
-    its type and in order); an error stays its type and text."""
-    if not isinstance(outcome, Dataset):
-        return outcome
-    arrays = [(a.dtype.str, a.shape, a.tolist()) for a in vars(outcome.cells).values()]
-    return outcome.variables, outcome.regime_table, outcome.n_rows, arrays
-
-
-def cells_outcome(data):
-    """``cell_summary`` of ``from_csv(data, rows=False)``, after checking
-    that the dataset it reads holds no rows."""
-    outcome = parse_outcome(lambda blocks: Dataset.from_csv(blocks, rows=False), data)
+def read_outcome(data):
+    """``cell_summary`` of the ``from_csv`` outcome of ``data``, after
+    checking that a dataset it reads holds no rows."""
+    outcome = parse_outcome(Dataset.from_csv, data)
     assert not isinstance(outcome, Dataset) or outcome.values is outcome.regime_codes is None
     return cell_summary(outcome)
+
+
+def in_blocks(raw: bytes, cuts):
+    """``read_outcome`` of ``raw`` cut at ``cuts`` and cut into single bytes."""
+    return [read_outcome(blocks) for blocks in (split(raw, cuts), split(raw, range(len(raw))))]
 
 
 # Names and labels with commas, quotes, newlines, spaces and non-ASCII text.
@@ -558,12 +546,13 @@ def datasets(draw, wide=False):
     n_vars = draw(st.one_of(st.integers(0, 12), st.integers(60, 70)) if wide else st.integers(0, 12))
     n_rows = draw(st.integers(0, 25))
     variables = draw(st.lists(csv_text, min_size=n_vars, max_size=n_vars, unique=True))
-    cells = draw(st.lists(st.integers(0, 1), min_size=n_rows * n_vars, max_size=n_rows * n_vars))
+    # One integer per row, its bits the row's cells: one draw per row.
+    rows = draw(st.lists(st.integers(0, (1 << n_vars) - 1), min_size=n_rows, max_size=n_rows))
     table = draw(
         st.lists(st.one_of(st.just("natural"), csv_text, csv_label), min_size=1, max_size=4, unique=True)
     )
     labels = draw(st.lists(st.sampled_from(table), min_size=n_rows, max_size=n_rows))
-    values = np.array(cells, dtype=np.int8).reshape(n_rows, n_vars)
+    values = np.array([[row >> k & 1 for k in range(n_vars)] for row in rows], dtype=np.int8).reshape(n_rows, n_vars)
     return labeled_dataset(variables, values, labels)
 
 
@@ -597,14 +586,11 @@ class TestCsvCodecProperties:
     def test_to_csv_matches_reference_and_round_trips(self, data):
         text = data.to_csv()
         assert text == reference_to_csv(data)
-        read = Dataset.from_csv(text)
-        assert read == data
-        from_bytes = Dataset.from_csv(text.encode("utf-8"))
-        assert from_bytes == read and from_bytes.regime_table == read.regime_table
+        assert read_outcome(text) == read_outcome(text.encode("utf-8")) == cell_summary(data)
 
     @settings(max_examples=300, deadline=None)
     @given(
-        data=datasets(),
+        data=datasets(wide=True),
         edits=st.lists(
             st.tuples(st.sampled_from(PERTURBATIONS), st.integers(0, 1000)), min_size=1, max_size=3
         ),
@@ -613,62 +599,42 @@ class TestCsvCodecProperties:
         text = data.to_csv()
         for kind, at in edits:
             text = perturb(text, kind, at)
-        outcome = parse_outcome(Dataset.from_csv, text)
-        assert outcome == parse_outcome(reference_from_csv, text)
-        assert parse_outcome(Dataset.from_csv, text.encode("utf-8")) == outcome
-        if isinstance(outcome, Dataset):
-            assert outcome.regime_table == reference_from_csv(text).regime_table
+        expected = cell_summary(parse_outcome(reference_from_csv, text))
+        assert read_outcome(text) == read_outcome(text.encode("utf-8")) == expected
 
     @settings(max_examples=100, deadline=None)
-    @given(data=datasets(), cuts=st.lists(st.integers(0, 2000), max_size=8))
+    @given(data=datasets(wide=True), cuts=st.lists(st.integers(0, 5000), max_size=8))
+    @example(data=labeled_dataset([], np.zeros((0, 0), dtype=np.int8), []), cuts=[])
     def test_blocks_at_any_offsets_round_trip(self, data, cuts):
         raw = data.to_csv().encode("utf-8")
-        one = Dataset.from_csv(raw)
-        assert one == data
+        expected = cell_summary(data)
+        assert read_outcome(raw) == expected
         for outcome in in_blocks(raw, cuts):
-            assert same_outcome(outcome, one)
+            assert outcome == expected
 
     @settings(max_examples=150, deadline=None)
     @given(
-        data=datasets(),
+        data=datasets(wide=True),
         edits=st.lists(
             st.tuples(st.sampled_from(PERTURBATIONS), st.integers(0, 1000)), min_size=1, max_size=3
         ),
-        cuts=st.lists(st.integers(0, 2000), max_size=8),
+        cuts=st.lists(st.integers(0, 5000), max_size=8),
     )
     def test_perturbed_blocks_read_like_one_block(self, data, edits, cuts):
         text = data.to_csv()
         for kind, at in edits:
             text = perturb(text, kind, at)
         raw = text.encode("utf-8")
-        one = parse_outcome(Dataset.from_csv, raw)
+        one = read_outcome(raw)
+        assert one == cell_summary(parse_outcome(reference_from_csv, text))
         for outcome in in_blocks(raw, cuts):
-            assert same_outcome(outcome, one)
-
-    @settings(max_examples=150, deadline=None)
-    @given(
-        data=datasets(wide=True),
-        edits=st.lists(st.tuples(st.sampled_from(PERTURBATIONS), st.integers(0, 1000)), max_size=3),
-        cuts=st.lists(st.integers(0, 5000), max_size=8),
-    )
-    @example(data=labeled_dataset([], np.zeros((0, 0), dtype=np.int8), []), edits=[], cuts=[])
-    def test_cells_alone_read_like_the_rows(self, data, edits, cuts):
-        """Read without rows, in one block, cut at drawn offsets or into
-        single bytes, any text gives the cells, table and row count that
-        the rows give, or the same error."""
-        text = data.to_csv()
-        for kind, at in edits:
-            text = perturb(text, kind, at)
-        raw = text.encode("utf-8")
-        expected = cell_summary(parse_outcome(Dataset.from_csv, raw))
-        for blocks in (text, raw, split(raw, cuts), split(raw, range(len(raw)))):
-            assert cells_outcome(blocks) == expected
+            assert outcome == one
 
     @pytest.mark.parametrize("text", ["", "\n", "a,regime\n", "a,b,regime\r\n\r\n", "a,b\n0,1\n"])
     def test_cells_alone_of_no_rows(self, text):
         raw = text.encode("utf-8")
-        expected = cell_summary(parse_outcome(Dataset.from_csv, raw))
-        assert cells_outcome(raw) == cells_outcome(split(raw, range(len(raw)))) == expected
+        expected = cell_summary(parse_outcome(reference_from_csv, text))
+        assert read_outcome(text) == read_outcome(raw) == read_outcome(split(raw, range(len(raw)))) == expected
 
     @pytest.mark.parametrize(
         "text",
@@ -698,18 +664,14 @@ class TestCsvCodecProperties:
         ],
     )
     def test_examples_read_like_reference(self, text):
-        outcome = parse_outcome(Dataset.from_csv, text)
-        assert outcome == parse_outcome(reference_from_csv, text)
-        if isinstance(outcome, Dataset):
-            assert outcome.regime_table == reference_from_csv(text).regime_table
+        assert read_outcome(text) == cell_summary(parse_outcome(reference_from_csv, text))
 
     def test_label_order_skips_a_line_inside_a_quoted_label(self):
         # "1,y\"" reads like a row with label 'y"', but it ends the quoted
         # label of the record before it.
         data = Dataset.from_csv('a,regime\n0,"x\n1,y"\n1,z\n')
         assert data.regime_table == ("x\n1,y", "z")
-        assert data.regime_codes.tolist() == [0, 1]
-        assert data.values.tolist() == [[0], [1]]
+        assert cell_summary(data) == cell_summary(make_dataset(["a"], [(0,), (1,)], ["x\n1,y", "z"]))
 
     def test_many_labels_round_trip(self):
         # 300 labels need 16-bit codes; some are quoted and span lines.
@@ -717,13 +679,12 @@ class TestCsvCodecProperties:
         rows = np.arange(900) % 2
         data = labeled_dataset(["a"], rows.reshape(-1, 1), labels[::-1] + labels * 2)
         read = Dataset.from_csv(data.to_csv())
-        assert read == data and read.regime_table == tuple(labels[::-1])
-        assert read.regime_codes.dtype == np.uint16
-        assert row_labels(read) == row_labels(data)
-        # Read without rows in blocks, the first codes fit 8 bits and the merged ones 16.
+        assert cell_summary(read) == cell_summary(data) and read.regime_table == tuple(labels[::-1])
+        assert read.cells.codes.dtype == np.uint16
+        # Read in blocks, the first codes fit 8 bits and the merged ones 16.
         raw = data.to_csv().encode("utf-8")
         for blocks in (raw, split(raw, range(0, len(raw), 97))):
-            assert cells_outcome(blocks) == cell_summary(read)
+            assert read_outcome(blocks) == cell_summary(data)
 
     def test_cells_alone_are_merged_in_batches(self, monkeypatch):
         # 2,000 distinct rows of 30 variables in about 650 blocks of three
@@ -731,8 +692,8 @@ class TestCsvCodecProperties:
         # about 650,000 cells; merging once the waiting cells outnumber the
         # merged ones sorts at most three times the rows.
         rows = np.random.default_rng(5).integers(0, 2, size=(2000, 30), dtype=np.int8)
-        raw = labeled_dataset([f"v{k}" for k in range(30)], rows, ["x", "y"] * 1000).to_csv().encode("utf-8")
-        expected = cell_summary(Dataset.from_csv(raw))
+        data = labeled_dataset([f"v{k}" for k in range(30)], rows, ["x", "y"] * 1000)
+        raw = data.to_csv().encode("utf-8")
         merged, cell_table = [], engine._cell_table
 
         def counted(codes, values, n_labels, weights=None):
@@ -740,7 +701,7 @@ class TestCsvCodecProperties:
             return cell_table(codes, values, n_labels, weights)
 
         monkeypatch.setattr(engine, "_cell_table", counted)
-        assert cells_outcome(split(raw, range(0, len(raw), 200))) == expected
+        assert read_outcome(split(raw, range(0, len(raw), 200))) == cell_summary(data)
         assert 0 < sum(merged) <= 3 * len(rows)
 
 
@@ -763,9 +724,7 @@ class TestRecordReader:
         with monkeypatch.context() as patch:
             patch.setattr(engine.csv, "reader", counting)
             outcome = parse_outcome(Dataset.from_csv, text)
-        assert outcome == expected
-        if isinstance(outcome, Dataset):
-            assert outcome.regime_table == reference_from_csv(text).regime_table
+        assert cell_summary(outcome) == cell_summary(expected)
         return outcome, len(calls)
 
     def test_one_reader_per_header_distinct_tail_and_slow_record(self, monkeypatch):
@@ -784,7 +743,6 @@ class TestRecordReader:
         # The tail '"x' opens a record on lines 2 and 4; 'y"' ends one.
         data, calls = self.read('a,regime\n0,"x\n1,y"\n1,"x\nz"\n1,y"\n', monkeypatch)
         assert data.regime_table == ("x\n1,y", "x\nz", 'y"')
-        assert data.values.tolist() == [[0], [1], [1]]
         assert calls == 1 + 2 + 2
 
     @pytest.mark.parametrize(
@@ -794,7 +752,7 @@ class TestRecordReader:
     )
     def test_last_line_without_a_newline(self, last, label, calls, monkeypatch):
         data, made = self.read("a,regime\n0,x\n" + last, monkeypatch)
-        assert data.regime_table[data.regime_codes[-1]] == label
+        assert data.regime_table[-1] == label and data.n_rows == 2
         assert made == calls
 
     def test_quoted_header_name_over_two_lines_is_record_1(self, monkeypatch):
@@ -834,8 +792,7 @@ class TestRecordReader:
 class TestBlocks:
     """The command line reads a data file in blocks of ``cli._BLOCK`` bytes,
     here a few, each cut after a line end; every cut must read like the
-    whole file, as ``reference_from_csv`` reads its text, with rows or
-    into its cells alone."""
+    whole file, as ``reference_from_csv`` reads its text."""
 
     def read(self, raw, tmp_path, monkeypatch, sizes=range(1, 24)):
         """The outcome at each block size, after checking it is the reference's."""
@@ -848,8 +805,7 @@ class TestBlocks:
             blocks = list(cli._blocks(str(path)))
             assert all(block.endswith(b"\n") for block in blocks[:-1])
             outcome = parse_outcome(Dataset.from_csv, cli._blocks(str(path)))
-            assert same_outcome(outcome, expected), size
-            assert cells_outcome(cli._blocks(str(path))) == cell_summary(outcome), size
+            assert cell_summary(outcome) == cell_summary(expected), size
             outcomes.append(outcome)
         return outcomes
 
@@ -867,14 +823,15 @@ class TestBlocks:
     )
     def test_cr_ending_a_block_pairs_with_the_next_lf(self, raw, outcome, tmp_path, monkeypatch):
         # Read as two line ends, a split "\r\n" would add a line to a label or a record.
+        # Every label is distinct, so the table lists them in row order.
         for read in self.read(raw, tmp_path, monkeypatch):
-            assert (row_labels(read) if isinstance(read, Dataset) else read) == outcome
+            assert (read.regime_table if isinstance(read, Dataset) else read) == outcome
 
     def test_quoted_label_over_a_cut(self, tmp_path, monkeypatch):
         raw = b'a,regime\n0,"x\n1,y\n\n0,"\n1,z\n1,"x\n1,y\n\n0,"\n'
         (data, *_) = self.read(raw, tmp_path, monkeypatch)
         assert data.regime_table == ("x\n1,y\n\n0,", "z")
-        assert data.regime_codes.tolist() == [0, 1, 0]
+        assert data.tally(()).counts.tolist() == [2, 1]
 
     def test_labels_in_first_seen_order_across_blocks(self, tmp_path, monkeypatch):
         raw = b"a,regime\n0,y=1\n1,y=1\n0,x=1\n1,y=1\n" + b"0,z\n" * 5 + b"1,x=1\n0,w\n"
@@ -894,7 +851,7 @@ class TestBlocks:
             assert outcome == (SpecError, message)
 
     def test_reading_holds_no_temporary_the_size_of_the_file(self, tmp_path, monkeypatch):
-        # Past the arrays it returns, reading 4x the rows takes no more memory.
+        # Past the cells it returns, reading 4x the rows takes no more memory.
         monkeypatch.setattr(cli, "_BLOCK", 1024)
         extra = []
         for n in (5000, 20000):
@@ -905,8 +862,8 @@ class TestBlocks:
             read = Dataset.from_csv(cli._blocks(str(path)))
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
-            assert read == data and path.stat().st_size > 50 * cli._BLOCK
-            extra.append(peak - read.values.nbytes - read.regime_codes.nbytes)
+            assert cell_summary(read) == cell_summary(data) and path.stat().st_size > 50 * cli._BLOCK
+            extra.append(peak - sum(array.nbytes for array in vars(read.cells).values()))
         assert extra[1] < extra[0] + 4096, extra
 
 
@@ -917,12 +874,15 @@ class TestDatasetOps:
             (2, [0, 0, 0], ("natural",), r"^shape \(2, 1\) inconsistent with \(3,\) codes x 1 variables$"),
             (1, [0], ("natural", "natural"), "^regime table labels must be distinct$"),
             (1, [1], ("natural",), "^regime codes outside a table of 1 labels$"),
+            (1, None, ("natural",), "^values and regime codes must both be given or both be None$"),
+            (None, [0], ("natural",), "^values and regime codes must both be given or both be None$"),
         ],
-        ids=["shape", "repeated-label", "code-range"],
+        ids=["shape", "repeated-label", "code-range", "values-alone", "codes-alone"],
     )
     def test_constructor_checks(self, rows, codes, table, message):
+        values = None if rows is None else np.zeros((rows, 1))
         with pytest.raises(ValueError, match=message):
-            Dataset(("a",), np.zeros((rows, 1)), np.array(codes, dtype=np.uint8), table)
+            Dataset(("a",), values, None if codes is None else np.array(codes, dtype=np.uint8), table)
 
     def test_code_range_check_of_signed_codes(self):
         with pytest.raises(ValueError, match="^regime codes outside a table of 1 labels$"):
@@ -939,29 +899,17 @@ class TestDatasetOps:
         # A label outside the table gets no arm.
         arms = [(arm.regime.label(), arm.n, arm.acts) for arm in arms_from_dataset(data, "a")]
         assert arms == [("natural", row_count(data, "natural", {}), row_count(data, "natural", {"a": 1}))]
-        with pytest.raises(ValueError, match="^nothing to concatenate$"):
-            Dataset.concat([])
         with pytest.raises(ValueError, match="^n must be >= 0$"):
             sample(stove_water(), -1, 0)
 
     def test_filter_regimes(self):
+        # The kept cells, in a dataset of cells alone with the whole table.
         data = make_dataset(["a"], [(0,), (1,), (1,)], ["natural", "x=1", "natural"])
-        kept = data.filter_regimes(["x=1"])
-        assert kept.n_rows == 1
-        assert row_labels(kept) == ("x=1",)
-
-    def test_concat(self):
-        a = make_dataset(["a"], [(0,)], ["natural"])
-        b = make_dataset(["a"], [(1,)], ["x=1"])
-        joined = Dataset.concat([a, b])
-        assert joined.n_rows == 2
-        assert row_labels(joined) == ("natural", "x=1")
-
-    def test_concat_mismatched_columns(self):
-        a = make_dataset(["a"], [(0,)])
-        b = make_dataset(["b"], [(0,)])
-        with pytest.raises(Exception):
-            Dataset.concat([a, b])
+        kept = data.filter_regimes(["x=1", "unknown"])
+        assert kept.values is kept.regime_codes is None
+        assert kept.n_rows == 1 and kept.regime_table == ("natural", "x=1")
+        assert _cell_counts(kept) == {(1, (1,)): 1} == _cell_reference(data, labels=["x=1"])
+        assert data.filter_regimes([]).n_rows == 0
 
     def test_equality_ignores_table_order(self):
         data = make_dataset(["a"], [(0,), (1,), (0,)], ["x=1", "natural", "x=1"])
@@ -986,7 +934,7 @@ class TestDatasetOps:
         assert read.regime_table == ("z=1", "natural")
         tally = read.tally(())
         assert [(read.regime_table[code], n) for code, n in zip(tally.codes.tolist(), tally.counts.tolist())] == [
-            (label, row_count(read, label, {})) for label in ("z=1", "natural")
+            (label, row_count(data, label, {})) for label in ("z=1", "natural")
         ]
 
     def test_arrays_are_read_only(self):
@@ -1014,11 +962,11 @@ class TestDatasetOps:
 
     def test_a_dataset_of_cells_alone(self):
         data = make_dataset(["a", "b"], [(0, 1), (1, 1), (0, 1), (1, 0)], ["natural", "x=1", "natural", "x=1"])
-        alone = Dataset.from_csv(data.to_csv(), rows=False)
+        alone = Dataset.from_csv(data.to_csv())
         assert alone.values is alone.regime_codes is None and alone.n_rows == 4
         assert cell_summary(alone) == cell_summary(data)
         assert _cell_counts(alone, ["b"]) == _cell_reference(data, ["b"])
-        # filter_regimes selects cells and copies no rows.
+        # filter_regimes selects cells, from rows or from cells alone.
         kept = alone.filter_regimes(["x=1"])
         assert kept.values is None and kept.n_rows == 2 and kept.regime_table == alone.regime_table
         assert cell_summary(kept) == cell_summary(data.filter_regimes(["x=1"]))
@@ -1026,7 +974,6 @@ class TestDatasetOps:
         calls = [
             ("Dataset.column", lambda: alone.column("a")),
             ("Dataset.to_csv", alone.to_csv),
-            ("Dataset.concat", lambda: Dataset.concat([data, alone])),
             ("Dataset ==", lambda: alone == alone),
             ("Dataset ==", lambda: data == kept),
             ("Dataset ==", lambda: alone != data),
@@ -1044,25 +991,26 @@ class TestDatasetOps:
                     array[0] = 0
 
     def test_cell_table_is_carried_by_filter_regimes(self):
+        # A dataset of rows counts its cells on first use, and filter_regimes
+        # keeps some of those cells; keeping every label keeps them all.
         data = make_dataset(
             ["a", "b"], [(0, 1), (1, 1), (0, 1), (1, 0)], ["natural", "x=1", "natural", "x=1"]
         )
         assert "cells" not in vars(data)
         kept = data.filter_regimes(["x=1"])
         assert "cells" in vars(data) and "cells" in vars(kept)
-        assert _cell_counts(kept) == {(1, (1, 0)): 1, (1, (1, 1)): 1} == _cell_reference(kept)
-        joined = Dataset.concat([data, kept])
-        read = Dataset.from_csv(data.to_csv())
-        assert "cells" not in vars(joined) and "cells" not in vars(read)
-        assert _cell_counts(joined) == _cell_reference(joined)
-        assert _cell_counts(read) == _cell_reference(read)
+        assert _cell_counts(kept) == {(1, (1, 0)): 1, (1, (1, 1)): 1} == _cell_reference(data, labels=["x=1"])
+        assert cell_summary(data.filter_regimes(data.regime_table)) == cell_summary(data)
+        for array in vars(kept.cells).values():
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
 
 
 class TestRequirePossible:
     """ball -> pins is a copy, so pins must equal ball unless pins is clamped."""
 
     def test_sampled_data_pass(self):
-        data = Dataset.concat(
+        data = joined(
             [
                 sample(ball_pins(), 200, 1),
                 sample(mutilate(ball_pins(), Regime({"pins": 0})), 200, 2, "pins=0"),
@@ -1072,7 +1020,7 @@ class TestRequirePossible:
 
     def test_contradicted_deterministic_row(self):
         data = make_dataset(["ball", "pins"], [(1, 1), (1, 0), (0, 1), (0, 0)])
-        for read in (data, Dataset.from_csv(data.to_csv(), rows=False)):
+        for read in (data, Dataset.from_csv(data.to_csv())):
             with pytest.raises(DataError, match="^2 of 4 rows have probability 0"):
                 require_possible(read, ball_pins())
 
@@ -1108,12 +1056,16 @@ class TestRequirePossible:
             require_possible(extra, ball_pins())
 
 
-def _cell_reference(dataset, names=None) -> dict:
+def _cell_reference(dataset, names=None, labels=None) -> dict:
     """Reference for Dataset.cells, or for Dataset.tally(names): the rows
-    tallied one at a time."""
+    tallied one at a time, only those labeled one of ``labels`` if given."""
     columns = [dataset.variables.index(name) for name in (dataset.variables if names is None else names)]
-    rows = (tuple(values[k] for k in columns) for values in dataset.values.tolist())
-    return dict(Counter(zip(dataset.regime_codes.tolist(), rows)))
+    cells = (
+        (code, tuple(values[k] for k in columns))
+        for code, values in zip(dataset.regime_codes.tolist(), dataset.values.tolist())
+        if labels is None or dataset.regime_table[code] in labels
+    )
+    return dict(Counter(cells))
 
 
 def _cell_counts(dataset, names=None) -> dict:
@@ -1216,10 +1168,10 @@ def test_require_possible_matches_per_row_reference(seed, data):
     for s in comparison.strata:
         stratum, acted = dict(s.key), {**dict(s.key), action: 1}
         assert (s.control_n, s.control_acts, s.treated_n, s.treated_acts) == (
-            row_count(pair, comparison.control_label, stratum),
-            row_count(pair, comparison.control_label, acted),
-            row_count(pair, comparison.treated_label, stratum),
-            row_count(pair, comparison.treated_label, acted),
+            row_count(dataset, comparison.control_label, stratum),
+            row_count(dataset, comparison.control_label, acted),
+            row_count(dataset, comparison.treated_label, stratum),
+            row_count(dataset, comparison.treated_label, acted),
         )
 
 
@@ -1229,7 +1181,7 @@ def test_wide_rows_reduce_to_cells():
     # has e0 = 0 where e0 = AND(a, l0) = 1.
     graph = lever_chain(35)
     planted = dict.fromkeys(graph.names, 0) | {"a": 1, "l0": 1}
-    data = Dataset.concat(
+    data = joined(
         [
             sample(graph, 300, 1),
             sample(mutilate(graph, Regime({"l0": 0})), 300, 2, "l0=0"),
@@ -1241,7 +1193,7 @@ def test_wide_rows_reduce_to_cells():
     for names in (graph.names[::-1], graph.names[::3]):
         assert _cell_counts(data, names) == _cell_reference(data, names)
         kept = data.filter_regimes(["l0=0", "l3=0"])
-        assert _cell_counts(kept, names) == _cell_reference(kept, names)
+        assert _cell_counts(kept, names) == _cell_reference(data, names, ["l0=0", "l3=0"])
     assert _impossible_rows(data, graph, ()) == 1
     with pytest.raises(DataError, match=f"^1 of {data.n_rows} rows "):
         require_possible(data, graph)
@@ -1276,8 +1228,10 @@ def test_cells_match_reference_on_both_sides_of_the_bin_rule(n_vars, n_labels, c
     assert _cell_counts(dataset) == _cell_reference(dataset)
     assert dataset.cells.codes.dtype == dataset.regime_codes.dtype
     assert dataset.cells.rows.dtype == np.int8
-    kept = dataset.filter_regimes(label for label in dataset.regime_table if rng.random() < 0.5)
-    fresh = Dataset(kept.variables, kept.values, kept.regime_codes, kept.regime_table)
+    chosen = [code for code in range(n_labels) if rng.random() < 0.5]
+    kept = dataset.filter_regimes(dataset.regime_table[code] for code in chosen)
+    mask = np.isin(dataset.regime_codes, chosen)
+    fresh = Dataset(dataset.variables, dataset.values[mask], dataset.regime_codes[mask], dataset.regime_table)
     for name in ("codes", "rows", "counts"):
         carried, recounted = getattr(kept.cells, name), getattr(fresh.cells, name)
         assert carried.dtype == recounted.dtype and np.array_equal(carried, recounted)
@@ -1302,11 +1256,12 @@ def test_tally_matches_per_row_reference(data):
         np.array(codes, dtype=np.uint8),
         table,
     )
-    kept = dataset.filter_regimes(data.draw(st.sets(st.sampled_from(table))))
+    labels = data.draw(st.sets(st.sampled_from(table)))
+    kept = dataset.filter_regimes(labels)
     column_lists = st.lists(st.sampled_from(variables), unique=True) if variables else st.just([])
-    for d in (dataset, kept):
+    for d, only in ((dataset, None), (kept, labels)):
         names = data.draw(column_lists)
-        assert _cell_counts(d, names) == _cell_reference(d, names)
+        assert _cell_counts(d, names) == _cell_reference(dataset, names, only)
         assert d.regime_table.index("unused") not in d.tally(names).codes.tolist()
     with pytest.raises(UnknownVariableError, match=r"^unknown column 'ghost'$"):
         dataset.tally([*names, "ghost"])

@@ -24,7 +24,7 @@ from teleo.observational import (
     MIN_CELL,
 )
 
-from .helpers import labeled_dataset, make_dataset, row_count, row_labels
+from .helpers import joined, labeled_dataset, make_dataset, row_count, row_labels
 
 
 def two_strata_dataset():
@@ -304,7 +304,7 @@ class TestObservationalBattery:
             52,
             regime_label="protein_diet=0",
         )
-        data = Dataset.concat([natural, diet])
+        data = joined([natural, diet])
         results = observational_battery(
             data, battery, cls, (), sport_doc.graph, p_base=sport_doc.policy.p_base
         )
@@ -335,7 +335,7 @@ class TestObservationalBattery:
                     regime_label=exp.label,
                 )
             )
-        data = Dataset.concat(parts)
+        data = joined(parts)
 
         unadjusted = observational_battery(data, battery, cls, (), graph=g)
         assert all(r.status == "ok" for r in unadjusted)
@@ -355,7 +355,7 @@ class TestObservationalBattery:
             72,
             regime_label="enroll=0",
         )
-        data = Dataset.concat([natural, ban])
+        data = joined([natural, ban])
         one = Battery(experiments=battery.experiments[:1])
         results = observational_battery(data, one, cls, (), sport_doc.graph)
         assert len(results) == 1
