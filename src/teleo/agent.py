@@ -118,8 +118,9 @@ def _require_binary_targets(intentions: Iterable[Intention]) -> None:
 
 def meets_theta(margins: Iterable[float], theta: float) -> bool:
     """The servability rule: acting still raises every intended effect by
-    at least ``theta``."""
-    return all(margin >= theta for margin in margins)
+    at least ``theta``.  A margin is rounded to 12 decimals first, so one
+    summed in another order, a last bit off, falls on the same side."""
+    return all(round(margin, 12) >= theta for margin in margins)
 
 
 def _fill_do_margins(graph: CausalGraph, action: str, names: tuple, regimes: Iterable) -> None:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 from dataclasses import replace
 from typing import Iterable, Iterator, Sequence
 
@@ -45,29 +46,21 @@ class _UsageError(Exception):
     pass
 
 
-# Bytes read from a file at a time; a block then ends at its last line end.
+# Bytes read from a file at a time, then read on to the end of that line.
 _BLOCK = 1 << 20
 
 
 def _blocks(path: str) -> Iterator[bytes]:
-    """The bytes of ``path`` in blocks of about ``_BLOCK`` bytes, each cut
-    after its last line end, checked as UTF-8 (only a block that is not
-    ASCII is decoded, and the text dropped) and with each "\\r\\n" and then
-    each lone "\\r" turned into "\\n", as ``Path.read_text`` does.  A "\\r"
-    that ends a block waits for the next, whose "\\n" may pair with it.
-    Reads without a line end are kept as pieces and joined once one comes,
-    so a line longer than a block is copied once, not once per read."""
+    """The bytes of ``path`` in blocks of ``_BLOCK`` bytes read on to the
+    next "\\n", so every block but the last ends at a line end and no
+    "\\r\\n" pair or UTF-8 character is split.  Each is checked as UTF-8
+    (only a block that is not ASCII is decoded, and the text dropped) and
+    has each "\\r\\n" and then each lone "\\r" turned into "\\n", as
+    ``Path.read_text`` does.  A file whose lines end in a lone "\\r" is one
+    block."""
     with open(path, "rb") as file:
-        offset, pending = 0, []  # the reads since the last line end
-        while True:
-            raw = file.read(_BLOCK) + file.readline(_BLOCK)
-            cut = max(raw.rfind(b"\n"), raw.rfind(b"\r", 0, -1)) + 1 if raw else len(raw)
-            # Unless the last read ended in a "\r", now a lone line end.
-            if raw and not cut and not (pending and pending[-1].endswith(b"\r")):
-                pending.append(raw)
-                continue
-            block = b"".join([*pending, raw[:cut]])  # a lone piece is not copied
-            pending = [raw[cut:]] if cut < len(raw) else []
+        offset = 0
+        while block := file.read(_BLOCK) + file.readline():
             try:
                 if not block.isascii():
                     block.decode("utf-8")
@@ -77,10 +70,7 @@ def _blocks(path: str) -> Iterator[bytes]:
             offset += len(block)
             if b"\r" in block:
                 block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-            if block:
-                yield block
-            if not raw:
-                return
+            yield block
 
 
 def _read(path: str) -> bytes:
@@ -91,13 +81,8 @@ def _read(path: str) -> bytes:
 def _write(pieces: Iterable[str], out: str | None) -> None:
     """Write the pieces in turn to ``out``, in text mode as
     ``Path.write_text`` does, or to stdout."""
-    if out:
-        with open(out, "w", encoding="utf-8") as file:
-            for piece in pieces:
-                file.write(piece)
-    else:
-        for piece in pieces:
-            sys.stdout.write(piece)
+    with open(out, "w", encoding="utf-8") if out else nullcontext(sys.stdout) as file:
+        file.writelines(pieces)
 
 
 def _load_doc(path: str) -> GraphSpecDocument:
@@ -136,17 +121,13 @@ def _emit(args, sections: dict, **provenance) -> None:
 
 
 def _cmd_validate(args) -> int:
-    text = _read(args.graph).decode("utf-8")
-    graph = None
-    violations: list[str] = []
+    graph, violations = None, []
     try:
-        doc = parse_graph_spec(text)
+        graph = _load_doc(args.graph).graph
     except SpecError as exc:
         violations = [str(exc)]
     except InvalidGraphError as exc:
         violations = list(exc.violations)
-    else:
-        graph = doc.graph
     _emit(args, {"validation": validation_section(graph, violations)})
     return 0 if not violations else 1
 
@@ -371,10 +352,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process, not left to the cycle collector after each call.
+_PARSER = _build_parser()
+
+
 def run_command(argv: Sequence[str]) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = _PARSER.parse_args(list(argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:

@@ -190,7 +190,9 @@ class CausalGraph:
     # --- validation ------------------------------------------------------
 
     def validate(self) -> list[str]:
-        """Collect every invariant violation; an empty report means valid."""
+        """Collect every invariant violation; an empty report means valid.
+        A cycle is the closed walk up first parents left out by Kahn's pass,
+        from the first declared variable it leaves out."""
         return list(self._violations)
 
     def require_valid(self) -> "CausalGraph":
@@ -213,59 +215,45 @@ class CausalGraph:
             for p in v.parents:
                 if p not in self._by_name:
                     problems.append(f"{v.name}: unknown parent {p!r}")
-        cycle = self._find_cycle()
-        if cycle:
-            problems.append("cycle: " + " -> ".join(cycle))
+        left_out = self._by_name.keys() - set(self._order)
+        if left_out:  # each has a parent left out, so a walk up them closes
+            node = next(name for name in self._by_name if name in left_out)
+            walk: dict[str, int] = {}
+            while node not in walk:
+                walk[node] = len(walk)
+                node = next(p for p in self._by_name[node].parents if p in left_out)
+            problems.append("cycle: " + " -> ".join([*list(walk)[walk[node] :], node]))
         return tuple(problems)
 
-    def _find_cycle(self) -> list[str] | None:
-        """Return one offending cycle (closed walk) if any exists.  The
-        depth-first walk over parents keeps its own stack, so a long chain
-        cannot exhaust the interpreter's recursion limit."""
-        done: set[str] = set()
-        for v in self.variables:
-            if v.name in done:
-                continue
-            stack = [v.name]
-            on_stack = {v.name}
-            pending = [iter(self._by_name[v.name].parents)]
-            while pending:
-                for p in pending[-1]:
-                    if p not in self._by_name or p in done:
-                        continue
-                    if p in on_stack:
-                        return stack[stack.index(p):] + [p]
-                    stack.append(p)
-                    on_stack.add(p)
-                    pending.append(iter(self._by_name[p].parents))
-                    break
-                else:
-                    node = stack.pop()
-                    on_stack.discard(node)
-                    done.add(node)
-                    pending.pop()
-        return None
+    @cached_property
+    def _order(self) -> tuple[str, ...]:
+        """Kahn's pass (1962) over the declared parents: a variable is ready
+        once its parents are placed, and is placed first in, first out; the
+        roots, and the children one placement makes ready, in declaration
+        order.  A variable on or below a cycle is never ready: left out."""
+        parents = {name: set(v.parents) & self._by_name.keys() for name, v in self._by_name.items()}
+        children: dict[str, list[str]] = {name: [] for name in parents}
+        for name, above in parents.items():
+            for p in above:
+                children[p].append(name)
+        waiting = {name: len(above) for name, above in parents.items()}
+        order = [name for name, n in waiting.items() if not n]
+        for node in order:  # appending while reading makes the list a queue
+            for child in children[node]:
+                waiting[child] -= 1
+                if not waiting[child]:
+                    order.append(child)
+        return tuple(order)
 
     # --- queries ----------------------------------------------------------
 
-    @cached_property
+    @property
     def topological_order(self) -> tuple[str, ...]:
-        """Parents-before-children order, breaking ties by declaration order."""
-        indegree = {v.name: 0 for v in self.variables}
-        for v in self.variables:
-            indegree[v.name] = len(set(v.parents))
-        order = []
-        ready = [name for name in self.names if indegree[name] == 0]
-        while ready:
-            node = ready.pop(0)
-            order.append(node)
-            for child in self._children[node]:
-                indegree[child] -= 1
-                if indegree[child] == 0:
-                    ready.append(child)
-        if len(order) != len(self.variables):
+        """Parents before children, as :attr:`_order` places them; raises
+        :class:`InvalidGraphError` when a cycle leaves a variable out."""
+        if len(self._order) != len(self.variables):
             raise InvalidGraphError(["cycle prevents topological ordering"])
-        return tuple(order)
+        return self._order
 
     def descendants(self, name: str) -> set[str]:
         """Everything reachable from ``name`` along edge direction."""

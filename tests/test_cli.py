@@ -1,4 +1,5 @@
 import errno
+import gc
 import hashlib
 import io
 import json
@@ -9,9 +10,11 @@ import time
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from teleo import (
     AgentPolicy,
@@ -20,6 +23,7 @@ from teleo import (
     GraphSpecDocument,
     SpecError,
     Tagging,
+    TeleoError,
     emit_report,
     observational_battery,
     parse_graph_spec,
@@ -99,6 +103,31 @@ class TestExitCodes:
 
     def test_no_arguments(self):
         assert run_command([]) == 2
+
+    def test_usage_error_leaves_the_next_call_alone(self, sport_spec_path, capsys):
+        argv = ["validate", "--graph", str(sport_spec_path), "--format", "machine"]
+        assert run_command(argv) == 0
+        alone = capsys.readouterr()
+        assert run_command(argv[:3] + ["--bogus"]) == 2
+        assert "error: unrecognized arguments: --bogus" in capsys.readouterr().err
+        assert run_command(argv) == 0
+        assert capsys.readouterr() == alone
+
+    def test_a_call_leaves_no_parser_to_the_cycle_collector(self, sport_spec_path, capsys):
+        # The parser is built once per process; one built per call is a web
+        # of cycles, which decides when the collector runs and so the heap.
+        gc.collect()
+        gc.disable()
+        try:
+            assert run_command(["validate", "--graph", str(sport_spec_path)]) == 0
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            garbage, gc.garbage[:] = gc.garbage[:], []
+        finally:
+            gc.set_debug(0)
+            gc.enable()
+        assert not [obj for obj in garbage if type(obj).__module__ == "argparse"]
+        capsys.readouterr()
 
     def test_help_exits_zero(self, capsys):
         assert run_command(["--help"]) == 0
@@ -678,6 +707,36 @@ class TestAnalyzeAndInfer:
         data = Dataset.from_csv(cli._read(str(path)))
         assert data.regime_table == ("x\ny", "lone\ncr")
         assert cell_summary(data) == cell_summary(make_dataset(["a"], [(0,), (1,), (0,)], ["x\ny", "lone\ncr", "x\ny"]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        pieces=st.lists(
+            st.sampled_from(["0", ",", "é", "✓", "𝄞", "\n", "\r\n", "\r", "\r\r\n", "x" * 40]), max_size=40
+        ),
+        block=st.integers(1, 32),
+        bad=st.none() | st.integers(0),
+    )
+    def test_blocks_read_like_read_text(self, tmp_path_factory, pieces, block, bad):
+        # Lines mix LF, CRLF and lone CR, characters of up to four bytes,
+        # and lines longer than a block; ``bad`` puts a 0xff somewhere.
+        raw = "".join(pieces).encode("utf-8")
+        if bad is not None:
+            at = bad % (len(raw) + 1)
+            raw = raw[:at] + b"\xff" + raw[at:]
+        path = tmp_path_factory.mktemp("blocks") / "data.csv"
+        path.write_bytes(raw)
+        with mock.patch.object(cli, "_BLOCK", block):
+            if bad is None:
+                blocks = list(cli._blocks(str(path)))
+                assert b"".join(blocks) == path.read_text(encoding="utf-8").encode("utf-8")
+                assert all(piece.endswith(b"\n") for piece in blocks[:-1])
+                return
+            with pytest.raises(UnicodeDecodeError) as decoded:
+                raw.decode("utf-8")
+            with pytest.raises(TeleoError) as caught:
+                list(cli._blocks(str(path)))
+        start = decoded.value.start
+        assert str(caught.value) == f"{path} is not UTF-8 text: byte {raw[start]:#04x} at offset {start}"
 
     def test_bad_byte_offset_counts_crlf_line_ends(self, sport_spec_path, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

@@ -1,5 +1,7 @@
+import itertools
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from teleo import (
     AgentPolicy,
@@ -265,3 +267,129 @@ class TestValidityMemo:
             [Variable.make("a", ("b",), {0: 0.5, 1: 0.5}), Variable.make("b", ("a",), {0: 0.5, 1: 0.5})]
         )
         assert looped.ancestral_subgraph("a").validate() == ["cycle: a -> b -> a"]
+
+
+def reference_cycle(graph):
+    """The cycle report as it was first written: a depth-first walk over
+    the parents of each declared variable in turn, closed at the first
+    parent already on the walk."""
+    by_name = {v.name: v for v in graph.variables}
+    done = set()
+    for v in graph.variables:
+        if v.name in done:
+            continue
+        stack, on_stack, pending = [v.name], {v.name}, [iter(by_name[v.name].parents)]
+        while pending:
+            for p in pending[-1]:
+                if p not in by_name or p in done:
+                    continue
+                if p in on_stack:
+                    return stack[stack.index(p) :] + [p]
+                stack.append(p)
+                on_stack.add(p)
+                pending.append(iter(by_name[p].parents))
+                break
+            else:
+                on_stack.discard(stack[-1])
+                done.add(stack.pop())
+                pending.pop()
+    return None
+
+
+def with_back_edges(graph, edges):
+    """``graph`` with each (child, parent) pair in ``edges`` added as an
+    edge; every CPT row of a child that gains a parent is 0.5."""
+    extra: dict[str, list[str]] = {}
+    for child, parent in edges:
+        extra.setdefault(child, []).append(parent)
+    variables = []
+    for v in graph.variables:
+        if v.name in extra:
+            parents = v.parents + tuple(extra[v.name])
+            v = Variable.make(v.name, parents, {key: 0.5 for key in itertools.product((0, 1), repeat=len(parents))})
+        variables.append(v)
+    return CausalGraph.make(variables)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 10_000), data=st.data())
+def test_back_edges_are_reported_as_one_closed_walk(seed, data):
+    g = dag_from_seed(seed)
+    # An edge from a descendant back to its ancestor closes a cycle.
+    back = [(a, d) for a in g.names for d in g.names if d in g.descendants(a)]
+    assume(back)
+    cyclic = with_back_edges(g, sorted(data.draw(st.sets(st.sampled_from(back), min_size=1, max_size=3))))
+    (problem,) = cyclic.validate()
+    walk = problem.removeprefix("cycle: ").split(" -> ")
+    assert walk == reference_cycle(cyclic)
+    assert walk[0] == walk[-1] and len(set(walk)) == len(walk) - 1
+    assert all(parent in cyclic.parents(child) for child, parent in zip(walk, walk[1:]))
+    # The order leaves out what lies on a cycle or below one; the walk
+    # climbs from the first of those.
+    left_out = [
+        name for name in cyclic.names if any(a in cyclic.ancestors(a) for a in cyclic.ancestors(name) | {name})
+    ]
+    assert left_out and walk[0] in cyclic.ancestors(left_out[0]) | {left_out[0]}
+    assert set(cyclic._order) == set(cyclic.names) - set(left_out)
+    with pytest.raises(InvalidGraphError):
+        cyclic.topological_order
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 10_000), data=st.data())
+def test_order_places_parents_first_and_ties_by_declaration(seed, data):
+    # Shuffled, so the declaration order is not already an order.
+    variables = data.draw(st.permutations(dag_from_seed(seed).variables))
+    g = CausalGraph.make(variables)
+    assert g.validate() == []
+    order = g.topological_order
+    assert sorted(order) == sorted(g.names)
+    position = {name: k for k, name in enumerate(order)}
+    declared = {name: k for k, name in enumerate(g.names)}
+    # A variable is ready once its last parent is placed; the ready are
+    # placed first in, first out, and those made ready together (roots, or
+    # children of one parent) in declaration order.
+    ready = {name: max((position[p] for p in g.parents(name)), default=-1) for name in order}
+    assert all(ready[name] < position[name] for name in order)
+    keys = [(ready[name], declared[name]) for name in order]
+    assert keys == sorted(keys)
+
+
+def test_cycle_through_a_long_chain_is_walked_without_recursion():
+    names = [f"v{i}" for i in range(1500)]
+    variables = [Variable.make(names[0], (names[-1],), {0: 0.1, 1: 0.9})] + [
+        Variable.make(name, (parent,), {0: 0.1, 1: 0.9}) for parent, name in zip(names, names[1:])
+    ]
+    g = CausalGraph.make(variables)
+    assert g.validate() == ["cycle: " + " -> ".join([names[0], *reversed(names)])]
+    assert g._order == ()
+
+
+class TestCycleTexts:
+    def test_cycle_below_the_first_declaration(self):
+        half = {0: 0.5, 1: 0.5}
+        g = CausalGraph.make(
+            [Variable.make("a", ("b",), half), Variable.make("b", ("c",), half), Variable.make("c", ("b",), half)]
+        )
+        assert g.validate() == ["cycle: b -> c -> b"]
+        assert g._order == ()
+
+    def test_unknown_and_duplicate_parents_are_counted_with_the_cycle(self):
+        # The second "r" is the one a name means: a child of the cycle, and
+        # the first variable the order leaves out.
+        two = {key: 0.5 for key in itertools.product((0, 1), repeat=2)}
+        g = CausalGraph.make(
+            [
+                Variable.make("r", (), 0.5),
+                Variable.make("a", ("ghost", "b"), two),
+                Variable.make("b", ("a", "a"), two),
+                Variable.make("r", ("b",), {0: 0.5, 1: 0.5}),
+            ]
+        )
+        assert g.validate() == [
+            "a: unknown parent 'ghost'",
+            "b: duplicate parent names",
+            "duplicate variable 'r'",
+            "cycle: b -> a -> b",
+        ]
+        assert reference_cycle(g) == ["b", "a", "b"]

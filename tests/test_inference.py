@@ -2,7 +2,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from teleo import (
@@ -445,8 +445,27 @@ def reference_scores(arms, graph, action, policy, hypotheses):
     return lls, [alone if ok else VERDICT_REFUTED for ok in within]
 
 
+def union_sweep_tie():
+    """A margin that is exactly 0 when ``v7`` is swept alone and a last bit
+    below 0 when swept with ``v5`` and ``v6``: at theta 0, ``{v7=0}`` must
+    be servable (or not) in either company."""
+    zeros = {key: 0.0 for key in itertools.product((0, 1), repeat=3)}
+    graph = CausalGraph.make(
+        [
+            *(Variable.make(f"v{i}", (), p) for i, p in enumerate((0.9, 0.9, 0.1, 0.0, 0.0))),
+            Variable.make("v5", ("v4", "v0", "v1"), {**zeros, (1, 1, 1): 0.1}),
+            Variable.make("v6", ("v0", "v4", "v2"), zeros),
+            Variable.make("v7", ("v4",), {0: 0.1, 1: 0.1}),
+        ]
+    )
+    hypotheses = [frozenset({("v5", 0), ("v6", 0)}), frozenset({("v7", 0)})]
+    policy = AgentPolicy.make(hypotheses[0], p_act=0.6, p_base=0.0, theta=0.0)
+    return graph, "v4", policy, hypotheses, [ArmCounts(Regime(), 1, 0)]
+
+
 @settings(max_examples=150, deadline=None)
 @given(scoring_problems())
+@example(union_sweep_tie())
 def test_scores_match_per_hypothesis_enumeration(problem):
     graph, action, policy, hypotheses, arms = problem
     scores = score_arms(arms, graph, action, policy, hypotheses=hypotheses)
