@@ -379,14 +379,13 @@ class Dataset:
 
     ``values`` is an (n_rows, n_variables) int8 array in declared variable
     order.  Row ``i`` is labeled ``regime_table[regime_codes[i]]``: the table
-    holds distinct labels (in first-seen order when read from CSV), the
-    codes are an unsigned integer array.  Both arrays
-    are kept as read-only views, so :attr:`cells`, built once on first use,
-    cannot go stale.  Every count an analysis takes is read from
-    :meth:`tally`.  A variable named twice raises ``DataError``.
-    :meth:`from_csv` and :meth:`filter_regimes` give a dataset of its cells
-    alone: both arrays are None, and ``column``, ``to_csv`` and ``==`` raise.
-    """
+    holds distinct labels (sorted when read from CSV), the codes are an
+    unsigned integer array.  Both arrays are kept as read-only views, so
+    :attr:`cells`, built once on first use, cannot go stale.  Every count an
+    analysis takes is read from :meth:`tally`.  A variable named twice
+    raises ``DataError``.  :meth:`from_csv` and :meth:`filter_regimes` give
+    a dataset of its cells alone: both arrays are None, and ``column`` and
+    ``to_csv`` raise."""
 
     variables: tuple[str, ...]
     values: np.ndarray | None
@@ -424,19 +423,6 @@ class Dataset:
     def _need_rows(self, call: str) -> None:
         if self.values is None:
             raise TypeError(f"{call} needs the rows of a dataset, and this one holds only its cells")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Dataset):
-            return NotImplemented
-        self._need_rows("Dataset ==")
-        other._need_rows("Dataset ==")
-        position = {label: k for k, label in enumerate(self.regime_table)}
-        translate = np.array([position.get(label, -1) for label in other.regime_table], dtype=np.int64)
-        return (
-            self.variables == other.variables
-            and np.array_equal(self.values, other.values)
-            and np.array_equal(self.regime_codes, translate[other.regime_codes])
-        )
 
     @property
     def n_rows(self) -> int:
@@ -498,8 +484,10 @@ class Dataset:
         record number, counting the header as 1 and blank lines as records.
         Bytes left unread wait as pieces until a block brings a line end, and
         are then joined once.  Each block's rows are reduced to their cells,
-        which are merged with the cells so far once they outnumber them: the
-        :attr:`Dataset.cells` the rows would give, whatever the cuts."""
+        coded in one table for the file, and merged with the cells so far
+        once they outnumber them.  The labels some cell carries are then
+        numbered in sorted order, so the read is the :attr:`Dataset.cells`
+        of the rows, labeled sorted, whatever their order and the cuts."""
         if isinstance(data, str):
             data = data.encode("utf-8", "surrogatepass")
         header, record, pending, table = None, 2, [], {}
@@ -526,22 +514,29 @@ class Dataset:
                     raise SpecError("empty CSV document")
                 if not header or header[-1] != "regime":
                     raise SpecError('CSV header must end with a "regime" column')
-            decoded, local, labels, rest, record = _decode_rows(body, pos, len(header) - 1, record, following is None)
+            decoded, codes, rest, record = _decode_rows(body, pos, len(header) - 1, record, following is None, table)
             pending = [text[rest:]] if rest < len(text) else []
-            position = np.array([table.setdefault(label, len(table)) for label in labels], dtype=_code_dtype(len(table)))
-            # The block's cells, with their codes in the file's table.
-            part = _cell_table(local, decoded, len(labels))
+            part = _cell_table(codes, decoded, len(table))
             if cells is None:
                 cells = part
             else:
-                waiting.append((position[part.codes], part.rows, part.counts))
+                waiting.append((part.codes, part.rows, part.counts))
                 queued += len(part.counts)
             # Merged once they outnumber the cells so far, so that all the
             # merges together sort at most twice the blocks' cells.
             if waiting and (following is None or queued > len(cells.counts)):
                 merged_codes, merged_rows, counts = map(np.concatenate, zip((cells.codes, cells.rows, cells.counts), *waiting))
                 cells, waiting, queued = _cell_table(merged_codes, merged_rows, len(table), counts), [], 0
-        return _cells_only(tuple(header[:-1]), tuple(table), cells)
+        # The labels some cell carries (by np.bincount: np.unique maps ~1 MB more on
+        # first use), sorted; a stable sort keeps each code's cells in row order.
+        labels = tuple(table)
+        present = sorted(np.flatnonzero(np.bincount(cells.codes)).tolist(), key=labels.__getitem__)
+        rank = np.zeros(len(labels), dtype=_code_dtype(len(present)))
+        rank[present] = np.arange(len(present))
+        codes = rank[cells.codes]
+        order = np.argsort(codes, kind="stable")
+        cells = CellTable(codes[order], cells.rows[order], cells.counts[order])
+        return _cells_only(tuple(header[:-1]), tuple(labels[k] for k in present), cells)
 
 
 def _cells_only(variables: tuple[str, ...], table: tuple[str, ...], cells: CellTable) -> Dataset:
@@ -676,20 +671,21 @@ def _read_record(text: bytes, start: int, stop: int) -> tuple[list[str] | None, 
 
 
 def _decode_rows(
-    text: bytes, pos: int, n_cells: int, record: int = 2, final: bool = True
-) -> tuple[np.ndarray, np.ndarray, tuple[str, ...], int, int]:
+    text: bytes, pos: int, n_cells: int, record: int, final: bool, table: dict[str, int]
+) -> tuple[np.ndarray, np.ndarray, int, int]:
     """Decode the CSV records of ``text`` from byte ``pos``, the first
-    numbered ``record``: (values, codes, table, the byte and the number of
-    the first record left unread).  Unless ``final``, a record that runs to
-    the end of ``text`` may go on past it and is left unread.  A line whose
-    first ``2 * n_cells`` bytes are unquoted 0/1 cells and commas is decoded
-    in bulk, and :func:`_read_record` reads its label on the first line of
-    each distinct tail (:func:`_distinct_tails` finds them among the tails
-    of one length).  Every other non-blank line, and each whose tail spans
-    lines, is not one field or has more bytes than ``csv.field_size_limit()``,
-    starts a record that :func:`_read_record` reads alone; only these can be
-    malformed, and they are checked in order.
-    The table lists the labels in the order of the first row of each."""
+    numbered ``record``: (values, codes, the byte and the number of the
+    first record left unread).  A label not yet in ``table`` gets the next
+    code there, so every block of a file codes its labels alike.  Unless
+    ``final``, a record that runs to the end of ``text`` may go on past it
+    and is left unread.  A line whose first ``2 * n_cells`` bytes are
+    unquoted 0/1 cells and commas is decoded in bulk, and
+    :func:`_read_record` reads its label on the first line of each distinct
+    tail (:func:`_distinct_tails` finds them among the tails of one length).
+    Every other non-blank line, and each whose tail spans lines, is not one
+    field or has more bytes than ``csv.field_size_limit()``, starts a record
+    that :func:`_read_record` reads alone; only these can be malformed, and
+    they are checked in order."""
     data = np.frombuffer(text, dtype=np.uint8)
     body = data[pos:]
     width = 2 * n_cells
@@ -709,8 +705,6 @@ def _decode_rows(
     del cells, pairs
     line_code = np.full(len(ends), _SKIP, dtype=np.int32)
     line_code[ends > starts] = _SLOW
-    table: dict[str, int] = {}
-    seen = []  # (line, code) of the first line of each distinct tail and of each record read alone
 
     # A tail keeps the "\r" of a CRLF line end; csv reads it as the end.
     tail_lengths = np.where(fast, ends - starts - width, -1)
@@ -722,9 +716,8 @@ def _decode_rows(
             continue  # no line, lines that are not fast, or tails too long to compare
         # Each end is 8 * w or more bytes in: a fast line holds 8 * w - 8 or more and starts 8 or more in.
         first, inverse = _distinct_tails(data, ends[group] + pos, length)
-        heads = group[first].tolist()
         outcome = []
-        for j in heads:  # plain 0/1 cells, then the tail: csv reads the tail's label
+        for j in group[first].tolist():  # plain 0/1 cells, then the tail: csv reads the tail's label
             try:
                 row, asked, _ = _read_record(text, pos + starts[j], pos + ends[j])
             except csv.Error:
@@ -732,7 +725,6 @@ def _decode_rows(
             one_field = asked == 1 and len(row) == n_cells + 1
             outcome.append(table.setdefault(row[-1], len(table)) if one_field else _SLOW)
         line_code[group] = np.array(outcome)[inverse]
-        seen += zip(heads, outcome)
 
     joined = 0  # continuation lines before the current one
     free = 0  # first line not inside a record already read
@@ -761,23 +753,12 @@ def _decode_rows(
             if cell not in ("0", "1"):
                 raise SpecError(f"value {cell!r} is not 0 or 1", line=number)
         values[k] = [int(c) for c in row[:-1]]
-        line_code[k] = code = table.setdefault(row[-1], len(table))
-        seen.append((k, code))
+        line_code[k] = table.setdefault(row[-1], len(table))
 
-    first_line = {code: k for k, code in sorted(seen, reverse=True) if code >= 0}
-    # A tail's first line may have turned out to continue a quoted record;
-    # its code's first row, if it has one, is then found by a scan.
-    for code in {code for k, code in seen if code >= 0 and line_code[k] != code}:
-        hits = np.flatnonzero(line_code == code)
-        first_line[code] = hits[0] if len(hits) else -1
-    order = sorted((k for k in first_line if first_line[k] >= 0), key=first_line.get)
-    renumber = np.zeros(len(table), dtype=_code_dtype(len(order)))
-    renumber[order] = np.arange(len(order))
-    labels = tuple(table)
     keep = line_code >= 0
     if not keep.all():
         values, line_code = values[keep], line_code[keep]
-    return values, renumber[line_code], tuple([labels[k] for k in order]), rest, record + stop - joined
+    return values, line_code, rest, record + stop - joined
 
 
 def require_possible(dataset: Dataset, graph: CausalGraph, exempt: Iterable[str] = ()) -> None:

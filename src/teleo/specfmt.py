@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .agent import DEFAULT_P_ACT, DEFAULT_P_BASE, DEFAULT_THETA, AgentPolicy, TeleologicalModel, bind_agent
-from .errors import InvalidGraphError, PolicyError, SpecError
+from .errors import InvalidGraphError, SpecError, TeleoError
 from .graph import CausalGraph, Tagging, Variable
 
 _POLICY_KEYS = ("p_act", "p_base", "theta")
@@ -192,7 +192,9 @@ def parse_graph_spec(text: str) -> GraphSpecDocument:
                         theta=policy_params.get("theta", DEFAULT_THETA),
                         cause_modifiers=modifiers,
                     )
-                except PolicyError as exc:
+                    if not problems:  # a policy must bind: its modifiers name parents of the action
+                        bind_agent(graph, action, policy)
+                except TeleoError as exc:
                     problems.append(str(exc))
 
     for target, (lever_var, _) in sorted(levers.items()):

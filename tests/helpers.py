@@ -63,16 +63,24 @@ def twin_chains(k: int) -> CausalGraph:
     return CausalGraph.make(variables)
 
 
-def labeled_dataset(variables, values, labels) -> Dataset:
-    """Dataset from one regime label per row, its table in first-seen order."""
-    index: dict[str, int] = {}
-    codes = [index.setdefault(label, len(index)) for label in labels]
+def labeled_dataset(variables, values, labels, table=None) -> Dataset:
+    """Dataset from one regime label per row, its table ``table`` if given,
+    else the labels in first-seen order."""
+    table = tuple(dict.fromkeys(labels) if table is None else table)
+    index = {label: k for k, label in enumerate(table)}
     return Dataset(
         variables=tuple(variables),
         values=values,
-        regime_codes=np.array(codes, dtype=np.min_scalar_type(max(len(index) - 1, 0))),
-        regime_table=tuple(index),
+        regime_codes=np.array([index[label] for label in labels], dtype=np.min_scalar_type(max(len(table) - 1, 0))),
+        regime_table=table,
     )
+
+
+def sorted_table(data: Dataset) -> Dataset:
+    """The rows of ``data`` with the labels they carry as its table, sorted:
+    the table ``Dataset.from_csv`` reads from ``data.to_csv()``."""
+    labels = row_labels(data)
+    return labeled_dataset(data.variables, data.values, labels, sorted(set(labels)))
 
 
 def make_dataset(variables, rows, labels=None) -> Dataset:
@@ -98,6 +106,12 @@ def cell_summary(outcome):
         return outcome
     arrays = [(a.dtype.str, a.shape, a.tolist()) for a in vars(outcome.cells).values()]
     return outcome.variables, outcome.regime_table, outcome.n_rows, arrays
+
+
+def rows_of(data: Dataset):
+    """A dataset of rows by what it holds: its variables, and each row's
+    values and label, in row order."""
+    return data.variables, data.values.tolist(), row_labels(data)
 
 
 def row_labels(data: Dataset) -> tuple[str, ...]:

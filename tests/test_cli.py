@@ -34,7 +34,7 @@ from teleo import (
 from teleo import cli
 from teleo.cli import run_command
 
-from .helpers import cell_summary, joined, lever_chain, make_dataset, twin_chains
+from .helpers import cell_summary, joined, lever_chain, make_dataset, sorted_table, twin_chains
 
 DEMO_SPORT_SPEC = Path(__file__).resolve().parents[1] / "demos" / "sport.spec"
 
@@ -169,6 +169,27 @@ class TestExitCodes:
         assert run_command(["infer", "--graph", str(spec), "--data", str(data)]) == 1
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("parent", ["enroll", "ghost"])
+    def test_modifier_off_the_action_fails_every_command(self, sport_spec_path, parent, tmp_path, capsys):
+        # validate reports what simulate and every other command refuse.
+        spec = tmp_path / "modifier.spec"
+        spec.write_text(sport_spec_path.read_text() + f"modifier {parent} 1 0.5\n")
+        violation = f"modifier names {parent!r}, which is not a parent of 'practice'"
+        code, report = machine(capsys, ["validate", "--graph", str(spec)])
+        assert code == 1 and report.sections["validation"]["violations"] == [violation]
+        data = tmp_path / "data.csv"
+        assert run_command(["simulate", "--graph", str(sport_spec_path), "--seed", "1", "--n", "20", "--out", str(data)]) == 0
+        for command, *args in (
+            ["classify"],
+            ["plan"],
+            ["simulate", "--seed", "1", "--n", "20", "--out", str(tmp_path / "bad.csv")],
+            ["experiment", "--seed", "1", "--n", "20"],
+            ["analyze", "--data", str(data)],
+            ["infer", "--data", str(data)],
+        ):
+            assert run_command([command, "--graph", str(spec), *args]) == 1, command
+            assert capsys.readouterr().err == f"error: invalid graph: {violation}\n"
+
     @pytest.mark.parametrize("name", ["l=x", "l;x"])
     def test_names_with_label_separators_fail_validation(self, tmp_path, name, capsys):
         spec = tmp_path / "separator.spec"
@@ -243,7 +264,7 @@ class TestSimulate:
         first = out.read_text()
         data = Dataset.from_csv(first)
         assert data.n_rows == 4 * 50
-        assert data.regime_table == ("natural", "enroll=0", "protein_diet=0", "smoke=1")
+        assert data.regime_table == ("enroll=0", "natural", "protein_diet=0", "smoke=1")
         tally = data.tally(())
         assert tally.codes.tolist() == [0, 1, 2, 3] and tally.counts.tolist() == [50] * 4
         assert run_command(argv) == 0
@@ -705,8 +726,9 @@ class TestAnalyzeAndInfer:
         path = tmp_path / "data.csv"
         path.write_bytes(b'a,regime\r\n0,"x\r\ny"\r\n1,"lone\rcr"\r\n0,"x\ny"\n')
         data = Dataset.from_csv(cli._read(str(path)))
-        assert data.regime_table == ("x\ny", "lone\ncr")
-        assert cell_summary(data) == cell_summary(make_dataset(["a"], [(0,), (1,), (0,)], ["x\ny", "lone\ncr", "x\ny"]))
+        assert data.regime_table == ("lone\ncr", "x\ny")
+        rows = make_dataset(["a"], [(0,), (1,), (0,)], ["x\ny", "lone\ncr", "x\ny"])
+        assert cell_summary(data) == cell_summary(sorted_table(rows))
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -840,8 +862,8 @@ class TestAnalyzeAndInfer:
         path.write_bytes('a,regime\n0,"é, ✓"\n1,natural\n1,"é, ✓"\n'.encode("utf-8"))
         data = Dataset.from_csv(cli._read(str(path)))
         rows = make_dataset(["a"], [(0,), (1,), (1,)], ["é, ✓", "natural", "é, ✓"])
-        assert data.regime_table == ("é, ✓", "natural")
-        assert cell_summary(data) == cell_summary(rows)
+        assert data.regime_table == ("natural", "é, ✓")
+        assert cell_summary(data) == cell_summary(sorted_table(rows))
         assert rows.to_csv().encode("utf-8") == path.read_bytes()
 
     def test_header_without_rows(self, sport_spec_path, tmp_path, capsys):

@@ -47,6 +47,8 @@ from .helpers import (
     make_dataset,
     row_count,
     row_labels,
+    rows_of,
+    sorted_table,
     twin_chains,
 )
 
@@ -291,8 +293,8 @@ class TestSampling:
         g = education_salary()
         a = sample(g, 200, 42)
         b = sample(g, 200, 42)
-        assert a == b
-        assert sample(g, 200, 43) != a
+        assert rows_of(a) == rows_of(b)
+        assert rows_of(sample(g, 200, 43)) != rows_of(a)
 
     def test_regime_label_applied(self):
         data = sample(stove_water(), 5, 1, regime_label="water=0")
@@ -375,7 +377,7 @@ def test_observational_sample_matches_the_reference(graph_seed, n, seed, data):
     got = sample_observational(graphs, selector, probs, n, seed)
     with mock.patch.object(engine, "_sample_columns", reference_sample_columns):
         expected = sample_observational(graphs, selector, probs, n, seed)
-    assert got == expected
+    assert rows_of(got) == rows_of(expected)
 
 
 class TestDatasetCsv:
@@ -452,14 +454,22 @@ class TestDatasetCsv:
             make_dataset(["practice", "be_fit", "practice"], [(1, 0, 0)])
 
 
+def reference_records(data: Dataset) -> list[str]:
+    """The header and each row as ``csv.writer`` writes it, one record
+    each: a quoted label may hold line ends."""
+    rows = [list(data.variables) + ["regime"]]
+    rows += [[*map(str, values), label] for values, label in zip(data.values.tolist(), row_labels(data))]
+    records = []
+    for row in rows:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow(row)
+        records.append(buf.getvalue())
+    return records
+
+
 def reference_to_csv(data: Dataset) -> str:
     """Per-row ``csv.writer`` encoding: the bytes ``to_csv`` must produce."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(list(data.variables) + ["regime"])
-    for row, label in zip(data.values, row_labels(data)):
-        writer.writerow([str(int(v)) for v in row] + [label])
-    return buf.getvalue()
+    return "".join(reference_records(data))
 
 
 def csv_records(text: str):
@@ -477,7 +487,8 @@ def csv_records(text: str):
 
 
 def reference_from_csv(text: str) -> Dataset:
-    """Per-row ``csv`` parse: the reader contract ``from_csv`` must keep."""
+    """Per-row ``csv`` parse: the reader contract ``from_csv`` must keep,
+    the labels of the rows as its table, sorted."""
     records = csv_records(text)
     try:
         _, header = next(records)
@@ -498,7 +509,7 @@ def reference_from_csv(text: str) -> Dataset:
         rows.append([int(c) for c in row[:-1]])
         labels.append(row[-1])
     values = np.array(rows, dtype=np.int8).reshape(len(rows), len(header) - 1)
-    return labeled_dataset(header[:-1], values, labels)
+    return labeled_dataset(header[:-1], values, labels, sorted(set(labels)))
 
 
 def parse_outcome(parse, text):
@@ -586,7 +597,7 @@ class TestCsvCodecProperties:
     def test_to_csv_matches_reference_and_round_trips(self, data):
         text = data.to_csv()
         assert text == reference_to_csv(data)
-        assert read_outcome(text) == read_outcome(text.encode("utf-8")) == cell_summary(data)
+        assert read_outcome(text) == read_outcome(text.encode("utf-8")) == cell_summary(sorted_table(data))
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -607,7 +618,7 @@ class TestCsvCodecProperties:
     @example(data=labeled_dataset([], np.zeros((0, 0), dtype=np.int8), []), cuts=[])
     def test_blocks_at_any_offsets_round_trip(self, data, cuts):
         raw = data.to_csv().encode("utf-8")
-        expected = cell_summary(data)
+        expected = cell_summary(sorted_table(data))
         assert read_outcome(raw) == expected
         for outcome in in_blocks(raw, cuts):
             assert outcome == expected
@@ -629,6 +640,17 @@ class TestCsvCodecProperties:
         assert one == cell_summary(parse_outcome(reference_from_csv, text))
         for outcome in in_blocks(raw, cuts):
             assert outcome == one
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=datasets(wide=True), order=st.data(), cuts=st.lists(st.integers(0, 5000), max_size=8))
+    def test_records_in_any_order_and_blocks_read_alike(self, data, order, cuts):
+        # Records move whole, so a quoted label's lines stay together.
+        header, *records = reference_records(data)
+        shuffled = order.draw(st.permutations(records), label="shuffled")
+        expected = read_outcome(data.to_csv().encode("utf-8"))
+        assert expected[:2] == (data.variables, tuple(sorted(set(row_labels(data)))))
+        raw = "".join([header, *shuffled]).encode("utf-8")
+        assert read_outcome(raw) == read_outcome(split(raw, cuts)) == expected
 
     @pytest.mark.parametrize("text", ["", "\n", "a,regime\n", "a,b,regime\r\n\r\n", "a,b\n0,1\n"])
     def test_cells_alone_of_no_rows(self, text):
@@ -679,12 +701,12 @@ class TestCsvCodecProperties:
         rows = np.arange(900) % 2
         data = labeled_dataset(["a"], rows.reshape(-1, 1), labels[::-1] + labels * 2)
         read = Dataset.from_csv(data.to_csv())
-        assert cell_summary(read) == cell_summary(data) and read.regime_table == tuple(labels[::-1])
+        assert cell_summary(read) == cell_summary(sorted_table(data)) and read.regime_table == tuple(sorted(labels))
         assert read.cells.codes.dtype == np.uint16
-        # Read in blocks, the first codes fit 8 bits and the merged ones 16.
+        # Read in blocks, the table grows block by block.
         raw = data.to_csv().encode("utf-8")
         for blocks in (raw, split(raw, range(0, len(raw), 97))):
-            assert read_outcome(blocks) == cell_summary(data)
+            assert read_outcome(blocks) == cell_summary(sorted_table(data))
 
     def test_cells_alone_are_merged_in_batches(self, monkeypatch):
         # 2,000 distinct rows of 30 variables in about 650 blocks of three
@@ -812,18 +834,18 @@ class TestBlocks:
     def test_utf8_character_split_across_blocks(self, tmp_path, monkeypatch):
         raw = "a,regime\n0,é✓\n1,natural\n0,é✓\n".encode("utf-8")
         (data, *_) = self.read(raw, tmp_path, monkeypatch)
-        assert data.regime_table == ("é✓", "natural")
+        assert data.regime_table == ("natural", "é✓")
 
     @pytest.mark.parametrize(
         "raw, outcome",
         [
-            (b'a,regime\r\n0,"x\r\ny"\r\n1,y\r\n\r\n0,x\r1,"y\r\nz"\r', ("x\ny", "y", "x", "y\nz")),
+            (b'a,regime\r\n0,"x\r\ny"\r\n1,y\r\n\r\n0,x\r1,"y\r\nz"\r', ("x", "x\ny", "y", "y\nz")),
             (b"a,regime\r\n0,x\r\n1,y\r\n2,x\r\n", (SpecError, "line 4: value '2' is not 0 or 1")),
         ],
     )
     def test_cr_ending_a_block_pairs_with_the_next_lf(self, raw, outcome, tmp_path, monkeypatch):
         # Read as two line ends, a split "\r\n" would add a line to a label or a record.
-        # Every label is distinct, so the table lists them in row order.
+        # Every label is distinct, so the table lists the row labels, sorted.
         for read in self.read(raw, tmp_path, monkeypatch):
             assert (read.regime_table if isinstance(read, Dataset) else read) == outcome
 
@@ -833,10 +855,10 @@ class TestBlocks:
         assert data.regime_table == ("x\n1,y\n\n0,", "z")
         assert data.tally(()).counts.tolist() == [2, 1]
 
-    def test_labels_in_first_seen_order_across_blocks(self, tmp_path, monkeypatch):
+    def test_labels_sorted_across_blocks(self, tmp_path, monkeypatch):
         raw = b"a,regime\n0,y=1\n1,y=1\n0,x=1\n1,y=1\n" + b"0,z\n" * 5 + b"1,x=1\n0,w\n"
         for data in self.read(raw, tmp_path, monkeypatch):
-            assert data.regime_table == ("y=1", "x=1", "z", "w")
+            assert data.regime_table == ("w", "x=1", "y=1", "z")
 
     @pytest.mark.parametrize(
         "raw, message",
@@ -891,13 +913,13 @@ class TestDatasetOps:
 
     def test_lookups_outside_the_data(self):
         data = make_dataset(["a"], [(0,), (1,)])
-        assert data.__eq__(3) is NotImplemented and (data == 3) is False
         with pytest.raises(UnknownVariableError, match=r"^unknown column 'ghost'$"):
             data.column("ghost")
         with pytest.raises(UnknownVariableError, match=r"^unknown column 'ghost'$"):
             data.tally(["a", "ghost"])
-        # A label outside the table gets no arm.
-        arms = [(arm.regime.label(), arm.n, arm.acts) for arm in arms_from_dataset(data, "a")]
+        # A label no row carries gets no arm.
+        unused = Dataset(("a",), data.values, data.regime_codes, ("natural", "unused"))
+        arms = [(arm.regime.label(), arm.n, arm.acts) for arm in arms_from_dataset(unused, "a")]
         assert arms == [("natural", row_count(data, "natural", {}), row_count(data, "natural", {"a": 1}))]
         with pytest.raises(ValueError, match="^n must be >= 0$"):
             sample(stove_water(), -1, 0)
@@ -911,30 +933,13 @@ class TestDatasetOps:
         assert _cell_counts(kept) == {(1, (1,)): 1} == _cell_reference(data, labels=["x=1"])
         assert data.filter_regimes([]).n_rows == 0
 
-    def test_equality_ignores_table_order(self):
-        data = make_dataset(["a"], [(0,), (1,), (0,)], ["x=1", "natural", "x=1"])
-        same = Dataset(
-            variables=("a",),
-            values=data.values,
-            regime_codes=np.array([1, 0, 1], dtype=np.uint8),
-            regime_table=("natural", "x=1", "unused"),
-        )
-        assert same == data and data == same
-        assert row_labels(same) == row_labels(data)
-        # "unused" carries no row, so it gets no arm; the others count their rows.
-        arms = [(arm.regime.label(), arm.n, arm.acts) for arm in arms_from_dataset(same, "a")]
-        assert arms == [
-            (label, row_count(same, label, {}), row_count(same, label, {"a": 1})) for label in ("natural", "x=1")
-        ]
-        assert make_dataset(["a"], [(0,)], ["x=1"]) != make_dataset(["a"], [(0,)], ["natural"])
-
-    def test_regimes_present_preserves_first_seen_order(self):
+    def test_regimes_present_are_sorted(self):
         data = make_dataset(["a"], [(0,), (1,), (0,)], ["z=1", "natural", "z=1"])
         read = Dataset.from_csv(data.to_csv())
-        assert read.regime_table == ("z=1", "natural")
+        assert read.regime_table == ("natural", "z=1")
         tally = read.tally(())
         assert [(read.regime_table[code], n) for code, n in zip(tally.codes.tolist(), tally.counts.tolist())] == [
-            (label, row_count(data, label, {})) for label in ("z=1", "natural")
+            (label, row_count(data, label, {})) for label in ("natural", "z=1")
         ]
 
     def test_arrays_are_read_only(self):
@@ -949,7 +954,7 @@ class TestDatasetOps:
         data = make_dataset(["a", "b"], [(0, 1), (1, 1), (0, 1)], ["natural", "x=1", "natural"])
         data.cells
         for twin in (copy.deepcopy(data), pickle.loads(pickle.dumps(data))):
-            assert twin == data and "cells" not in vars(twin)
+            assert rows_of(twin) == rows_of(data) and "cells" not in vars(twin)
             for array in (twin.values, twin.regime_codes):
                 with pytest.raises(ValueError, match="read-only"):
                     array[0] = 0
@@ -974,9 +979,6 @@ class TestDatasetOps:
         calls = [
             ("Dataset.column", lambda: alone.column("a")),
             ("Dataset.to_csv", alone.to_csv),
-            ("Dataset ==", lambda: alone == alone),
-            ("Dataset ==", lambda: data == kept),
-            ("Dataset ==", lambda: alone != data),
         ]
         for name, call in calls:
             with pytest.raises(TypeError, match=f"^{name} needs the rows of a dataset, and this one holds only its cells$"):
@@ -1302,7 +1304,7 @@ class TestObservationalSampling:
         probs = {0: {"natural": 0.5, "water=0": 0.5}, 1: {"natural": 0.5, "water=0": 0.5}}
         a = sample_observational(graphs, "stove", probs, 500, 3)
         b = sample_observational(graphs, "stove", probs, 500, 3)
-        assert a == b
+        assert rows_of(a) == rows_of(b)
 
     def test_selector_must_be_root(self):
         g = education_salary()

@@ -251,8 +251,9 @@ class TestCollectedViolations:
                 SMALL_DOC.replace("intend water", "intend ghost"),
                 "intended effect 'ghost' is not a declared variable",
             ),
+            (SMALL_DOC + "modifier ghost 1 0.5\n", "modifier names 'ghost', which is not a parent of 'stove'"),
         ],
-        ids=["lever", "intend"],
+        ids=["lever", "intend", "modifier"],
     )
     def test_undeclared_names_fail_validation(self, text, violation, tmp_path, capsys):
         assert self.collect(text) == [violation]
