@@ -61,7 +61,6 @@ from .inference import (
     hypothesis_label,
     identify,
     oracle_identify,
-    predicted_rates,
     score_arms,
     sensitivity,
 )
@@ -148,7 +147,6 @@ __all__ = [
     "parse_graph_spec",
     "parse_machine_report",
     "plan",
-    "predicted_rates",
     "query",
     "require_possible",
     "run_battery",

@@ -53,6 +53,7 @@ def classify_effects(graph: CausalGraph, action: str, hypothesized: str) -> Effe
     the hypothesized effect; parallel otherwise.
     """
     graph.require_valid()
+    graph.variable(hypothesized)
     effects = graph.descendants(action)
     if hypothesized not in effects:
         raise HypothesisError(
@@ -85,7 +86,7 @@ def confounding_causes(graph: CausalGraph, action: str, effect: str) -> set[str]
 def justifying_paths(
     graph: CausalGraph, classification: EffectClassification, name: str
 ) -> list[list[str]]:
-    """Paths that witness a variable's class, for report output.
+    """Paths that witness a variable's class.
 
     mediating: the action-to-hypothesized paths through it; further: paths
     from the hypothesized effect to it; parallel: action-to-it paths;

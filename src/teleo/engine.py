@@ -382,7 +382,8 @@ class Dataset:
     holds distinct labels (sorted when read from CSV), the codes are an
     unsigned integer array.  Both arrays are kept as read-only views, so
     :attr:`cells`, built once on first use, cannot go stale.  Every count an
-    analysis takes is read from :meth:`tally`.  A variable named twice
+    analysis of read data takes is read from :meth:`tally`; the randomized
+    battery counts the columns it samples.  A variable named twice
     raises ``DataError``.  :meth:`from_csv` and :meth:`filter_regimes` give
     a dataset of its cells alone: both arrays are None, and ``column`` and
     ``to_csv`` raise."""

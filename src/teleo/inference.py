@@ -199,22 +199,6 @@ def _rate_table(
     return table
 
 
-def predicted_rates(
-    graph: CausalGraph,
-    action: str,
-    policy: AgentPolicy,
-    hypothesis: Hypothesis,
-    regimes: Iterable[Regime],
-) -> list[float]:
-    """Exact action rate a ``hypothesis``-driven agent would show under each
-    regime."""
-    regimes = list(regimes)
-    model = _scoring_model(graph, action, policy, [hypothesis])
-    (mask,), fails = _servable_masks(model, [hypothesis], regimes)
-    rows = _rate_table(model, regimes, [mask], fails)
-    return [row[not mask & fail] for row, fail in zip(rows, fails)]
-
-
 def score_arms(
     arms: Sequence[ArmCounts],
     graph: CausalGraph,
@@ -270,13 +254,27 @@ def score_arms(
 
 @dataclass(frozen=True)
 class Identification:
-    """The aggregate verdict: a unique intention set, a candidate set the
-    data cannot split, or nothing fits at all."""
+    """The aggregate verdict, read off the scores: a unique intention set,
+    candidates the data cannot split (those not refuted, in score order, the
+    first best-scoring one ``top``), or nothing fits at all."""
 
-    verdict: str  # unique | candidates | indeterminate
-    top: Hypothesis | None
-    candidates: tuple[Hypothesis, ...]
     scores: tuple[HypothesisScore, ...]
+
+    @property
+    def candidates(self) -> tuple[Hypothesis, ...]:
+        return tuple(s.hypothesis for s in self.scores if s.verdict != VERDICT_REFUTED)
+
+    @property
+    def top(self) -> Hypothesis | None:
+        surviving = [s for s in self.scores if s.verdict != VERDICT_REFUTED]
+        return max(surviving, key=lambda s: s.log_likelihood).hypothesis if surviving else None
+
+    @property
+    def verdict(self) -> str:
+        candidates = self.candidates
+        if not candidates:
+            return IDENT_INDETERMINATE
+        return IDENT_UNIQUE if len(candidates) == 1 else IDENT_CANDIDATES
 
 
 def identify(scores: Sequence[HypothesisScore]) -> Identification:
@@ -284,24 +282,16 @@ def identify(scores: Sequence[HypothesisScore]) -> Identification:
     scores = tuple(scores)
     if not scores:
         raise HypothesisError("cannot identify from an empty score list")
-    surviving = [s for s in scores if s.verdict != VERDICT_REFUTED]
-    if not surviving:
-        return Identification(IDENT_INDETERMINATE, None, (), scores)
-    top = max(surviving, key=lambda s: s.log_likelihood)
-    if len(surviving) == 1:
-        return Identification(IDENT_UNIQUE, top.hypothesis, (top.hypothesis,), scores)
-    return Identification(
-        IDENT_CANDIDATES,
-        top.hypothesis,
-        tuple(s.hypothesis for s in surviving),
-        scores,
-    )
+    return Identification(scores)
 
 
 class OracleOutcome(NamedTuple):
     truth: Hypothesis
     identification: Identification
-    agreement: bool
+
+    @property
+    def agreement(self) -> bool:
+        return self.identification.verdict == IDENT_UNIQUE and self.identification.top == self.truth
 
 
 def oracle_identify(
@@ -326,9 +316,7 @@ def oracle_identify(
     size = max_size if max_size is not None else len(truth)
     hypotheses = enumerate_hypotheses(graph, action, max_size=size)
     scores = score_arms(arms, graph, action, true_policy, hypotheses=hypotheses)
-    ident = identify(scores)
-    agreement = ident.verdict == IDENT_UNIQUE and ident.top == truth
-    return OracleOutcome(truth, ident, agreement)
+    return OracleOutcome(truth, identify(scores))
 
 
 def sensitivity(

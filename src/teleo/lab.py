@@ -44,19 +44,23 @@ class InterferenceExperiment:
     """One planned interference: clamp ``lever`` to neutralize ``target``.
 
     ``expected_pattern`` is the treated-arm observation pattern the
-    intention hypothesis predicts: present for parallel/further experiments
-    (the agent keeps acting, the target stays off), absent for the
-    hypothesized-itself experiment (the agent should stop acting).
+    intention hypothesis predicts; the rationale sets ``pattern_mode``:
+    must-observe for parallel/further experiments (the agent keeps acting,
+    the target stays off), must-not-observe for the hypothesized-itself
+    experiment (the agent should stop acting).
     """
 
     target: str
     lever: tuple[str, int]
     rationale: str
     expected_pattern: Mapping[str, int]
-    pattern_mode: str
 
     def regime(self) -> Regime:
         return Regime({self.lever[0]: self.lever[1]})
+
+    @property
+    def pattern_mode(self) -> str:
+        return MODE_MUST_NOT_OBSERVE if self.rationale == RATIONALE_HYPOTHESIZED else MODE_MUST_OBSERVE
 
     @property
     def label(self) -> str:
@@ -142,14 +146,12 @@ def plan(
             if lever[0] in mediators or lever[0] == classification.action:
                 skipped.append((target, f"lever {lever[0]!r} would clamp a mediator or the action"))
                 continue
-            mode = MODE_MUST_NOT_OBSERVE if rationale == RATIONALE_HYPOTHESIZED else MODE_MUST_OBSERVE
             experiments.append(
                 InterferenceExperiment(
                     target=target,
                     lever=lever,
                     rationale=rationale,
                     expected_pattern=pattern_for(target, lever, rationale),
-                    pattern_mode=mode,
                 )
             )
 
@@ -249,13 +251,10 @@ def expected_pattern_check(
     ``n`` treated rows.  A must-observe pattern needs ``MIN_SUPPORT`` rows;
     a must-not-observe pattern may occur as often as an agent with base
     rate ``p_base`` allows (:func:`base_rate_violation_budget`), so at 0
-    not at all.  Any other mode raises ``ValueError``."""
-    mode = experiment.pattern_mode
-    if mode == MODE_MUST_OBSERVE:
+    not at all."""
+    if experiment.pattern_mode == MODE_MUST_OBSERVE:
         return count, count >= MIN_SUPPORT
-    if mode == MODE_MUST_NOT_OBSERVE:
-        return count, count <= base_rate_violation_budget(p_base, n)
-    raise ValueError(f"unknown mode {mode!r}")
+    return count, count <= base_rate_violation_budget(p_base, n)
 
 
 def base_rate_violation_budget(p_base: float, n: int) -> int:

@@ -22,7 +22,7 @@ from typing import Iterable
 
 from .effects import EffectClassification, confounding_causes
 from .engine import NATURAL_LABEL, Dataset
-from .errors import TeleoError
+from .errors import DataError, TeleoError
 from .graph import CausalGraph
 from .lab import DEFAULT_ALPHA, Battery, InterferenceExperiment, expected_pattern_check
 
@@ -92,24 +92,29 @@ def stratified_action_comparison(
     reported but excluded from pooling.  Every stratum's four counts are
     summed from one ``dataset.tally((action, *adjustment))``, so output is
     invariant to row order.
+
+    An adjustment set that names the action or a variable twice, or a
+    column the data lack, raises ``TeleoError``; only then do data it cannot
+    compare (other than two regimes, or no stratum with both arms at
+    ``MIN_CELL``) raise ``DataError``.
     """
     adjustment = tuple(adjustment)
     if action in adjustment:
         raise TeleoError("adjustment variables must not include the action")
     if len(set(adjustment)) != len(adjustment):
         raise TeleoError(f"adjustment variables must be distinct, got {list(adjustment)}")
-    labels = sorted(dataset.regime_table[code] for code in dataset.tally(()).codes.tolist())
+    tally = dataset.tally((action, *adjustment))
+    labels = sorted({dataset.regime_table[code] for code in tally.codes.tolist()})
     if len(labels) < 2:
-        raise TeleoError(f"need 2 regimes to compare, found {labels}")
+        raise DataError(f"need 2 regimes to compare, found {labels}")
     if len(labels) > 2:
-        raise TeleoError(f"need exactly 2 regimes to compare, found {labels}")
+        raise DataError(f"need exactly 2 regimes to compare, found {labels}")
     if NATURAL_LABEL in labels:
         control_label = NATURAL_LABEL
         treated_label = next(l for l in labels if l != NATURAL_LABEL)
     else:
         control_label, treated_label = labels
 
-    tally = dataset.tally((action, *adjustment))
     by_stratum: dict[tuple[int, ...], list[int]] = {}  # [n_t, k_t, n_c, k_c]
     for code, row, k in zip(tally.codes.tolist(), tally.rows.tolist(), tally.counts.tolist()):
         arm = 2 * (dataset.regime_table[code] == control_label)
@@ -144,7 +149,7 @@ def stratified_action_comparison(
 
     usable = [s for s in strata if s.included]
     if not usable:
-        raise TeleoError("no stratum has both arms populated above the minimum cell size")
+        raise DataError("no stratum has both arms populated above the minimum cell size")
     inv_total = sum(1.0 / s.variance for s in usable)
     weighted = [
         replace(s, weight=(1.0 / s.variance) / inv_total if s.included else 0.0) for s in strata
@@ -168,14 +173,17 @@ def stratified_action_comparison(
 class ObservationalResult:
     """One experiment's observational analysis: the stratified comparison,
     the pattern verdict on the treated-regime rows, and a change verdict
-    from the pooled test."""
+    from the pooled test; all None, and status "no-data", without data."""
 
     experiment: InterferenceExperiment
-    status: str  # ok | no-data
-    comparison: StratifiedComparison | None
-    verdict: str | None  # change | no-change, when status == ok
-    pattern_count: int | None
-    pattern_passed: bool | None
+    comparison: StratifiedComparison | None = None
+    verdict: str | None = None  # change | no-change
+    pattern_count: int | None = None
+    pattern_passed: bool | None = None
+
+    @property
+    def status(self) -> str:
+        return "no-data" if self.comparison is None else "ok"
 
 
 def observational_battery(
@@ -190,32 +198,23 @@ def observational_battery(
     """Analyze every planned experiment against mixed-regime data.
 
     Each experiment compares the natural rows with its lever-regime rows.
-    Experiments whose regime never occurs in the data are marked "no-data"
-    and the battery continues.  Any analysis whose adjustment set misses a
-    confounding cause of (action, target) in ``graph`` is flagged
-    potentially-confounded.  The treated rows' pattern is judged as in the
-    randomized battery, with the agent's base rate ``p_base`` (0 when no
-    policy is known).
+    An experiment the comparison raises ``DataError`` for is marked
+    "no-data" and the battery continues; an argument error raises.  Any
+    analysis whose adjustment set misses a confounding cause of (action,
+    target) in ``graph`` is flagged potentially-confounded.  The treated
+    rows' pattern is judged as in the randomized battery, with the agent's
+    base rate ``p_base`` (0 when no policy is known).
     """
     adjustment = tuple(adjustment)
     action = classification.action
-    present = {dataset.regime_table[code] for code in dataset.tally(()).codes.tolist()}
     results = []
     for experiment in plan.experiments:
-        if experiment.label not in present or NATURAL_LABEL not in present:
-            results.append(
-                ObservationalResult(
-                    experiment=experiment,
-                    status="no-data",
-                    comparison=None,
-                    verdict=None,
-                    pattern_count=None,
-                    pattern_passed=None,
-                )
-            )
-            continue
         pair = dataset.filter_regimes([NATURAL_LABEL, experiment.label])
-        comparison = stratified_action_comparison(pair, action, adjustment=adjustment)
+        try:
+            comparison = stratified_action_comparison(pair, action, adjustment=adjustment)
+        except DataError:
+            results.append(ObservationalResult(experiment))
+            continue
         if not confounding_causes(graph, action, experiment.target) <= set(adjustment):
             comparison = replace(comparison, flags=comparison.flags + (FLAG_CONFOUNDED,))
         tally = pair.tally(experiment.expected_pattern)
@@ -229,7 +228,6 @@ def observational_battery(
         results.append(
             ObservationalResult(
                 experiment=experiment,
-                status="ok",
                 comparison=comparison,
                 verdict=verdict,
                 pattern_count=count,

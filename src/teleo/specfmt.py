@@ -53,9 +53,8 @@ class GraphSpecDocument:
 
 
 class _VariableBuilder:
-    def __init__(self, name: str, line: int):
+    def __init__(self, name: str):
         self.name = name
-        self.line = line
         self.parents: tuple[str, ...] | None = None
         self.rows: dict[tuple[int, ...], float] = {}
 
@@ -85,7 +84,6 @@ def parse_graph_spec(text: str) -> GraphSpecDocument:
     policy_params: dict[str, float] = {}
     modifiers: dict[tuple[str, int], float] = {}
     levers: dict[str, tuple[str, int]] = {}
-    tagging_seen = False
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -97,7 +95,7 @@ def parse_graph_spec(text: str) -> GraphSpecDocument:
         if keyword == "var":
             if len(args) != 1:
                 raise SpecError("var takes exactly one name", line=lineno)
-            current = _VariableBuilder(args[0], lineno)
+            current = _VariableBuilder(args[0])
             variables.append(current)
         elif keyword == "parents":
             if current is None:
@@ -132,7 +130,6 @@ def parse_graph_spec(text: str) -> GraphSpecDocument:
             if action is not None:
                 raise SpecError("action declared twice", line=lineno)
             action = args[0]
-            tagging_seen = True
         elif keyword == "intend":
             if len(args) not in (1, 2):
                 raise SpecError("intend takes a name and an optional target", line=lineno)
@@ -140,7 +137,6 @@ def parse_graph_spec(text: str) -> GraphSpecDocument:
             if args[0] in intentions:
                 raise SpecError(f"intend {args[0]!r} declared twice", line=lineno)
             intentions[args[0]] = target
-            tagging_seen = True
         elif keyword == "policy":
             if len(args) != 2 or args[0] not in _POLICY_KEYS:
                 raise SpecError(
@@ -149,7 +145,6 @@ def parse_graph_spec(text: str) -> GraphSpecDocument:
             if args[0] in policy_params:
                 raise SpecError(f"policy {args[0]} declared twice", line=lineno)
             policy_params[args[0]] = _parse_prob(args[1], lineno)
-            tagging_seen = True
         elif keyword == "modifier":
             if len(args) != 3:
                 raise SpecError("modifier takes parent, value, factor", line=lineno)
@@ -157,7 +152,6 @@ def parse_graph_spec(text: str) -> GraphSpecDocument:
             if key in modifiers:
                 raise SpecError(f"modifier for {args[0]}={args[1]} declared twice", line=lineno)
             modifiers[key] = _parse_prob(args[2], lineno)
-            tagging_seen = True
         elif keyword == "lever":
             if len(args) != 3:
                 raise SpecError("lever takes target, lever variable, value", line=lineno)
@@ -174,28 +168,28 @@ def parse_graph_spec(text: str) -> GraphSpecDocument:
 
     tagging = None
     policy = None
-    if tagging_seen and action is None:
+    tagged = intentions or policy_params or modifiers
+    if tagged and action is None:
         problems.append("tagging block has no action line")
     if action is not None:
         tagging = Tagging.make(action, intentions.items())
         if not problems:
             problems.extend(tagging.validate(graph))
-        if policy_params or modifiers or intentions:
-            if not intentions:
-                problems.append("policy parameters require at least one intend line")
-            else:
-                try:
-                    policy = AgentPolicy.make(
-                        intentions.items(),
-                        p_act=policy_params.get("p_act", DEFAULT_P_ACT),
-                        p_base=policy_params.get("p_base", DEFAULT_P_BASE),
-                        theta=policy_params.get("theta", DEFAULT_THETA),
-                        cause_modifiers=modifiers,
-                    )
-                    if not problems:  # a policy must bind: its modifiers name parents of the action
-                        bind_agent(graph, action, policy)
-                except TeleoError as exc:
-                    problems.append(str(exc))
+        if intentions:
+            try:
+                policy = AgentPolicy.make(
+                    intentions.items(),
+                    p_act=policy_params.get("p_act", DEFAULT_P_ACT),
+                    p_base=policy_params.get("p_base", DEFAULT_P_BASE),
+                    theta=policy_params.get("theta", DEFAULT_THETA),
+                    cause_modifiers=modifiers,
+                )
+                if not problems:  # a policy must bind: its modifiers name parents of the action
+                    bind_agent(graph, action, policy)
+            except TeleoError as exc:
+                problems.append(str(exc))
+        elif tagged:
+            problems.append("policy parameters require at least one intend line")
 
     for target, (lever_var, _) in sorted(levers.items()):
         if target not in graph.names:
@@ -213,7 +207,11 @@ def parse_graph_spec(text: str) -> GraphSpecDocument:
 
 def serialize_graph_spec(doc: GraphSpecDocument) -> str:
     """Canonical text for a document; parse -> serialize -> parse is
-    the identity on variables, parents, CPT values, tagging, and levers."""
+    the identity on variables, parents, CPT values, tagging, and levers.
+    A name with whitespace or "#", which no line carries, is a ``SpecError``."""
+    for name in doc.graph.names:
+        if "#" in name or any(c.isspace() for c in name):
+            raise SpecError(f"variable name {name!r} holds whitespace or '#' and cannot be written")
     lines: list[str] = []
     for var in doc.graph.variables:
         lines.append(f"var {var.name}")

@@ -24,7 +24,6 @@ from teleo import (
     mutilate,
     oracle_identify,
     plan,
-    predicted_rates,
     run_randomized,
     sample,
     sample_observational,
@@ -114,7 +113,7 @@ def test_criterion_2_table_patterns(sport_doc):
 def test_criterion_3_fundamental_problem(sport_doc):
     g, policy = sport_doc.graph, sport_doc.policy
     natural_rates = {
-        predicted_rates(g, "practice", policy, frozenset({(name, 1)}), [Regime()])[0]
+        bind_agent(g, "practice", policy.with_intentions({(name, 1)})).action_rate(Regime())
         for name in SINGLETONS
     }
     model = sport_doc.bind()

@@ -221,6 +221,13 @@ class TestClassify:
         assert section["further"] == ["live_longer"]
         assert section["parallel"] == ["win_medals"]
 
+    def test_undeclared_hypothesis_is_unknown(self, sport_spec_path, capsys):
+        argv = ["classify", "--graph", str(sport_spec_path), "--hypothesis"]
+        assert run_command([*argv, "nope"]) == 1
+        assert capsys.readouterr().err == "error: unknown variable 'nope'\n"
+        assert run_command([*argv, "enroll"]) == 1
+        assert capsys.readouterr().err == "error: 'enroll' is not a strict descendant of action 'practice'\n"
+
     def test_hypothesis_override(self, sport_spec_path, capsys):
         code, report = machine(
             capsys,
@@ -689,6 +696,56 @@ class TestAnalyzeAndInfer:
         argv = ["analyze", "--graph", str(sport_spec_path), "--data", str(data_csv)]
         assert run_command([*argv, "--adjust", "smoke,smoke"]) == 1
         assert capsys.readouterr().err.startswith("error: adjustment variables must be distinct")
+
+    @staticmethod
+    def _rows_kept(data_csv, out, keep) -> str:
+        """Write to ``out`` the header of ``data_csv`` and its rows for
+        which ``keep(label, seen)`` holds, ``seen`` counting the earlier
+        rows of that label, and return the path."""
+        header, *rows = data_csv.read_text().splitlines(keepends=True)
+        seen: dict[str, int] = {}
+        kept = []
+        for row in rows:
+            label = row.rstrip("\n").rsplit(",", 1)[1]
+            if keep(label, seen.get(label, 0)):
+                kept.append(row)
+            seen[label] = seen.get(label, 0) + 1
+        out.write_text(header + "".join(kept))
+        return str(out)
+
+    def test_sparse_regime_is_no_data(self, sport_spec_path, data_csv, tmp_path, capsys):
+        # Three enroll=0 rows fill no stratum to the minimum cell size: that
+        # experiment has no data, and the others read as without those rows.
+        analyze = ["analyze", "--graph", str(sport_spec_path), "--data"]
+        sparse = self._rows_kept(
+            data_csv, tmp_path / "sparse.csv", lambda label, seen: label != "enroll=0" or seen < 3
+        )
+        code, report = machine(capsys, [*analyze, sparse])
+        assert code == 0
+        statuses = {r["experiment"]["target"]: r["status"] for r in report.sections["stratified"]}
+        assert statuses == {"win_medals": "no-data", "live_longer": "ok", "be_fit": "ok"}
+        without = self._rows_kept(data_csv, tmp_path / "without.csv", lambda label, _: label != "enroll=0")
+        code, without_report = machine(capsys, [*analyze, without])
+        assert code == 0
+        assert report.sections == without_report.sections
+
+    @pytest.mark.parametrize(
+        "adjust, message",
+        [
+            ("practice", "adjustment variables must not include the action"),
+            ("enroll,enroll", "adjustment variables must be distinct, got ['enroll', 'enroll']"),
+            ("nope", "unknown column 'nope'"),
+        ],
+    )
+    def test_bad_adjustment_fails_when_no_experiment_has_data(
+        self, sport_spec_path, data_csv, tmp_path, adjust, message, capsys
+    ):
+        natural = self._rows_kept(data_csv, tmp_path / "natural.csv", lambda label, _: label == "natural")
+        argv = ["analyze", "--graph", str(sport_spec_path), "--data", natural]
+        assert run_command(argv) == 0
+        capsys.readouterr()
+        assert run_command([*argv, "--adjust", adjust]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
         "command, flag", [("validate", "--graph"), ("infer", "--graph"), ("infer", "--data")]

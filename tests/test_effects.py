@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from teleo import (
     CausalGraph,
     HypothesisError,
+    UnknownVariableError,
     Variable,
     classify_effects,
     confounding_causes,
@@ -68,6 +69,12 @@ class TestOtherHypotheses:
             classify_effects(sport_lab_graph(), "practice", "smoke")
         with pytest.raises(HypothesisError):
             classify_effects(sport_lab_graph(), "practice", "practice")
+
+    def test_undeclared_hypothesis_is_unknown(self):
+        with pytest.raises(UnknownVariableError, match="^unknown variable 'nope'$"):
+            classify_effects(sport_lab_graph(), "practice", "nope")
+        with pytest.raises(HypothesisError, match="^'smoke' is not a strict descendant of action 'practice'$"):
+            classify_effects(sport_lab_graph(), "practice", "smoke")
 
 
 class TestConfoundingCauses:

@@ -24,7 +24,6 @@ from teleo import (
     joint_enumerate,
     oracle_identify,
     plan,
-    predicted_rates,
     run_battery,
     score_arms,
     sensitivity,
@@ -44,7 +43,7 @@ from teleo.inference import (
     VERDICT_INDISTINGUISHABLE,
     VERDICT_REFUTED,
 )
-from teleo.models import SPORT_LEVERS, sport_lab_confounded
+from teleo.models import SPORT_LEVERS, sport_lab, sport_lab_confounded
 
 from .helpers import lever_chain, make_dataset, row_count
 
@@ -117,18 +116,34 @@ class TestPredictedRates:
             "win_medals": [0.8, 0.05, 0.8, 0.8],
         }
         for name, want in expected.items():
-            got = predicted_rates(
-                g, "practice", policy, frozenset({(name, 1)}), ARM_REGIMES
-            )
+            model = bind_agent(g, "practice", policy.with_intentions({(name, 1)}))
+            got = [model.action_rate(regime) for regime in ARM_REGIMES]
             assert got == pytest.approx(want, rel=1e-9), name
 
     def test_natural_rates_identical_across_hypotheses(self, sport_doc):
         g, policy = sport_doc.graph, sport_doc.policy
         natural = [
-            predicted_rates(g, "practice", policy, h, [Regime()])[0]
+            bind_agent(g, "practice", policy.with_intentions(h)).action_rate(Regime())
             for h in SINGLETONS
         ]
         assert len(set(natural)) == 1
+
+
+@pytest.mark.parametrize("build", [sport_lab, sport_lab_confounded])
+def test_bound_model_rate_is_the_scorers_rate(build):
+    """Each hypothesis's own bound model gives, under every lever regime,
+    exactly the scorer's rate-table entry for its servable bit there."""
+    doc = build()
+    regimes = [Regime(), *(Regime(dict([lever])) for lever in doc.levers.values())]
+    hypotheses = enumerate_hypotheses(doc.graph, "practice", max_size=4)
+    model = inference._scoring_model(doc.graph, "practice", doc.policy, hypotheses)
+    masks, fails = inference._servable_masks(model, hypotheses, regimes)
+    table = inference._rate_table(model, regimes, masks, fails)
+    for hypothesis, mask in zip(hypotheses, masks):
+        graph = CausalGraph(doc.graph.variables)  # no memo shared with the scorer
+        own = bind_agent(graph, "practice", doc.policy.with_intentions(hypothesis))
+        for regime, fail, row in zip(regimes, fails, table):
+            assert own.action_rate(regime) == row[not mask & fail], (hypothesis, regime)
 
 
 def test_rates_key_on_clamps_of_the_action_ancestors(monkeypatch):
@@ -263,9 +278,8 @@ class TestScoring:
         scores = score_arms(
             arms, sport_doc.graph, "practice", sport_doc.policy, hypotheses=[h]
         )
-        rates = predicted_rates(
-            sport_doc.graph, "practice", sport_doc.policy, h, [a.regime for a in arms]
-        )
+        model = bind_agent(sport_doc.graph, "practice", sport_doc.policy.with_intentions(h))
+        rates = [model.action_rate(a.regime) for a in arms]
         want = sum(
             float(stats.binom.logpmf(a.acts, a.n, r)) for a, r in zip(arms, rates)
         )
@@ -354,7 +368,8 @@ class TestBinomialLogpmf:
     def test_action_rate_summed_just_above_one_is_clamped_to_one(self):
         g, policy, model = self.summed_above_one()
         assert model.action_rate() == 1.0
-        assert predicted_rates(g, "v5", policy, frozenset({("v6", 0)}), [Regime()]) == [1.0]
+        (mask,), fails = inference._servable_masks(model, [policy.intention_set], [Regime()])
+        assert inference._rate_table(model, [Regime()], [mask], fails) == [{True: 1.0}]
 
 
 PROBS = (0.0, 0.1, 0.25, 0.5, 0.9, 1.0)
@@ -582,6 +597,39 @@ class TestMisfit:
         assert wrong.verdict == IDENT_INDETERMINATE
         assert right.verdict == IDENT_UNIQUE
         assert right.top == frozenset({("be_fit", 1)})
+
+
+def reference_identify(scores):
+    """(verdict, top, candidates) as ``identify`` computed and stored them
+    before ``Identification`` read them off its scores."""
+    surviving = [s for s in scores if s.verdict != VERDICT_REFUTED]
+    if not surviving:
+        return IDENT_INDETERMINATE, None, ()
+    top = max(surviving, key=lambda s: s.log_likelihood)
+    if len(surviving) == 1:
+        return IDENT_UNIQUE, top.hypothesis, (top.hypothesis,)
+    return IDENT_CANDIDATES, top.hypothesis, tuple(s.hypothesis for s in surviving)
+
+
+SCORE_ROWS = st.lists(
+    st.tuples(
+        st.sampled_from([-math.inf, -7.5, -1.0, 0.0]),
+        st.sampled_from([VERDICT_CONSISTENT, VERDICT_INDISTINGUISHABLE, VERDICT_REFUTED]),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(SCORE_ROWS)
+@example([(-1.0, VERDICT_REFUTED), (-math.inf, VERDICT_REFUTED)])
+@example([(-1.0, VERDICT_INDISTINGUISHABLE), (0.0, VERDICT_INDISTINGUISHABLE), (0.0, VERDICT_INDISTINGUISHABLE)])
+def test_identification_reads_the_stored_answers(rows):
+    scores = [HypothesisScore(frozenset({(f"e{i}", 1)}), ll, v) for i, (ll, v) in enumerate(rows)]
+    ident = identify(iter(scores))
+    assert ident.scores == tuple(scores)
+    assert (ident.verdict, ident.top, ident.candidates) == reference_identify(scores)
 
 
 class TestIdentifyBranches:

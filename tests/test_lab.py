@@ -201,16 +201,19 @@ class TestRunRandomized:
             lever=("practice", 0),
             rationale="parallel",
             expected_pattern={"practice": 0},
-            pattern_mode="must-observe",
         )
         with pytest.raises(RegimeError):
             run_randomized(model, exp, 100, 1)
 
 
 def _experiment(mode: str, pattern: dict) -> InterferenceExperiment:
-    return InterferenceExperiment(
-        target="b", lever=("c", 0), rationale="parallel", expected_pattern=pattern, pattern_mode=mode
+    """An experiment whose rationale gives ``mode``."""
+    rationale = "hypothesized-itself" if mode == "must-not-observe" else "parallel"
+    experiment = InterferenceExperiment(
+        target="b", lever=("c", 0), rationale=rationale, expected_pattern=pattern
     )
+    assert experiment.pattern_mode == mode
+    return experiment
 
 
 class TestPatternCheck:
@@ -236,11 +239,6 @@ class TestPatternCheck:
         data = make_dataset(["a", "b"], [(1, 0), (0, 1)])
         assert self.judge(data, {"a": 1}, "must-observe") == (MIN_SUPPORT, True)
         assert self.judge(data, {"a": 1, "b": 1}, "must-observe") == (0, False)
-
-    def test_unknown_mode(self):
-        data = make_dataset(["a"], [(1,)])
-        with pytest.raises(ValueError, match="unknown mode 'sometimes'"):
-            self.judge(data, {"a": 1}, "sometimes")
 
 
 class TestBudget:

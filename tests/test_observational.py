@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from teleo import (
     Battery,
+    DataError,
     Dataset,
     Regime,
     TeleoError,
@@ -19,6 +20,7 @@ from teleo import (
 from teleo.models import SPORT_LEVERS, sport_lab_confounded
 from teleo.observational import (
     FLAG_CONFOUNDED,
+    ObservationalResult,
     FLAG_EMPTY_CELLS,
     FLAG_SMALL_STRATA,
     MIN_CELL,
@@ -172,6 +174,33 @@ class TestStratifiedComparison:
         with pytest.raises(TeleoError, match="minimum cell"):
             stratified_action_comparison(data, "act")
 
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            ["natural"] * 4,
+            ["natural", "ban", "tax", "tax"],
+            ["natural", "natural", "ban", "ban"],
+        ],
+    )
+    def test_data_it_cannot_compare_is_a_data_error(self, labels):
+        data = make_dataset(["age", "act"], [(0, 1), (0, 0), (1, 1), (1, 0)], labels)
+        with pytest.raises(DataError):
+            stratified_action_comparison(data, "act", adjustment=("age",))
+
+    @pytest.mark.parametrize(
+        "adjustment, message",
+        [
+            (("act",), "adjustment variables must not include the action"),
+            (("age", "age"), "adjustment variables must be distinct"),
+            (("nope",), "unknown column 'nope'"),
+        ],
+    )
+    def test_argument_errors_come_before_data_errors(self, adjustment, message):
+        data = make_dataset(["age", "act"], [(1, 1), (0, 0)], ["natural", "natural"])
+        with pytest.raises(TeleoError, match=message) as info:
+            stratified_action_comparison(data, "act", adjustment=adjustment)
+        assert not isinstance(info.value, DataError)
+
     def test_counts_only_the_strata_present(self, monkeypatch):
         # 24 adjustment variables span 2^24 strata; the data hold 9.
         rng = np.random.default_rng(3)
@@ -319,6 +348,23 @@ class TestObservationalBattery:
         fit = next(r for r in results if r.experiment.target == "be_fit")
         assert fit.verdict == "change"
         assert fit.pattern_passed
+
+    def test_sparse_regime_marked_no_data(self, sport_doc, sport_battery):
+        # Three ban rows fill no stratum to MIN_CELL: that experiment has no
+        # data, and the others read as on the data without those rows.
+        cls, battery = sport_battery
+        model = sport_doc.bind()
+        parts = [sample(model.bound_graph(Regime()), 2000, 81)]
+        for i, exp in enumerate(battery.experiments):
+            n = 3 if exp.label == "enroll=0" else 2000
+            parts.append(sample(model.bound_graph(exp.regime()), n, 82 + i, regime_label=exp.label))
+        kept = [p for p in parts if p.regime_table != ("enroll=0",)]
+        sparse, without = (
+            observational_battery(joined(ps), battery, cls, (), sport_doc.graph) for ps in (parts, kept)
+        )
+        assert [r.status for r in sparse] == ["no-data", "ok", "ok"]
+        assert sparse[0] == ObservationalResult(battery.experiments[0])
+        assert sparse == without
 
     def test_confounding_flag_follows_adjustment(self, confounded_doc):
         g = confounded_doc.graph

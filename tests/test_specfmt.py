@@ -1,11 +1,17 @@
 import hashlib
+import re
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from teleo import (
+    AgentPolicy,
+    CausalGraph,
     GraphSpecDocument,
     InvalidGraphError,
     SpecError,
+    Tagging,
+    Variable,
     parse_graph_spec,
     serialize_graph_spec,
 )
@@ -109,6 +115,35 @@ class TestRoundTrip:
         doc = parse_graph_spec("var a\n  p = 0.1\n")
         again = parse_graph_spec(serialize_graph_spec(doc))
         assert again.graph.variable("a").cpt[()] == doc.graph.variable("a").cpt[()]
+
+
+# Name characters: plain ones, "#", and whitespace that str.split or
+# str.splitlines would cut a line at.
+NAME_CHARS = "ab_0=\u00e9# \t\n\r\x0b\x1c\x85\u00a0\u2028"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(NAME_CHARS, min_size=1, max_size=5).filter(lambda name: "=" not in name))
+@example("a#b")
+@example("a b")
+def test_names_round_trip_or_are_refused(name):
+    """A name ``validate`` accepts is written so it parses back, or, if it
+    holds whitespace or "#", refused with an error that names it."""
+    graph = CausalGraph.make(
+        [Variable.make(name, (), 0.25), Variable.make("z", (name,), {0: 0.1, 1: 0.9})]
+    )
+    assert graph.validate() == []
+    doc = GraphSpecDocument(
+        graph, Tagging.make(name, [("z", 1)]), AgentPolicy.make([("z", 1)]), {"z": (name, 1)}
+    )
+    if "#" in name or any(c.isspace() for c in name):
+        with pytest.raises(SpecError, match=re.escape(repr(name))):
+            serialize_graph_spec(doc)
+        return
+    again = parse_graph_spec(serialize_graph_spec(doc))
+    assert (again.graph, again.tagging, again.policy, again.levers) == (
+        doc.graph, doc.tagging, doc.policy, doc.levers
+    )
 
 
 class TestSpecErrors:
