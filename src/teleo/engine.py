@@ -342,11 +342,13 @@ def _cell_table(
     """Count the cells with one integer key per row, each row counting
     once or ``weights`` times: the code's bits, then one bit per variable.
     With no more keys than rows, ``np.bincount`` counts every key in one
-    pass, and each cell's code and row are its key's bits; with fewer rows
-    the bins cost more than sorting the keys with ``np.unique``.  A row
-    wider than 64 bits then renumbers the key by its rank among the keys so
-    far whenever the next bit would not fit; ranks keep the order, so the
-    cells come out sorted on every path."""
+    pass; with fewer rows the bins cost more than sorting the keys, and a
+    cell is a run of equal sorted keys, counted by the run's length or by
+    summing its weights.  Either way each cell's code and row are read back
+    from its key's bits (:func:`_key_rows`).  A row wider than 64 bits
+    renumbers the key by its rank among the keys so far whenever the next
+    bit would not fit, and its cells are read from their first rows; ranks
+    keep the order, so the cells come out sorted on every path."""
     width = max(n_labels - 1, 0).bit_length()
     n_vars = values.shape[1]
     bits = width + n_vars
@@ -359,17 +361,49 @@ def _cell_table(
         key <<= 1
         key |= column
         width += 1
+    if bits > 64:
+        if weights is None:
+            _, first, counts = np.unique(key, return_index=True, return_counts=True)
+        else:
+            _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+            counts = np.bincount(inverse, weights).astype(np.int64)
+        return CellTable(codes[first], values[first], counts)
     if 1 << bits <= len(key):
         counts = np.bincount(key, weights).astype(np.int64, copy=False)
         cells = np.flatnonzero(counts)
-        rows = (cells[:, None] >> np.arange(n_vars - 1, -1, -1)) & 1
-        return CellTable((cells >> n_vars).astype(codes.dtype), rows.astype(np.int8), counts[cells])
-    if weights is None:
-        _, first, counts = np.unique(key, return_index=True, return_counts=True)
+        cells, counts = cells.astype(key.dtype), counts[cells]
     else:
-        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-        counts = np.bincount(inverse, weights).astype(np.int64)
-    return CellTable(codes[first], values[first], counts)
+        cells, counts = _runs(key, weights)
+    del key
+    return CellTable((cells >> n_vars).astype(codes.dtype), _key_rows(cells, n_vars), counts)
+
+
+def _runs(keys: np.ndarray, weights: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ``keys``, ascending, and how many times each occurs or
+    the sum of its ``weights`` (int64): the runs of equal keys once sorted.
+    Unweighted keys are sorted in place."""
+    if weights is None:
+        keys.sort()
+    else:
+        order = np.argsort(keys)
+        keys, weights = keys[order], weights[order]
+        del order
+    new = np.empty(len(keys), dtype=bool)
+    new[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    counts = np.diff(starts, append=len(keys)) if weights is None else np.add.reduceat(weights, starts)
+    return keys[starts], counts
+
+
+def _key_rows(keys: np.ndarray, n_vars: int) -> np.ndarray:
+    """The low ``n_vars`` bits of each unsigned key as a row of 0/1 int8s,
+    most significant first: a big-endian copy of the keys is shifted so
+    those bits lead, and its bytes are unpacked, so the only temporary is
+    that copy."""
+    top = keys.astype(keys.dtype.newbyteorder(">"))
+    top <<= 8 * keys.itemsize - n_vars
+    return np.unpackbits(top.view(np.uint8).reshape(len(keys), keys.itemsize), axis=1, count=n_vars).view(np.int8)
 
 
 @dataclass(frozen=True, eq=False)
@@ -675,12 +709,14 @@ def _decode_rows(
     text: bytes, pos: int, n_cells: int, record: int, final: bool, table: dict[str, int]
 ) -> tuple[np.ndarray, np.ndarray, int, int]:
     """Decode the CSV records of ``text`` from byte ``pos``, the first
-    numbered ``record``: (values, codes, the byte and the number of the
-    first record left unread).  A label not yet in ``table`` gets the next
-    code there, so every block of a file codes its labels alike.  Unless
-    ``final``, a record that runs to the end of ``text`` may go on past it
-    and is left unread.  A line whose first ``2 * n_cells`` bytes are
-    unquoted 0/1 cells and commas is decoded in bulk, and
+    numbered ``record``: (values, codes in the smallest unsigned type that
+    holds ``table``'s, the byte and the number of the first record left
+    unread).  A label not yet in ``table`` gets the next code there, so
+    every block of a file codes its labels alike.  Unless ``final``, a
+    record that runs to the end of ``text`` may go on past it and is left
+    unread.  A line whose first ``2 * n_cells`` bytes are unquoted 0/1
+    cells and commas is decoded in bulk (one comparison over every line's
+    (digit, comma) byte pairs finds the lines that are not), and
     :func:`_read_record` reads its label on the first line of each distinct
     tail (:func:`_distinct_tails` finds them among the tails of one length).
     Every other non-blank line, and each whose tail spans lines, is not one
@@ -699,10 +735,11 @@ def _decode_rows(
     pairs = cells.view(np.uint16)  # one (digit, comma) byte pair per cell
     fast = ends - starts >= max(width, 1)
     fast[: np.searchsorted(starts, 8 - pos)] = False  # see _distinct_tails below
-    for k in range(n_cells):
-        fast &= (pairs[:, k] | _DIGIT_BIT) == _CELL
     # Only fast lines keep these values; the others are read again or dropped.
+    # They are taken before the OR below, which turns every "0," into "1,".
     values = cells[:, 0::2].view(np.int8) - np.int8(ord("0"))
+    pairs |= _DIGIT_BIT
+    fast[np.flatnonzero(pairs != _CELL) // max(n_cells, 1)] = False
     del cells, pairs
     line_code = np.full(len(ends), _SKIP, dtype=np.int32)
     line_code[ends > starts] = _SLOW
@@ -759,7 +796,7 @@ def _decode_rows(
     keep = line_code >= 0
     if not keep.all():
         values, line_code = values[keep], line_code[keep]
-    return values, line_code, rest, record + stop - joined
+    return values, line_code.astype(_code_dtype(len(table))), rest, record + stop - joined
 
 
 def require_possible(dataset: Dataset, graph: CausalGraph, exempt: Iterable[str] = ()) -> None:

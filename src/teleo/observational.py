@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable
 
 from .effects import EffectClassification, confounding_causes
-from .engine import NATURAL_LABEL, Dataset
+from .engine import NATURAL_LABEL, CellTable, Dataset
 from .errors import DataError, TeleoError
 from .graph import CausalGraph
 from .lab import DEFAULT_ALPHA, Battery, InterferenceExperiment, expected_pattern_check
@@ -77,6 +77,17 @@ def _weight_variance(k: int, n: int) -> float:
     return p * (1.0 - p) / n
 
 
+def _adjusted_tally(dataset: Dataset, action: str, adjustment: tuple[str, ...]) -> CellTable:
+    """``dataset.tally((action, *adjustment))``, after checking that the
+    adjustment set names neither the action nor a variable twice; a column
+    the data lack raises from the tally."""
+    if action in adjustment:
+        raise TeleoError("adjustment variables must not include the action")
+    if len(set(adjustment)) != len(adjustment):
+        raise TeleoError(f"adjustment variables must be distinct, got {list(adjustment)}")
+    return dataset.tally((action, *adjustment))
+
+
 def stratified_action_comparison(
     dataset: Dataset,
     action: str,
@@ -99,11 +110,7 @@ def stratified_action_comparison(
     ``MIN_CELL``) raise ``DataError``.
     """
     adjustment = tuple(adjustment)
-    if action in adjustment:
-        raise TeleoError("adjustment variables must not include the action")
-    if len(set(adjustment)) != len(adjustment):
-        raise TeleoError(f"adjustment variables must be distinct, got {list(adjustment)}")
-    tally = dataset.tally((action, *adjustment))
+    tally = _adjusted_tally(dataset, action, adjustment)
     labels = sorted({dataset.regime_table[code] for code in tally.codes.tolist()})
     if len(labels) < 2:
         raise DataError(f"need 2 regimes to compare, found {labels}")
@@ -198,8 +205,10 @@ def observational_battery(
     """Analyze every planned experiment against mixed-regime data.
 
     Each experiment compares the natural rows with its lever-regime rows.
-    An experiment the comparison raises ``DataError`` for is marked
-    "no-data" and the battery continues; an argument error raises.  Any
+    An adjustment set that names the action or a variable twice, or a
+    column the data lack, raises ``TeleoError`` before any experiment, even
+    when none is planned.  An experiment the comparison raises
+    ``DataError`` for is marked "no-data" and the battery continues.  Any
     analysis whose adjustment set misses a confounding cause of (action,
     target) in ``graph`` is flagged potentially-confounded.  The treated
     rows' pattern is judged as in the randomized battery, with the agent's
@@ -207,6 +216,7 @@ def observational_battery(
     """
     adjustment = tuple(adjustment)
     action = classification.action
+    _adjusted_tally(dataset, action, adjustment)  # checked even when no experiment is planned
     results = []
     for experiment in plan.experiments:
         pair = dataset.filter_regimes([NATURAL_LABEL, experiment.label])

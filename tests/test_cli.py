@@ -748,6 +748,30 @@ class TestAnalyzeAndInfer:
         assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
+        "adjust, message",
+        [
+            ("practice", "adjustment variables must not include the action"),
+            ("enroll,enroll", "adjustment variables must be distinct, got ['enroll', 'enroll']"),
+            ("practice,nope", "adjustment variables must not include the action"),
+            ("enroll,enroll,nope", "adjustment variables must be distinct, got ['enroll', 'enroll', 'nope']"),
+            ("nope", "unknown column 'nope'"),
+        ],
+    )
+    def test_bad_adjustment_fails_when_no_experiment_is_planned(self, tmp_path, adjust, message, capsys):
+        # Without its lever lines the demo spec plans no experiment, so the
+        # adjustment set is checked before the battery's loop or not at all.
+        lines = DEMO_SPORT_SPEC.read_text().splitlines(keepends=True)
+        spec = tmp_path / "sport.spec"
+        spec.write_text("".join(line for line in lines if not line.startswith("lever ")))
+        data = tmp_path / "data.csv"
+        assert run_command(["simulate", "--graph", str(spec), "--seed", "3", "--n", "200", "--out", str(data)]) == 0
+        argv = ["analyze", "--graph", str(spec), "--data", str(data)]
+        assert run_command(argv) == 0
+        capsys.readouterr()
+        assert run_command([*argv, "--adjust", adjust]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
         "command, flag", [("validate", "--graph"), ("infer", "--graph"), ("infer", "--data")]
     )
     def test_file_that_is_not_utf8_is_an_error(

@@ -567,7 +567,9 @@ def datasets(draw, wide=False):
     return labeled_dataset(variables, values, labels)
 
 
-PERTURBATIONS = ("bad_cell", "short_row", "long_row", "blank_line", "quoted_cell", "crlf", "no_final_newline")
+PERTURBATIONS = (
+    "bad_cell", "bad_last_cell", "short_row", "long_row", "blank_line", "quoted_cell", "crlf", "no_final_newline"
+)
 
 
 def perturb(text: str, kind: str, at: int) -> str:
@@ -580,6 +582,10 @@ def perturb(text: str, kind: str, at: int) -> str:
     line = lines[k]
     if kind == "bad_cell":
         lines[k] = "2" + line[1:]
+    elif kind == "bad_last_cell":
+        # The byte where a row's last cell is, after as many cells as the header names.
+        last = 2 * len(next(csv.reader(io.StringIO(text)), ["regime"])) - 4
+        lines[k] = line[:last] + "/" + line[last + 1 :] if last >= 0 else line
     elif kind == "short_row":
         lines[k] = line[2:]
     elif kind == "long_row":
@@ -589,6 +595,13 @@ def perturb(text: str, kind: str, at: int) -> str:
     else:
         lines[k] = '"' + line[:1] + '"' + line[1:]
     return "\n".join(lines)
+
+
+# Four rows of 17 cells, which a bad byte in the first or the last cell of
+# a line sends to the slow path.
+SEVENTEEN_CELLS = labeled_dataset(
+    [f"v{k}" for k in range(17)], np.eye(4, 17, 15, dtype=np.int8), ["natural", "x=1", "natural", "x=1"]
+)
 
 
 class TestCsvCodecProperties:
@@ -606,6 +619,8 @@ class TestCsvCodecProperties:
             st.tuples(st.sampled_from(PERTURBATIONS), st.integers(0, 1000)), min_size=1, max_size=3
         ),
     )
+    @example(data=SEVENTEEN_CELLS, edits=[("bad_cell", 3)])
+    @example(data=SEVENTEEN_CELLS, edits=[("bad_last_cell", 3)])
     def test_perturbed_text_reads_like_reference(self, data, edits):
         text = data.to_csv()
         for kind, at in edits:
@@ -631,6 +646,8 @@ class TestCsvCodecProperties:
         ),
         cuts=st.lists(st.integers(0, 5000), max_size=8),
     )
+    @example(data=SEVENTEEN_CELLS, edits=[("bad_cell", 3)], cuts=[150])
+    @example(data=SEVENTEEN_CELLS, edits=[("bad_last_cell", 3)], cuts=[150])
     def test_perturbed_blocks_read_like_one_block(self, data, edits, cuts):
         text = data.to_csv()
         for kind, at in edits:
@@ -1202,34 +1219,49 @@ def test_wide_rows_reduce_to_cells():
     require_possible(data.filter_regimes(["natural", "l0=0"]), graph)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(
-    n_vars=st.integers(0, 4),
+    n_vars=st.one_of(st.integers(0, 4), st.integers(5, 70)),
     n_labels=st.sampled_from([1, 2, 3, 5, 257, 300]),
     counted=st.booleans(),
     extra=st.integers(0, 300),
     seed=st.integers(0, 2**32 - 1),
 )
 @example(n_vars=0, n_labels=1, counted=False, extra=0, seed=0)
+@example(n_vars=64, n_labels=1, counted=False, extra=200, seed=1)  # a key of exactly 64 bits
+@example(n_vars=55, n_labels=300, counted=False, extra=200, seed=2)  # 9 code bits + 55: 64 bits
+@example(n_vars=65, n_labels=1, counted=False, extra=200, seed=3)  # 65 bits: ranks
+@example(n_vars=56, n_labels=300, counted=False, extra=200, seed=4)  # 9 code bits + 56: 65 bits
 def test_cells_match_reference_on_both_sides_of_the_bin_rule(n_vars, n_labels, counted, extra, seed):
     """``Dataset.cells`` counts keys in bins when the key space is no larger
-    than the row count (``counted``) and sorts them otherwise; either way
-    its codes, rows and counts, in order, are the reference's, and the
-    cells ``filter_regimes`` carries are the cells counted afresh."""
-    space = 1 << ((n_labels - 1).bit_length() + n_vars)
-    n_rows = space + extra if counted else extra % space
+    than the row count (``counted``, possible here up to 13 key bits) and
+    sorts them otherwise, at 8-, 16-, 32- and 64-bit keys and past 64 bits;
+    either way its codes, rows and counts, in order and with their types,
+    are the reference's.  So are those of weighted tallies of random
+    column subsets, and the cells ``filter_regimes`` carries are the cells
+    counted afresh."""
+    bits = (n_labels - 1).bit_length() + n_vars
+    counted = counted and bits <= 13
+    n_rows = (1 << bits) + extra if counted else extra % (1 << bits)
     rng = np.random.default_rng(seed)
-    # Codes below a random cap, so that some labels and cells stay empty.
+    # Codes below a random cap, so that some labels and cells stay empty,
+    # and rows drawn from a random pool, so that wide rows repeat too.
     codes = rng.integers(0, rng.integers(1, n_labels, endpoint=True), n_rows)
+    pool = rng.integers(0, 2, (rng.integers(1, n_rows, endpoint=True), n_vars), dtype=np.int8) if n_rows else None
     dataset = Dataset(
         tuple(f"v{k}" for k in range(n_vars)),
-        rng.integers(0, 2, (n_rows, n_vars), dtype=np.int8),
+        pool[rng.integers(0, len(pool), n_rows)] if n_rows else np.zeros((0, n_vars), dtype=np.int8),
         codes.astype(engine._code_dtype(n_labels)),
         tuple(f"x{k}" for k in range(n_labels)),
     )
     assert _cell_counts(dataset) == _cell_reference(dataset)
+    for _ in range(3):
+        names = [dataset.variables[k] for k in rng.permutation(n_vars)[: rng.integers(0, n_vars, endpoint=True)]]
+        assert _cell_counts(dataset, names) == _cell_reference(dataset, names)
+        tally = dataset.tally(names)
+        assert (tally.codes.dtype, tally.rows.dtype, tally.counts.dtype) == (dataset.regime_codes.dtype, np.int8, np.int64)
     assert dataset.cells.codes.dtype == dataset.regime_codes.dtype
-    assert dataset.cells.rows.dtype == np.int8
+    assert dataset.cells.rows.dtype == np.int8 and dataset.cells.counts.dtype == np.int64
     chosen = [code for code in range(n_labels) if rng.random() < 0.5]
     kept = dataset.filter_regimes(dataset.regime_table[code] for code in chosen)
     mask = np.isin(dataset.regime_codes, chosen)
